@@ -13,7 +13,7 @@ import io
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -218,12 +218,16 @@ def _worker_datum(type_str: str):
     return build_root_datum(type_str)
 
 
+def _survey_row(datum, p: ParabolicSubset, word: Tuple[int, ...]) -> dict:
+    w = element_from_word(datum, word)
+    return csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w)))
+
+
 def _survey_worker(task: Tuple[str, Tuple[int, ...], Tuple[int, ...]]) -> dict:
     type_str, inside, word = task
     datum = _worker_datum(type_str)
     p = ParabolicSubset(rank=datum.rank, inside=frozenset(inside))
-    w = element_from_word(datum, word)
-    return csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w)))
+    return _survey_row(datum, p, word)
 
 
 def run_survey(cfg: CliConfig) -> int:
@@ -240,10 +244,7 @@ def run_survey(cfg: CliConfig) -> int:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             rows = list(pool.map(_survey_worker, tasks, chunksize=16))
     else:
-        rows = []
-        for word in words:
-            w = element_from_word(datum, word)
-            rows.append(csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w))))
+        rows = [_survey_row(datum, p, word) for word in words]
     if cfg.format == "json":
         doc = {
             "cartan_type": cfg.type.upper(),
@@ -304,11 +305,11 @@ def run_conjectures(cfg: CliConfig) -> int:
             if frag.verified:
                 verified += 1
             counter.extend(
-                {"word": list(frag.word), "witness": _json_safe(x)}
+                {"word": list(frag.word), "witness": x}
                 for x in frag.counterexamples
             )
             manual.extend(
-                {"word": list(frag.word), "witness": _json_safe(x)}
+                {"word": list(frag.word), "witness": x}
                 for x in frag.manual_review
             )
             truncated = truncated or frag.truncated
@@ -325,24 +326,8 @@ def run_conjectures(cfg: CliConfig) -> int:
                 truncated=truncated,
             )
         )
-    doc = {
-        "reports": [
-            {
-                "conjecture": r.conjecture,
-                "cartan_type": r.cartan_type,
-                "length_cap": r.length_cap,
-                "word_cap": r.word_cap,
-                "elements_scanned": r.elements_scanned,
-                "verified_count": r.verified_count,
-                "counterexamples": list(r.counterexamples),
-                "manual_review": list(r.manual_review),
-                "truncated": r.truncated,
-            }
-            for r in reports
-        ]
-    }
     if cfg.format == "json":
-        _emit(cfg, canonical_json(doc))
+        _emit(cfg, canonical_json({"reports": [asdict(r) for r in reports]}))
     else:
         lines = []
         for r in reports:
@@ -361,12 +346,6 @@ def run_conjectures(cfg: CliConfig) -> int:
     if any(r.truncated or r.manual_review for r in reports):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
-
-
-def _json_safe(obj):
-    if isinstance(obj, tuple):
-        return [_json_safe(x) for x in obj]
-    return obj
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

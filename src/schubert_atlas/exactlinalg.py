@@ -18,13 +18,6 @@ IntMatrix = Tuple[Tuple[int, ...], ...]
 RatMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 
-def as_matrix(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    out = tuple(tuple(int(x) for x in row) for row in rows)
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise NotSquareError("ragged rows in matrix")
-    return out
-
-
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -35,10 +28,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
         tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols)
         for row in a
     )
-
-
-def mat_vec(m: Sequence[Sequence], v: Sequence):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
 def det(m: Sequence[Sequence[int]]) -> int:

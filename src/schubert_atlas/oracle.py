@@ -14,7 +14,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import NotSimplyLacedError
 from .rootdata import CorootVec, RootDatum
-from .schubert import SchubertInput, _canonical_sorted, _indecomposables
+from .schubert import SchubertInput, _canonical_sorted, decompositions
 from .weyl import (
     DEFAULT_WORD_CAP,
     WeylElement,
@@ -35,7 +35,7 @@ def _length_drop_pairs(
     datum: RootDatum, w: WeylElement
 ) -> Tuple[Tuple[CorootVec, WeylElement, int], ...]:
     """(eta, w*s_eta, length drop) for every inversion coroot of w."""
-    cache = datum._cache.setdefault("length_drops", {})
+    cache = datum.memo.length_drops
     hit = cache.get(w.matrix)
     if hit is not None:
         return hit
@@ -102,19 +102,16 @@ def check_order_reversal(
     if not datum.simply_laced:
         raise NotSimplyLacedError("order-reversal scan needs a simply-laced type")
     canon = canonical_reduced_word(w)
-    inv = inversion_sequence(datum, canon)
-    elements = _canonical_sorted(datum, inv)
-    members = set(elements)
-    decompositions: Dict[CorootVec, List[Tuple[CorootVec, CorootVec]]] = {}
-    for a in range(len(elements)):
-        for b in range(a + 1, len(elements)):
-            s = tuple(x + y for x, y in zip(elements[a], elements[b]))
-            if s in members:
-                decompositions.setdefault(s, []).append((elements[a], elements[b]))
-    if not decompositions:
+    inv = _canonical_sorted(datum, inversion_sequence(datum, canon))
+    # simply-laced: every witness has c == 1, so mu + mu' = eta
+    pairs = {
+        eta: [(wit.mu, wit.mu_prime) for wit in witnesses]
+        for eta, witnesses in decompositions(inv).items()
+    }
+    if not pairs:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
     orders_seen: Dict[Tuple[CorootVec, CorootVec], Set[bool]] = {}
-    unresolved = set(decompositions)
+    unresolved = set(pairs)
     scanned = 0
     truncated = False
     for word in iter_reduced_words(w):
@@ -125,7 +122,7 @@ def check_order_reversal(
         seq = inversion_sequence(datum, word)
         pos = {c: i for i, c in enumerate(seq)}
         for eta in list(unresolved):
-            for pair in decompositions[eta]:
+            for pair in pairs[eta]:
                 orders = orders_seen.setdefault(pair, set())
                 orders.add(pos[pair[0]] < pos[pair[1]])
                 if len(orders) == 2:
@@ -205,8 +202,9 @@ def check_rightmost_indecomposable(
     canon = canonical_reduced_word(w)
     if w.is_identity:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
-    inv = inversion_sequence(datum, canon)
-    indecomposable = set(_indecomposables(datum, inv))
+    decomposable = decompositions(
+        _canonical_sorted(datum, inversion_sequence(datum, canon))
+    )
     distances = {k: rightmost_distance(w, k)[0] for k in support(w)}
     counter: List[object] = []
     scanned = 0
@@ -223,7 +221,7 @@ def check_rightmost_indecomposable(
             if word[pos] not in rightmost:
                 rightmost[word[pos]] = r - pos
         for k, d in distances.items():
-            if rightmost.get(k) == d and seq[d - 1] not in indecomposable:
+            if rightmost.get(k) == d and seq[d - 1] in decomposable:
                 counter.append((k, word, seq[d - 1]))
     return ConjectureFragment(
         word=canon,

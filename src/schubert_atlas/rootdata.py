@@ -114,6 +114,24 @@ class RootCorootPair:
     coroot: CorootVec
 
 
+@dataclass
+class Memo:
+    """The memo tables a root datum owns; each lives as long as the datum.
+
+    Unless noted, a table is keyed by the matrix of a Weyl element.
+    """
+
+    canonical_words: dict = field(default_factory=dict)
+    # (k, reverse_ties) -> {matrix: (distance, witness word)}
+    rightmost: dict = field(default_factory=dict)
+    # positive coroot -> its reflection
+    reflections: dict = field(default_factory=dict)
+    cover_B: dict = field(default_factory=dict)
+    # (matrix, reverse_ties) -> adapted basis
+    B_wB: dict = field(default_factory=dict)
+    length_drops: dict = field(default_factory=dict)
+
+
 @dataclass(frozen=True, eq=False)
 class RootDatum:
     """Immutable positive system for a simple Cartan type.
@@ -127,7 +145,7 @@ class RootDatum:
     cartan: IntMatrix
     positives: Tuple[RootCorootPair, ...]
     simply_laced: bool
-    _cache: dict = field(default_factory=dict, repr=False)
+    memo: Memo = field(default_factory=Memo, repr=False)
 
     def __post_init__(self) -> None:
         coroot_index: Dict[CorootVec, int] = {}
@@ -148,9 +166,6 @@ class RootDatum:
 
     def simple_coroot(self, i: int) -> CorootVec:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
-
-    def simple_root(self, i: int) -> RootVec:
-        return self.simple_coroot(i)
 
 
 def _reflect_root(cartan: IntMatrix, i: int, r: RootVec) -> RootVec:

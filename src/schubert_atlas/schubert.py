@@ -38,10 +38,6 @@ from .weyl import (
 
 Word = Tuple[int, ...]
 
-# When enabled, cover_coroots cross-checks itself against the brute-force
-# length-drop definition from the oracle module on every call.
-CROSS_CHECK_WITH_ORACLE = False
-
 
 class Status(enum.Enum):
     YES = "yes"
@@ -175,72 +171,62 @@ def coroot_inversion_set(inp: SchubertInput) -> CorootSets:
     )
 
 
-def decompose(
-    eta: CorootVec,
-    inv_elements: Sequence[CorootVec],
-    reverse_ties: bool = False,
-) -> Optional[DecompositionWitness]:
-    """Search c * eta = mu + mu' over unordered pairs of distinct inversion
-    coroots.  The witness has mu of minimal canonical position, ties by
-    minimal mu'; ``reverse_ties`` scans pairs in the opposite order.
-    Returns None exactly when eta is indecomposable.  ``inv_elements`` must
-    be sorted by canonical index.
+def decompositions(
+    elements: Sequence[CorootVec],
+) -> Dict[CorootVec, List[DecompositionWitness]]:
+    """Every c * eta = mu + mu' with mu, mu', eta among ``elements`` and
+    mu before mu'.  The keys are exactly the decomposable eta; each list
+    follows the lexicographic order of the pairs (mu, mu') in ``elements``,
+    which should be the inversion coroots in canonical order.
     """
-    eta = tuple(eta)
-    elements = list(inv_elements)
-    if eta not in elements:
-        raise NotInInversionSetError(f"{eta} not in the inversion set")
-    h_eta = height(eta)
-    n = len(eta)
-    size = len(elements)
-    a_range = range(size - 1, -1, -1) if reverse_ties else range(size)
-
-    for a in a_range:
-        mu = elements[a]
-        b_range = (
-            range(size - 1, a, -1) if reverse_ties else range(a + 1, size)
-        )
-        for b in b_range:
-            mu2 = elements[b]
-            total = height(mu) + height(mu2)
-            if total % h_eta:
-                continue
-            c = total // h_eta
-            if c <= 0:
-                continue
-            if all(mu[i] + mu2[i] == c * eta[i] for i in range(n)):
-                return DecompositionWitness(c=c, mu=mu, mu_prime=mu2)
-    return None
-
-
-def _canonical_sorted(datum: RootDatum, coroots) -> Tuple[CorootVec, ...]:
-    return tuple(sorted(coroots, key=datum.coroot_index.__getitem__))
-
-
-def _indecomposables(
-    datum: RootDatum, inv: Tuple[CorootVec, ...]
-) -> Tuple[CorootVec, ...]:
-    """One pass over unordered pairs: mark every eta with c*eta = mu + mu'."""
-    elements = _canonical_sorted(datum, inv)
     members = set(elements)
-    decomposable = set()
+    found: Dict[CorootVec, List[DecompositionWitness]] = {}
     size = len(elements)
     for a in range(size):
         mu = elements[a]
         for b in range(a + 1, size):
             mu2 = elements[b]
             s = tuple(x + y for x, y in zip(mu, mu2))
-            g = 0
-            for x in s:
-                g = math.gcd(g, x)
+            g = math.gcd(*s)
             for c in range(1, g + 1):
                 if g % c:
                     continue
-                if all(x % c == 0 for x in s):
-                    eta = tuple(x // c for x in s)
-                    if eta in members:
-                        decomposable.add(eta)
-    return tuple(c for c in elements if c not in decomposable)
+                eta = tuple(x // c for x in s)
+                if eta in members:
+                    found.setdefault(eta, []).append(
+                        DecompositionWitness(c=c, mu=mu, mu_prime=mu2)
+                    )
+    return found
+
+
+def _pick(
+    witnesses: List[DecompositionWitness], reverse_ties: bool
+) -> DecompositionWitness:
+    """The tie rule of ``decompose``: first pair, or last with
+    ``reverse_ties``."""
+    return witnesses[-1] if reverse_ties else witnesses[0]
+
+
+def decompose(
+    eta: CorootVec,
+    inv_elements: Sequence[CorootVec],
+    reverse_ties: bool = False,
+) -> Optional[DecompositionWitness]:
+    """A witness c * eta = mu + mu' over unordered pairs of distinct
+    inversion coroots.  The witness has mu of minimal canonical position,
+    ties by minimal mu'; ``reverse_ties`` takes the maximal pair instead.
+    Returns None exactly when eta is indecomposable.  ``inv_elements`` must
+    be sorted by canonical index.
+    """
+    eta = tuple(eta)
+    if eta not in inv_elements:
+        raise NotInInversionSetError(f"{eta} not in the inversion set")
+    witnesses = decompositions(inv_elements).get(eta)
+    return _pick(witnesses, reverse_ties) if witnesses else None
+
+
+def _canonical_sorted(datum: RootDatum, coroots) -> Tuple[CorootVec, ...]:
+    return tuple(sorted(coroots, key=datum.coroot_index.__getitem__))
 
 
 def _reflection_image_of_simple(
@@ -263,10 +249,12 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
     """
     sets = coroot_inversion_set(inp)
     datum = inp.datum
-    cache = datum._cache.setdefault("cover_B", {})
+    cache = datum.memo.cover_B
     cover_b = cache.get(inp.w.matrix)
     if cover_b is None:
-        cover_b = _indecomposables(datum, sets.inv_ordered)
+        elements = _canonical_sorted(datum, sets.inv_ordered)
+        decomposable = decompositions(elements)
+        cover_b = tuple(c for c in elements if c not in decomposable)
         cache[inp.w.matrix] = cover_b
     inv_set = frozenset(sets.inv_ordered)
     inside = inp.parabolic.inside_sorted
@@ -278,23 +266,13 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
             for j in inside
         )
     )
-    result = CorootSets(
+    return CorootSets(
         inv_ordered=sets.inv_ordered,
         support_B=sets.support_B,
         support_P=sets.support_P,
         cover_B=cover_b,
         cover_P=cover_p,
     )
-    if CROSS_CHECK_WITH_ORACLE:
-        from . import oracle
-
-        direct = oracle.cover_coroots_direct(inp)
-        if frozenset(cover_p) != direct:
-            raise InternalError(
-                f"cover mismatch vs direct definition for {inp.w!r}: "
-                f"{sorted(cover_p)} vs {sorted(direct)}"
-            )
-    return result
 
 
 def picard_matrix(inp: SchubertInput, sets: CorootSets) -> LabeledMatrix:
@@ -344,12 +322,13 @@ def build_B_wB(inp: SchubertInput, reverse_ties: bool = False) -> AdaptedBasis:
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
-    cache = datum._cache.setdefault(("B_wB", reverse_ties), {})
-    hit = cache.get(inp.w.matrix)
+    cache = datum.memo.B_wB
+    key = (inp.w.matrix, reverse_ties)
+    hit = cache.get(key)
     if hit is not None:
         return hit
     sets = coroot_inversion_set(inp)
-    inv_elements = _canonical_sorted(datum, sets.inv_ordered)
+    decomposable = decompositions(_canonical_sorted(datum, sets.inv_ordered))
     entries: List[Tuple[int, int, CorootVec]] = []  # (d, k, coroot)
     for k in sets.support_B:
         d, witness = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
@@ -359,10 +338,8 @@ def build_B_wB(inp: SchubertInput, reverse_ties: bool = False) -> AdaptedBasis:
             raise InternalError(
                 f"rightmost coroot {current} lacks unit coefficient at {k}"
             )
-        while True:
-            wit = decompose(current, inv_elements, reverse_ties=reverse_ties)
-            if wit is None:
-                break
+        while current in decomposable:
+            wit = _pick(decomposable[current], reverse_ties)
             if wit.c != 1:
                 raise InternalError(
                     f"decomposition scale {wit.c} != 1 in simply-laced type"
@@ -378,7 +355,7 @@ def build_B_wB(inp: SchubertInput, reverse_ties: bool = False) -> AdaptedBasis:
     entries.sort(key=lambda t: (t[0], -t[1]) if reverse_ties else (t[0], t[1]))
     basis = AdaptedBasis(entries=tuple((k, c) for _, k, c in entries))
     _assert_unipotent_lower(basis)
-    cache[inp.w.matrix] = basis
+    cache[key] = basis
     return basis
 
 
@@ -462,6 +439,24 @@ def _ht_plus_one(coroots: Sequence[CorootVec]) -> Tuple[int, ...]:
     return tuple(height(c) + 1 for c in coroots)
 
 
+def _anticanonical(
+    datum: RootDatum,
+    m_entries: Sequence[Sequence[int]],
+    keys: Sequence[int],
+    coroots: Sequence[CorootVec],
+) -> Tuple[exactlinalg.RatMatrix, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
+    """(N, hat-n, c1): N = M^-1, hat-n = N (ht + 1) over the coroots that
+    label the columns of N, and c1 = sum of hat-n_k omega_k over the keys."""
+    n_rat = exactlinalg.inverse_rational(m_entries)
+    h1 = _ht_plus_one(coroots)
+    hat = tuple(
+        sum((row[j] * h1[j] for j in range(len(h1))), Fraction(0)) for row in n_rat
+    )
+    hat_by_key = dict(zip(keys, hat))
+    c1 = tuple(hat_by_key.get(i, Fraction(0)) for i in range(1, datum.rank + 1))
+    return n_rat, hat, c1
+
+
 def gorenstein_fano_report(
     inp: SchubertInput,
     sets: CorootSets,
@@ -527,23 +522,17 @@ def gorenstein_fano_report(
             tuple(coroot[i - 1] for i in keys) for _, coroot in basis.entries
         )
         m = LabeledMatrix(row_labels=basis.entries, col_labels=keys, entries=m_entries)
-        n_rat = exactlinalg.inverse_rational(m_entries)
+        n_rat, hat, c1 = _anticanonical(datum, m_entries, keys, basis.coroots)
         if any(x.denominator != 1 for row in n_rat for x in row):
             raise InternalError("adapted-basis matrix is not unimodular")
         n = LabeledMatrix(row_labels=keys, col_labels=basis.entries, entries=n_rat)
-        h1 = _ht_plus_one(basis.coroots)
-        hat = tuple(
-            sum((row[j] * h1[j] for j in range(len(h1))), Fraction(0))
-            for row in n_rat
-        )
-        hat_by_key = dict(zip(keys, hat))
         basis_set = set(basis.coroots)
         failures = []
         for eta in sets.cover_P:
             if eta in basis_set:
                 continue
             defect = (
-                sum((hat_by_key[k] * eta[k - 1] for k in keys), Fraction(0))
+                sum((c1[k - 1] * eta[k - 1] for k in keys), Fraction(0))
                 - height(eta)
             )
             if defect != 1:
@@ -557,11 +546,6 @@ def gorenstein_fano_report(
             fano="Gorenstein with strictly positive hat-n vector",
             q_gorenstein_fano="equivalent to Fano in simply-laced types",
         )
-        c1 = None
-        if not failures:
-            c1 = tuple(
-                hat_by_key.get(i, Fraction(0)) for i in range(1, datum.rank + 1)
-            )
         return ClassificationReport(
             regime="simply_laced",
             basis=basis,
@@ -575,7 +559,7 @@ def gorenstein_fano_report(
             q_gorenstein_fano=_status(fano_flag),
             gorenstein_failures=tuple(failures),
             nef_anticanonical=all(x >= 0 for x in hat),
-            c1=c1,
+            c1=None if failures else c1,
             provenance=prov,
             **common,
         )
@@ -583,13 +567,8 @@ def gorenstein_fano_report(
     if q_fact:
         m_entries = pic.entries
         m = LabeledMatrix(row_labels=sets.cover_P, col_labels=ks, entries=m_entries)
-        n_rat = exactlinalg.inverse_rational(m_entries)
+        n_rat, hat, c1 = _anticanonical(datum, m_entries, ks, sets.cover_P)
         n = LabeledMatrix(row_labels=ks, col_labels=sets.cover_P, entries=n_rat)
-        h1 = _ht_plus_one(sets.cover_P)
-        hat = tuple(
-            sum((row[j] * h1[j] for j in range(len(h1))), Fraction(0))
-            for row in n_rat
-        )
         integral = all(x.denominator == 1 for x in hat)
         positive = all(x > 0 for x in hat)
         prov.update(
@@ -611,10 +590,7 @@ def gorenstein_fano_report(
             fano=_status(integral and positive),
             q_gorenstein_fano=_status(positive),
             nef_anticanonical=all(x >= 0 for x in hat),
-            c1=tuple(
-                dict(zip(ks, hat)).get(i, Fraction(0))
-                for i in range(1, datum.rank + 1)
-            ),
+            c1=c1,
             provenance=prov,
             **common,
         )
@@ -641,25 +617,18 @@ def gorenstein_fano_report(
     )
 
 
-def classify(inp: SchubertInput) -> ClassificationReport:
-    """Run the full pipeline on one Schubert input."""
+def classify(inp: SchubertInput, reverse_ties: bool = False) -> ClassificationReport:
+    """Run the full pipeline on one Schubert input.
+
+    ``reverse_ties`` breaks every deterministic tie of the adapted basis the
+    other way; the anticanonical class must not depend on that choice.  It
+    changes nothing outside simply-laced types.
+    """
     sets = cover_coroots(inp)
     basis = None
     if inp.datum.simply_laced:
-        borel = build_B_wB(inp)
+        borel = build_B_wB(inp, reverse_ties=reverse_ties)
         basis = p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
-    return gorenstein_fano_report(inp, sets, basis)
-
-
-def classify_with_reversed_ties(inp: SchubertInput) -> ClassificationReport:
-    """Same as classify, with every deterministic tie broken the other way.
-
-    Used to confirm that the anticanonical class does not depend on witness
-    choices; only meaningful for simply-laced data.
-    """
-    sets = cover_coroots(inp)
-    borel = build_B_wB(inp, reverse_ties=True)
-    basis = p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
     return gorenstein_fano_report(inp, sets, basis)
 
 

@@ -17,7 +17,7 @@ from .errors import (
     NonReducedWordError,
     NotInSupportError,
 )
-from .exactlinalg import invert_unimodular
+from .exactlinalg import identity, invert_unimodular
 from .rootdata import CorootVec, RootDatum, require_positive_coroot
 
 Word = Tuple[int, ...]
@@ -82,12 +82,8 @@ class WeylElement:
         return self.length == 0
 
 
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def identity_element(datum: RootDatum) -> WeylElement:
-    return WeylElement(datum, _identity_matrix(datum.rank), 0)
+    return WeylElement(datum, identity(datum.rank), 0)
 
 
 def _vec_is_negative(v: Sequence[int]) -> bool:
@@ -146,7 +142,7 @@ def element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
     The word need not be reduced; the cached length comes from inversion
     counting and may be smaller than ``len(word)``.
     """
-    matrix = _identity_matrix(datum.rank)
+    matrix = identity(datum.rank)
     for i in word:
         _check_index(datum, i)
         matrix = _mul_simple_right(datum, matrix, i)
@@ -196,15 +192,9 @@ def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
     return WeylElement(w.datum, matrix, w.length + delta)
 
 
-def left_mul_simple(w: WeylElement, i: int) -> WeylElement:
-    _check_index(w.datum, i)
-    matrix = _mul_simple_left(w.datum, w.matrix, i)
-    return WeylElement(w.datum, matrix, _count_inversions(w.datum, matrix))
-
-
 def canonical_reduced_word(w: WeylElement) -> Word:
     """Deterministic reduced word: repeatedly peel the smallest left descent."""
-    cache = w.datum._cache.setdefault("canonical_word", {})
+    cache = w.datum.memo.canonical_words
     hit = cache.get(w.matrix)
     if hit is not None:
         return hit
@@ -228,13 +218,16 @@ def canonical_reduced_word(w: WeylElement) -> Word:
 
 
 def support(w: WeylElement) -> FrozenSet[int]:
-    """{i : s_i <= w}, the letters of any reduced word."""
-    cache = w.datum._cache.setdefault("support", {})
-    hit = cache.get(w.matrix)
-    if hit is None:
-        hit = frozenset(canonical_reduced_word(w))
-        cache[w.matrix] = hit
-    return hit
+    """{i : s_i <= w}, the letters of any reduced word.
+
+    Row i of the matrix is e_i exactly when w^-1 fixes omega_i, that is,
+    when s_i is in no reduced word of w.
+    """
+    return frozenset(
+        i
+        for i, row in enumerate(w.matrix, 1)
+        if row[i - 1] != 1 or sum(map(abs, row)) != 1
+    )
 
 
 def is_min_coset_rep(w: WeylElement, p: ParabolicSubset) -> bool:
@@ -269,22 +262,12 @@ def inversion_sequence(datum: RootDatum, word: Sequence[int]) -> Tuple[CorootVec
         raise NonReducedWordError(f"word {word} is not reduced")
     n = datum.rank
     out: List[CorootVec] = []
-    suffix = _identity_matrix(n)
+    suffix = identity(n)
     for pos in range(len(word) - 1, -1, -1):
         i = word[pos]
         out.append(tuple(row[i - 1] for row in suffix))
         suffix = _mul_simple_right(datum, suffix, i)
     return tuple(out)
-
-
-def inversion_coroots(w: WeylElement) -> FrozenSet[CorootVec]:
-    """The inversion set of w as an unordered set, cached per datum."""
-    cache = w.datum._cache.setdefault("inversion_set", {})
-    hit = cache.get(w.matrix)
-    if hit is None:
-        hit = frozenset(inversion_sequence(w.datum, canonical_reduced_word(w)))
-        cache[w.matrix] = hit
-    return hit
 
 
 def rightmost_distance(
@@ -299,8 +282,8 @@ def rightmost_distance(
     _check_index(w.datum, k)
     if k not in support(w):
         raise NotInSupportError(f"s_{k} is not below {w!r}")
-    memo: Dict[Matrix, Tuple[int, Word]] = w.datum._cache.setdefault(
-        ("rightmost", k, reverse_ties), {}
+    memo: Dict[Matrix, Tuple[int, Word]] = w.datum.memo.rightmost.setdefault(
+        (k, reverse_ties), {}
     )
 
     def rec(el: WeylElement) -> Tuple[int, Word]:
@@ -332,7 +315,7 @@ def rightmost_distance(
 def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
     """The reflection attached to a positive coroot (sends it to its negative)."""
     c = tuple(c)
-    cache = datum._cache.setdefault("reflections", {})
+    cache = datum.memo.reflections
     hit = cache.get(c)
     if hit is not None:
         return hit

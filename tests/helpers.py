@@ -186,6 +186,34 @@ def coset_length_counts(datum, inside: Sequence[int]) -> List[int]:
     return _poly_div_exact(full, parabolic_subgroup_poly(datum, inside))
 
 
+# --- pair-scan decomposition oracle ----------------------------------------
+
+
+def decompose_reference(eta, inv_elements, reverse_ties=False):
+    """Search c * eta = mu + mu' pair by pair, with no map: the first pair
+    (mu, mu') in lexicographic order of ``inv_elements`` whose summed
+    height is a positive multiple c of ht(eta) and whose sum is c * eta;
+    ``reverse_ties`` scans the pairs from the other end.  Returns
+    ``(c, mu, mu')`` or None."""
+    eta = tuple(eta)
+    elements = list(inv_elements)
+    h_eta = sum(eta)
+    size = len(elements)
+    a_range = range(size - 1, -1, -1) if reverse_ties else range(size)
+    for a in a_range:
+        mu = elements[a]
+        b_range = range(size - 1, a, -1) if reverse_ties else range(a + 1, size)
+        for b in b_range:
+            mu2 = elements[b]
+            total = sum(mu) + sum(mu2)
+            if total % h_eta:
+                continue
+            c = total // h_eta
+            if all(mu[i] + mu2[i] == c * eta[i] for i in range(len(eta))):
+                return (c, mu, mu2)
+    return None
+
+
 # --- misc ------------------------------------------------------------------
 
 

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 import schubert_atlas as sa
-from schubert_atlas import schubert, weyl
+from schubert_atlas import oracle, schubert, weyl
 from schubert_atlas.errors import (
     NotInInversionSetError,
     NotMinimalCosetRepError,
     NotSimplyLacedError,
 )
 
-from helpers import hat_n_map, reorder_matrix, schubert_input
+from helpers import decompose_reference, hat_n_map, reorder_matrix, schubert_input
 
 
 def frac(x):
@@ -109,6 +109,41 @@ def test_decompose_d5_theta(datum):
     assert tuple(a + b for a, b in zip(wit.mu, wit.mu_prime)) == theta
 
 
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
+def test_decompose_matches_pair_scan_everywhere(type_str, datum):
+    """On every Borel element, for both tie orders, the decomposition map
+    holds first (last) the witness a plain pair scan finds first from the
+    front (back), ``decompose`` returns it, and the cover set is exactly
+    the inversion coroots the scan cannot decompose.  ``decompose`` builds
+    the whole map per call, so it is called once per element and order."""
+
+    def triple(wit):
+        return (wit.c, wit.mu, wit.mu_prime)
+
+    d = datum(type_str)
+    borel = sa.parabolic(d, [])
+    for w in sa.enumerate_coset_reps(d, borel, 99):
+        sets = sa.cover_coroots(sa.SchubertInput(datum=d, parabolic=borel, w=w))
+        elements = schubert._canonical_sorted(d, sets.inv_ordered)
+        found = schubert.decompositions(elements)
+        for reverse_ties in (False, True):
+            indecomposable = []
+            for eta in elements:
+                expected = decompose_reference(eta, elements, reverse_ties)
+                if expected is None:
+                    assert eta not in found, (type_str, w, eta)
+                    indecomposable.append(eta)
+                else:
+                    got = triple(found[eta][-1 if reverse_ties else 0])
+                    assert got == expected, (type_str, w, eta, reverse_ties)
+            assert sets.cover_B == tuple(indecomposable), (type_str, w)
+            if elements:
+                top = elements[-1]
+                wit = sa.decompose(top, elements, reverse_ties=reverse_ties)
+                expected = decompose_reference(top, elements, reverse_ties)
+                assert (wit and triple(wit)) == expected, (type_str, w)
+
+
 def test_decompose_requires_membership(datum):
     g2 = datum("G2")
     with pytest.raises(NotInInversionSetError):
@@ -150,14 +185,11 @@ def test_cover_single_reflection(datum):
     assert sets.cover_P == ((0, 0, 1, 0),)
 
 
-def test_cover_cross_check_flag(datum):
-    b2 = datum("B2")
-    schubert.CROSS_CHECK_WITH_ORACLE = True
-    try:
-        sets = sa.cover_coroots(schubert_input(b2, (), (1, 2, 1)))
-        assert sets.cover_P
-    finally:
-        schubert.CROSS_CHECK_WITH_ORACLE = False
+def test_cover_matches_oracle_b2(datum):
+    inp = schubert_input(datum("B2"), (), (1, 2, 1))
+    sets = sa.cover_coroots(inp)
+    assert sets.cover_P
+    assert frozenset(sets.cover_P) == oracle.cover_coroots_direct(inp)
 
 
 # --- picard matrix -----------------------------------------------------------------
@@ -342,7 +374,7 @@ def test_report_53142_sum_of_dual_basis_invariant(datum):
     a4 = datum("A4")
     inp = schubert_input(a4, (), (2, 1, 3, 4, 3, 2, 1))
     rep = sa.classify(inp)
-    rev = schubert.classify_with_reversed_ties(inp)
+    rev = sa.classify(inp, reverse_ties=True)
     assert rep.gorenstein is schubert.Status.YES
 
     def dual_basis_sum(report):

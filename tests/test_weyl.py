@@ -76,13 +76,14 @@ def test_canonical_reduced_word(datum):
     assert el(g2, word) == w2
 
 
-@pytest.mark.parametrize("type_str", ["A3", "B3"])
+@pytest.mark.parametrize("type_str", ["A3", "B3", "G2", "C3", "D4", "F4"])
 def test_canonical_word_round_trips_everywhere(type_str, datum):
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
         word = sa.canonical_reduced_word(w)
         assert len(word) == w.length
         assert el(d, word) == w
+        assert weyl.support(w) == set(word)
 
 
 # --- descents and coset representatives -------------------------------------
