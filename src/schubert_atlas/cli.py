@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import oracle, schubert, weyl
-from .errors import NotMinimalCosetRepError, SchubertAtlasError
+from .errors import InvalidInputError, NotMinimalCosetRepError, SchubertAtlasError
 from .rootdata import build_root_datum
 from .schubert import (
     CSV_FIELDS,
@@ -119,32 +119,49 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV_VAR, "1"))
+        text = os.environ.get(JOBS_ENV_VAR, "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise InvalidInputError(f"{JOBS_ENV_VAR}={text!r} is not an integer") from None
+    max_length = getattr(args, "max_length", None)
+    if max_length is not None and max_length < 0:
+        raise InvalidInputError(f"--max-length must be at least 0, got {max_length}")
+    cap = getattr(args, "cap", weyl.DEFAULT_WORD_CAP)
+    if cap < 1:
+        raise InvalidInputError(f"--cap must be at least 1, got {cap}")
     return CliConfig(
         subcommand=args.subcommand,
         type=args.type,
         parabolic=tuple(sorted(set(parse_word(args.parabolic)))),
         word=parse_word(getattr(args, "word", "") or ""),
-        max_length=getattr(args, "max_length", None),
+        max_length=max_length,
         format=args.format,
         coerce=getattr(args, "coerce", False),
         which=getattr(args, "which", "all"),
         jobs=max(1, jobs),
-        cap=getattr(args, "cap", weyl.DEFAULT_WORD_CAP),
+        cap=cap,
         output=args.output,
     )
 
 
 def _emit(cfg: CliConfig, text: str) -> None:
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
+    """Write to stdout, or to --output through a temp file beside it that
+    replaces it in one step, so a reader never sees a partial file."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if not cfg.output:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    tmp = f"{cfg.output}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, cfg.output)
+    except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise InvalidInputError(f"cannot write {cfg.output}: {exc.strerror}") from None
 
 
 def _report_table(report: ClassificationReport) -> str:

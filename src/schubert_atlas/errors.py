@@ -9,6 +9,11 @@ class InvalidTypeError(SchubertAtlasError):
     """Unknown Cartan family, or rank outside the valid range."""
 
 
+class InvalidInputError(SchubertAtlasError, ValueError):
+    """A number, bound or path given as input is malformed, out of range or
+    cannot be used."""
+
+
 class DimensionMismatchError(SchubertAtlasError):
     """Vector or matrix dimensions do not match the ambient rank."""
 

@@ -157,8 +157,9 @@ class RootDatum:
         object.__setattr__(self, "pair_for_coroot", pair_for_coroot)
         coroots = tuple(p.coroot for p in self.positives)
         object.__setattr__(self, "positive_coroots", coroots)
-        highest = max(coroots, key=sum)
-        object.__setattr__(self, "highest_coroot", highest)
+        object.__setattr__(self, "highest_coroot", max(coroots, key=sum))
+        # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
+        object.__setattr__(self, "two_rho_coroot", tuple(map(sum, zip(*coroots))))
 
     @property
     def rank(self) -> int:

@@ -217,6 +217,9 @@ def decompose(
     ties by minimal mu'; ``reverse_ties`` takes the maximal pair instead.
     Returns None exactly when eta is indecomposable.  ``inv_elements`` must
     be sorted by canonical index.
+
+    Each call builds the whole ``decompositions`` map of ``inv_elements``,
+    so a caller that needs several lookups should build the map once.
     """
     eta = tuple(eta)
     if eta not in inv_elements:

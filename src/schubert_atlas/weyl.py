@@ -14,11 +14,12 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
+    InvalidInputError,
     NonReducedWordError,
     NotInSupportError,
 )
-from .exactlinalg import identity, invert_unimodular
-from .rootdata import CorootVec, RootDatum, require_positive_coroot
+from .exactlinalg import identity
+from .rootdata import CorootVec, RootDatum, _reflect_coroot, require_positive_coroot
 
 Word = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -100,11 +101,14 @@ def _apply(matrix: Matrix, v: Sequence[int]) -> CorootVec:
 
 
 def _count_inversions(datum: RootDatum, matrix: Matrix) -> int:
-    count = 0
-    for c in datum.positive_coroots:
-        if _vec_is_negative(_apply(matrix, c)):
-            count += 1
-    return count
+    return sum(_vec_is_negative(_apply(matrix, c)) for c in datum.positive_coroots)
+
+
+def _left_descents(datum: RootDatum, x: Sequence[int]) -> Iterator[int]:
+    # the i with <alpha_i, x> < 0, ascending: the left descents of w if x = w(2 rho^vee)
+    for i, col in enumerate(zip(*datum.cartan), 1):
+        if sum(a * b for a, b in zip(col, x)) < 0:
+            yield i
 
 
 def _mul_simple_right(datum: RootDatum, matrix: Matrix, i: int) -> Matrix:
@@ -168,7 +172,7 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    return WeylElement(w.datum, invert_unimodular(w.matrix), w.length)
+    return element_from_word(w.datum, canonical_reduced_word(w)[::-1])
 
 
 def image_of_simple_coroot(w: WeylElement, i: int) -> CorootVec:
@@ -193,25 +197,19 @@ def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
 
 
 def canonical_reduced_word(w: WeylElement) -> Word:
-    """Deterministic reduced word: repeatedly peel the smallest left descent."""
+    """Deterministic reduced word: repeatedly peel the smallest left descent,
+    read off x = w(2 rho^vee), which s_i w carries as s_i x."""
     cache = w.datum.memo.canonical_words
     hit = cache.get(w.matrix)
     if hit is not None:
         return hit
     datum = w.datum
-    n = datum.rank
-    v = w.matrix
-    v_inv = invert_unimodular(v)
+    x = _apply(w.matrix, datum.two_rho_coroot)
     letters: List[int] = []
     for _ in range(w.length):
-        for i in range(1, n + 1):
-            if _vec_is_negative(tuple(row[i - 1] for row in v_inv)):
-                break
-        else:  # pragma: no cover - length bookkeeping guarantees a descent
-            raise NonReducedWordError("length/descent mismatch")
+        i = next(_left_descents(datum, x))
         letters.append(i)
-        v = _mul_simple_left(datum, v, i)
-        v_inv = _mul_simple_right(datum, v_inv, i)
+        x = _reflect_coroot(datum.cartan, i - 1, x)
     word = tuple(letters)
     cache[w.matrix] = word
     return word
@@ -255,17 +253,17 @@ def inversion_sequence(datum: RootDatum, word: Sequence[int]) -> Tuple[CorootVec
     """The inversion coroots of a reduced word, in reflection order.
 
     Entry k (1-based) is s_{i_r} ... s_{i_{r-k+2}} (alpha_{i_{r-k+1}}^vee).
+    The word is reduced exactly when every entry is positive.
     """
     word = tuple(word)
-    el = element_from_word(datum, word)
-    if el.length != len(word):
-        raise NonReducedWordError(f"word {word} is not reduced")
-    n = datum.rank
     out: List[CorootVec] = []
-    suffix = identity(n)
-    for pos in range(len(word) - 1, -1, -1):
-        i = word[pos]
-        out.append(tuple(row[i - 1] for row in suffix))
+    suffix = identity(datum.rank)
+    for i in reversed(word):
+        _check_index(datum, i)
+        c = tuple(row[i - 1] for row in suffix)
+        if _vec_is_negative(c):
+            raise NonReducedWordError(f"word {word} is not reduced")
+        out.append(c)
         suffix = _mul_simple_right(datum, suffix, i)
     return tuple(out)
 
@@ -339,33 +337,30 @@ def enumerate_coset_reps(
     datum: RootDatum, p: ParabolicSubset, max_len: int
 ) -> Iterator[WeylElement]:
     """All w in W^P with l(w) <= max_len, each once, in length-then-canonical-
-    word order.  BFS over W by right multiplication, filtered to minimal
-    coset representatives."""
-    level = {identity_element(datum)}
+    word order.  W^P is a lower ideal of the left weak order, so a BFS by
+    s_i w over the left ascents i of w reaches all of it; such an s_i w is
+    w s_j, outside W^P, exactly when w(alpha_j^vee) = alpha_i^vee, j in I_P."""
+    level = [identity_element(datum)]
     length = 0
     while level and length <= max_len:
-        reps = [w for w in level if is_min_coset_rep(w, p)]
-        reps.sort(key=canonical_reduced_word)
-        yield from reps
+        yield from level
+        length += 1
         nxt = set()
         for w in level:
+            descents = set(_left_descents(datum, _apply(w.matrix, datum.two_rho_coroot)))
+            blocked = {image_of_simple_coroot(w, j) for j in p.inside}
             for i in range(1, datum.rank + 1):
-                if not has_right_descent(w, i):
-                    nxt.add(right_mul_simple(w, i))
-        level = nxt
-        length += 1
+                if i not in descents and datum.simple_coroot(i) not in blocked:
+                    nxt.add(WeylElement(datum, _mul_simple_left(datum, w.matrix, i), length))
+        level = sorted(nxt, key=canonical_reduced_word)
 
 
 def longest_element(datum: RootDatum) -> WeylElement:
     w = identity_element(datum)
-    while True:
-        i = next(
-            (i for i in range(1, datum.rank + 1) if not has_right_descent(w, i)),
-            None,
-        )
-        if i is None:
-            return w
+    while w.length < len(datum.positives):  # l(w0) is the number of positive roots
+        i = next(i for i in range(1, datum.rank + 1) if not has_right_descent(w, i))
         w = right_mul_simple(w, i)
+    return w
 
 
 def iter_reduced_words(w: WeylElement) -> Iterator[Word]:
@@ -420,5 +415,7 @@ def bruhat_covers(u: WeylElement, w: WeylElement) -> bool:
 
 def parse_word(text: str) -> Word:
     """Words parse from whitespace- or comma-separated index lists."""
-    pieces = text.replace(",", " ").split()
-    return tuple(int(p) for p in pieces)
+    try:
+        return tuple(int(p) for p in text.replace(",", " ").split())
+    except ValueError:
+        raise InvalidInputError(f"{text!r} is not a list of integers") from None

@@ -9,6 +9,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import schubert_atlas as sa
 from schubert_atlas import weyl
+from schubert_atlas.exactlinalg import invert_unimodular
 
 
 def schubert_input(datum, inside, word):
@@ -184,6 +185,38 @@ def coset_length_counts(datum, inside: Sequence[int]) -> List[int]:
         type_degrees(datum.cartan_type.family, datum.cartan_type.rank)
     )
     return _poly_div_exact(full, parabolic_subgroup_poly(datum, inside))
+
+
+# --- inverse-based Weyl references ------------------------------------------
+
+
+def canonical_word_reference(w) -> Tuple[int, ...]:
+    """Peel the smallest left descent of w, read off the exact inverse: i is a
+    left descent of w exactly when it is a right descent of w^-1."""
+    w_inv = weyl.WeylElement(w.datum, invert_unimodular(w.matrix), w.length)
+    letters = []
+    while not w_inv.is_identity:
+        i = next(i for i in range(1, w.datum.rank + 1) if weyl.has_right_descent(w_inv, i))
+        letters.append(i)
+        w_inv = weyl.right_mul_simple(w_inv, i)
+    return tuple(letters)
+
+
+def enumerate_reference(datum, p, max_len, key=canonical_word_reference):
+    """W^P up to length max_len by walking all of W level by level (right
+    multiplication by ascents) and keeping the minimal coset
+    representatives, each level sorted by ``key``."""
+    level = {weyl.identity_element(datum)}
+    length = 0
+    while level and length <= max_len:
+        yield from sorted((w for w in level if weyl.is_min_coset_rep(w, p)), key=key)
+        level = {
+            weyl.right_mul_simple(w, i)
+            for w in level
+            for i in range(1, datum.rank + 1)
+            if not weyl.has_right_descent(w, i)
+        }
+        length += 1
 
 
 # --- pair-scan decomposition oracle ----------------------------------------

@@ -122,6 +122,79 @@ def test_classify_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["c1"] == ["2"]
 
 
+def test_output_write_failure_is_validation_error(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "survey", "--type", "A2", "--format", "csv",
+        "--output", str(tmp_path / "missing" / "x.csv"),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_leaves_no_temp_file(tmp_path, capsys):
+    target = tmp_path / "rows.csv"
+    code, _, _ = run(
+        capsys, "survey", "--type", "A2", "--format", "csv", "--output", str(target)
+    )
+    assert code == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+    assert len(target.read_text().splitlines()) == 7
+    # replacing a directory fails after the temp file is written
+    (tmp_path / "taken").mkdir()
+    code, _, err = run(
+        capsys, "survey", "--type", "A2", "--output", str(tmp_path / "taken")
+    )
+    assert code == 2 and err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "taken"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("classify", "--type", "A2", "--word", "1 x"),
+        ("classify", "--type", "A2", "--word", "1", "--parabolic", "1 x"),
+    ],
+    ids=["word", "parabolic"],
+)
+def test_malformed_numbers_are_validation_errors(args, capsys):
+    code, out, err = run(capsys, *args)
+    assert code == 2 and out == ""
+    assert err == "error: '1 x' is not a list of integers\n"
+
+
+def test_malformed_jobs_env_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setenv(cli.JOBS_ENV_VAR, "abc")
+    code, out, err = run(capsys, "survey", "--type", "A2")
+    assert code == 2 and out == ""
+    assert err == f"error: {cli.JOBS_ENV_VAR}='abc' is not an integer\n"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (("survey", "--max-length", "-1"), "--max-length must be at least 0, got -1"),
+        (("conjectures", "--max-length", "-2"), "--max-length must be at least 0, got -2"),
+        (("conjectures", "--cap", "0"), "--cap must be at least 1, got 0"),
+    ],
+    ids=["survey-max-length", "conjectures-max-length", "conjectures-cap"],
+)
+def test_out_of_range_bounds_are_validation_errors(args, message, capsys):
+    code, out, err = run(capsys, *args[:1], "--type", "A3", *args[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_zero_bounds_are_accepted(capsys):
+    rows = _survey_rows(capsys, "--type", "A3", "--max-length", "0")
+    assert [r["length"] for r in rows] == ["0"]
+    code, _, _ = run(
+        capsys, "conjectures", "--type", "A3", "--which", "2", "--max-length", "0",
+        "--cap", "1",
+    )
+    assert code == 0
+
+
 # --- survey ----------------------------------------------------------------
 
 

@@ -15,7 +15,6 @@ SRC = Path(schubert_atlas.__file__).parent
 ALLOWED = {
     "coset_factorize": "tests check the W^P x W_P factorization with it",
     "longest_element": "tests build w0 with it",
-    "simple_coroot": "tests build simple coroots with it",
     "fundamental_weight": "tests pair weights with coroots through it",
     "weight_coroot_pairing": "tests pair weights with coroots through it",
     "mat_mul": "tests multiply a matrix by its inverse with it",

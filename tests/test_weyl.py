@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from schubert_atlas.errors import (
     NotInSupportError,
 )
 
-from helpers import coset_length_counts
+from helpers import canonical_word_reference, coset_length_counts, enumerate_reference
 
 
 def el(datum, word):
@@ -86,6 +87,24 @@ def test_canonical_word_round_trips_everywhere(type_str, datum):
         assert weyl.support(w) == set(word)
 
 
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
+def test_integer_weyl_layer_matches_inverse_references(type_str, datum):
+    """The w(2 rho^vee) peel and the BFS over W^P alone agree with the
+    inverse-based peel and the walk over all of W, on every parabolic."""
+    d = datum(type_str)
+    reference_word = functools.cache(canonical_word_reference)
+    for r in range(d.rank + 1):
+        for inside in itertools.combinations(range(1, d.rank + 1), r):
+            p = sa.parabolic(d, inside)
+            got = list(sa.enumerate_coset_reps(d, p, 99))
+            want = list(enumerate_reference(d, p, 99, key=reference_word))
+            assert [(w.matrix, w.length) for w in got] == [
+                (w.matrix, w.length) for w in want
+            ]
+            for w in got:
+                assert sa.canonical_reduced_word(w) == reference_word(w)
+
+
 # --- descents and coset representatives -------------------------------------
 
 
@@ -145,6 +164,12 @@ def test_inversion_sequence_single_letter(datum):
 def test_inversion_sequence_rejects_non_reduced(datum):
     with pytest.raises(NonReducedWordError):
         sa.inversion_sequence(datum("A2"), (1, 1))
+
+
+@pytest.mark.parametrize("word", [(0,), (1, 3)])
+def test_inversion_sequence_rejects_bad_index(word, datum):
+    with pytest.raises(IndexOutOfRangeError):
+        sa.inversion_sequence(datum("A2"), word)
 
 
 @pytest.mark.parametrize("type_str", ["A3", "B3"])
@@ -305,7 +330,17 @@ def test_enumerate_ordered_and_unique(datum):
 
 
 @pytest.mark.parametrize(
-    "type_str,inside", [("A3", ()), ("A3", (1, 3)), ("B3", (2,)), ("G2", (1,))]
+    "type_str,inside",
+    [
+        ("A3", ()),
+        ("A3", (1, 3)),
+        ("B3", (2,)),
+        ("G2", (1,)),
+        ("D5", ()),
+        ("E7", (1, 2, 3, 4, 5, 6)),
+        ("E7", (2, 3, 4, 5, 6, 7)),
+        ("E8", (1, 2, 3, 4, 5, 6, 7)),
+    ],
 )
 def test_enumerate_matches_poincare_counts(type_str, inside, datum):
     d = datum(type_str)
