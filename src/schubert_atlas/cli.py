@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +33,7 @@ from .schubert import (
 )
 from .weyl import (
     ParabolicSubset,
+    WeylElement,
     canonical_reduced_word,
     element_from_word,
     enumerate_coset_reps,
@@ -235,16 +237,17 @@ def _worker_datum(type_str: str):
     return build_root_datum(type_str)
 
 
-def _survey_row(datum, p: ParabolicSubset, word: Tuple[int, ...]) -> dict:
-    w = element_from_word(datum, word)
+def _survey_row(datum, p: ParabolicSubset, w: WeylElement) -> dict:
     return csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w)))
 
 
 def _survey_worker(task: Tuple[str, Tuple[int, ...], Tuple[int, ...]]) -> dict:
+    """Classify one element in a pool worker.  A WeylElement holds its
+    datum, so tasks carry canonical words and the worker rebuilds them."""
     type_str, inside, word = task
     datum = _worker_datum(type_str)
     p = ParabolicSubset(rank=datum.rank, inside=frozenset(inside))
-    return _survey_row(datum, p, word)
+    return _survey_row(datum, p, element_from_word(datum, word))
 
 
 def run_survey(cfg: CliConfig) -> int:
@@ -253,15 +256,20 @@ def run_survey(cfg: CliConfig) -> int:
     cap = cfg.max_length
     if cap is None:
         cap = len(datum.positives)
-    words = [
-        canonical_reduced_word(w) for w in enumerate_coset_reps(datum, p, cap)
-    ]
-    if cfg.jobs > 1:
-        tasks = [(cfg.type, tuple(cfg.parabolic), word) for word in words]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_survey_worker, tasks, chunksize=16))
+    elements = list(enumerate_coset_reps(datum, p, cap))
+    chunksize = 16
+    # the fork start method forks every worker up front, so never ask for
+    # more than there are cores or chunks
+    jobs = min(cfg.jobs, os.cpu_count() or 1, math.ceil(len(elements) / chunksize))
+    if jobs > 1:
+        tasks = [
+            (cfg.type, tuple(cfg.parabolic), canonical_reduced_word(w))
+            for w in elements
+        ]
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(pool.map(_survey_worker, tasks, chunksize=chunksize))
     else:
-        rows = [_survey_row(datum, p, word) for word in words]
+        rows = [_survey_row(datum, p, w) for w in elements]
     if cfg.format == "json":
         doc = {
             "cartan_type": cfg.type.upper(),

@@ -116,19 +116,22 @@ class RootCorootPair:
 
 @dataclass
 class Memo:
-    """The memo tables a root datum owns; each lives as long as the datum.
+    """The four memo tables a root datum owns; each lives as long as the
+    datum.
 
-    Unless noted, a table is keyed by the matrix of a Weyl element.
+    - ``canonical_words``: matrix -> canonical reduced word;
+    - ``rightmost``: (k, reverse_ties) -> {matrix: (distance, witness word)};
+    - ``reflections``: positive coroot -> its reflection;
+    - ``length_drops``: matrix -> (eta, w s_eta, length drop) per inversion
+      coroot eta.
+
+    The coroot record of an element is not memoized: ``classify`` builds it
+    once with ``cover_coroots`` and drops it with the report.
     """
 
     canonical_words: dict = field(default_factory=dict)
-    # (k, reverse_ties) -> {matrix: (distance, witness word)}
     rightmost: dict = field(default_factory=dict)
-    # positive coroot -> its reflection
     reflections: dict = field(default_factory=dict)
-    cover_B: dict = field(default_factory=dict)
-    # (matrix, reverse_ties) -> adapted basis
-    B_wB: dict = field(default_factory=dict)
     length_drops: dict = field(default_factory=dict)
 
 

@@ -73,25 +73,27 @@ class SchubertInput:
 
 
 @dataclass(frozen=True)
+class DecompositionWitness:
+    c: int
+    mu: CorootVec
+    mu_prime: CorootVec
+
+
+@dataclass(frozen=True)
 class CorootSets:
-    """Inversion and cover coroots of a Schubert input.
+    """The coroot record of a Schubert input, built once by ``cover_coroots``.
 
     ``inv_ordered`` follows the reflection ordering of the canonical reduced
-    word; ``cover_B``/``cover_P`` are in canonical coroot order.
+    word; ``decomposable`` is the ``decompositions`` map of the inversion
+    coroots; ``cover_B``/``cover_P`` are in canonical coroot order.
     """
 
     inv_ordered: Tuple[CorootVec, ...]
     support_B: Tuple[int, ...]
     support_P: Tuple[int, ...]
-    cover_B: Optional[Tuple[CorootVec, ...]] = None
-    cover_P: Optional[Tuple[CorootVec, ...]] = None
-
-
-@dataclass(frozen=True)
-class DecompositionWitness:
-    c: int
-    mu: CorootVec
-    mu_prime: CorootVec
+    decomposable: Mapping[CorootVec, List[DecompositionWitness]]
+    cover_B: Tuple[CorootVec, ...]
+    cover_P: Tuple[CorootVec, ...]
 
 
 @dataclass(frozen=True)
@@ -158,19 +160,6 @@ class ClassificationReport:
     provenance: Mapping[str, str] = field(default_factory=dict)
 
 
-def coroot_inversion_set(inp: SchubertInput) -> CorootSets:
-    """Inversion coroots in the reflection order of the canonical word."""
-    word = canonical_reduced_word(inp.w)
-    inv = inversion_sequence(inp.datum, word)
-    supp = tuple(sorted(set(word)))
-    outside = set(inp.parabolic.complement)
-    return CorootSets(
-        inv_ordered=inv,
-        support_B=supp,
-        support_P=tuple(k for k in supp if k in outside),
-    )
-
-
 def decompositions(
     elements: Sequence[CorootVec],
 ) -> Dict[CorootVec, List[DecompositionWitness]]:
@@ -219,7 +208,8 @@ def decompose(
     be sorted by canonical index.
 
     Each call builds the whole ``decompositions`` map of ``inv_elements``,
-    so a caller that needs several lookups should build the map once.
+    so a caller that needs several lookups should read
+    ``cover_coroots(inp).decomposable`` instead.
     """
     eta = tuple(eta)
     if eta not in inv_elements:
@@ -244,22 +234,22 @@ def _reflection_image_of_simple(
 
 
 def cover_coroots(inp: SchubertInput) -> CorootSets:
-    """Fill in the Weil-divisor coroot sets R+_{w,B} and R+_{w,P}.
+    """Build the coroot record of ``inp``, down to the Weil-divisor coroot
+    sets R+_{w,B} and R+_{w,P}.
 
     R+_{w,B} consists of the indecomposable inversion coroots; R+_{w,P}
     keeps those whose reflection maps every alpha_j^vee (j in I_P) outside
     the inversion set.
     """
-    sets = coroot_inversion_set(inp)
     datum = inp.datum
-    cache = datum.memo.cover_B
-    cover_b = cache.get(inp.w.matrix)
-    if cover_b is None:
-        elements = _canonical_sorted(datum, sets.inv_ordered)
-        decomposable = decompositions(elements)
-        cover_b = tuple(c for c in elements if c not in decomposable)
-        cache[inp.w.matrix] = cover_b
-    inv_set = frozenset(sets.inv_ordered)
+    word = canonical_reduced_word(inp.w)
+    inv = inversion_sequence(datum, word)
+    supp = tuple(sorted(set(word)))
+    outside = set(inp.parabolic.complement)
+    elements = _canonical_sorted(datum, inv)
+    decomposable = decompositions(elements)
+    cover_b = tuple(c for c in elements if c not in decomposable)
+    inv_set = frozenset(inv)
     inside = inp.parabolic.inside_sorted
     cover_p = tuple(
         eta
@@ -270,9 +260,10 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
         )
     )
     return CorootSets(
-        inv_ordered=sets.inv_ordered,
-        support_B=sets.support_B,
-        support_P=sets.support_P,
+        inv_ordered=inv,
+        support_B=supp,
+        support_P=tuple(k for k in supp if k in outside),
+        decomposable=decomposable,
         cover_B=cover_b,
         cover_P=cover_p,
     )
@@ -282,7 +273,6 @@ def picard_matrix(inp: SchubertInput, sets: CorootSets) -> LabeledMatrix:
     """Pairings <omega_k, eta> with rows over R+_{w,P} (canonical order) and
     columns over I^P_w ascending.  Row eta expands the divisor class of the
     k-th Cartier generator over the Schubert divisor basis."""
-    assert sets.cover_P is not None
     cols = sets.support_P
     entries = tuple(tuple(eta[k - 1] for k in cols) for eta in sets.cover_P)
     return LabeledMatrix(row_labels=sets.cover_P, col_labels=cols, entries=entries)
@@ -297,7 +287,6 @@ def classify_factorial(
     additionally needs determinant +-1.  In simply-laced types the two must
     agree, and a violation is a hard internal error.
     """
-    assert sets.cover_P is not None
     pic = picard_matrix(inp, sets)
     evidence: Dict[str, object] = {}
     evidence["invariant_factors"] = exactlinalg.smith_normal_form(pic.entries)
@@ -315,8 +304,11 @@ def classify_factorial(
     return q_fact, factorial, evidence
 
 
-def build_B_wB(inp: SchubertInput, reverse_ties: bool = False) -> AdaptedBasis:
-    """The adapted coroot basis of the Borel-case cover set (simply-laced).
+def build_B_wB(
+    inp: SchubertInput, sets: CorootSets, reverse_ties: bool = False
+) -> AdaptedBasis:
+    """The adapted coroot basis of the Borel-case cover set (simply-laced),
+    read off the coroot record ``sets`` of ``inp``.
 
     For each k in the support, take the rightmost-witness coroot and, while
     it decomposes, descend into the summand with unit k-th coefficient.
@@ -325,18 +317,12 @@ def build_B_wB(inp: SchubertInput, reverse_ties: bool = False) -> AdaptedBasis:
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
-    cache = datum.memo.B_wB
-    key = (inp.w.matrix, reverse_ties)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    sets = coroot_inversion_set(inp)
-    decomposable = decompositions(_canonical_sorted(datum, sets.inv_ordered))
+    decomposable = sets.decomposable
     entries: List[Tuple[int, int, CorootVec]] = []  # (d, k, coroot)
     for k in sets.support_B:
         d, witness = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
-        seq = inversion_sequence(datum, witness)
-        current = seq[d - 1]
+        # entry d of an inversion sequence depends only on the last d letters
+        current = inversion_sequence(datum, witness[-d:])[-1]
         if current[k - 1] != 1:
             raise InternalError(
                 f"rightmost coroot {current} lacks unit coefficient at {k}"
@@ -358,7 +344,6 @@ def build_B_wB(inp: SchubertInput, reverse_ties: bool = False) -> AdaptedBasis:
     entries.sort(key=lambda t: (t[0], -t[1]) if reverse_ties else (t[0], t[1]))
     basis = AdaptedBasis(entries=tuple((k, c) for _, k, c in entries))
     _assert_unipotent_lower(basis)
-    cache[key] = basis
     return basis
 
 
@@ -379,9 +364,7 @@ def restrict_basis(basis: AdaptedBasis, keys: Sequence[int]) -> AdaptedBasis:
 
 
 def p_adapt(
-    inp: SchubertInput,
-    basis: AdaptedBasis,
-    sets: Optional[CorootSets] = None,
+    inp: SchubertInput, basis: AdaptedBasis, sets: CorootSets
 ) -> AdaptedBasis:
     """Push a Borel adapted basis into the parabolic cover set.
 
@@ -392,8 +375,6 @@ def p_adapt(
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
-    if sets is None or sets.cover_P is None:
-        sets = cover_coroots(inp)
     inv_set = frozenset(sets.inv_ordered)
     inside = inp.parabolic.inside_sorted
     order = basis.keys
@@ -424,7 +405,7 @@ def p_adapt(
     else:  # pragma: no cover - loop bound is generous
         raise InternalError("parabolic adaptation failed to terminate")
     adapted = AdaptedBasis(entries=tuple((k, current[k]) for k in order))
-    cover_p = set(sets.cover_P or ())
+    cover_p = set(sets.cover_P)
     originals = dict(basis.entries)
     for k, mu in adapted.entries:
         if mu not in cover_p:
@@ -472,7 +453,6 @@ def gorenstein_fano_report(
     (statuses undetermined; no criterion is pinned there).
     """
     datum = inp.datum
-    assert sets.cover_P is not None and sets.cover_B is not None
     if (basis is not None) != datum.simply_laced:
         raise InternalError(
             "adapted basis must be supplied exactly for simply-laced data"
@@ -630,7 +610,7 @@ def classify(inp: SchubertInput, reverse_ties: bool = False) -> ClassificationRe
     sets = cover_coroots(inp)
     basis = None
     if inp.datum.simply_laced:
-        borel = build_B_wB(inp, reverse_ties=reverse_ties)
+        borel = build_B_wB(inp, sets, reverse_ties=reverse_ties)
         basis = p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
     return gorenstein_fano_report(inp, sets, basis)
 

@@ -337,8 +337,8 @@ def test_simply_laced_structure_suite(datum):
             _check_simply_laced_lemma(
                 d, schubert._canonical_sorted(d, sets_b.inv_ordered)
             )
-            sa.build_B_wB(inp_b)  # triangularity asserted internally
-            sa.build_B_wB(inp_b, reverse_ties=True)
+            sa.build_B_wB(inp_b, sets_b)  # triangularity asserted internally
+            sa.build_B_wB(inp_b, sets_b, reverse_ties=True)
             for inside in valid_parabolics(d, w):
                 inp = sa.SchubertInput(
                     datum=d, parabolic=sa.parabolic(d, inside), w=w

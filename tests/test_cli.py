@@ -254,14 +254,71 @@ def test_survey_json_round_trip(capsys):
     assert schubert.canonical_json(json.loads(out)) + "\n" == out
 
 
-def test_survey_jobs_deterministic(capsys):
-    code, seq_out, _ = run(capsys, "survey", "--type", "A3", "--format", "csv")
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--type", "A3"),
+        ("--type", "B3"),
+        ("--type", "A4", "--parabolic", "2"),
+    ],
+    ids=["A3", "B3-borel", "A4-P2"],
+)
+def test_survey_jobs_deterministic(args, capsys, monkeypatch):
+    """The serial path classifies the enumerated elements; the pool path
+    rebuilds them from canonical words.  Both give the same bytes, in the
+    simply-laced and the q_factorial_general regime."""
+    code, seq_out, _ = run(capsys, "survey", *args, "--format", "csv")
     assert code == 0
-    code, par_out, _ = run(
-        capsys, "survey", "--type", "A3", "--format", "csv", "--jobs", "2"
+    pools = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, par_out, _ = run(capsys, "survey", *args, "--format", "csv", "--jobs", "2")
+    assert code == 0
+    assert pools == [2]
+    assert seq_out == par_out
+
+
+@pytest.mark.parametrize(
+    "type_str,cpus,expected",
+    [("A4", 3, [3]), ("A4", 64, [8]), ("A2", 64, []), ("A4", None, [])],
+    ids=["cores", "chunks", "one-chunk", "no-core-count"],
+)
+def test_survey_jobs_capped(type_str, cpus, expected, capsys, monkeypatch):
+    """--jobs never asks for more workers than cores or 16-element chunks
+    (A4 has 120 elements, A2 has 6), and one worker means the serial path.
+    The pool is a fake, so no process is started."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    code, serial, _ = run(capsys, "survey", "--type", type_str, "--format", "csv")
+    assert code == 0 and pools == []
+    code, out, _ = run(
+        capsys, "survey", "--type", type_str, "--format", "csv",
+        "--jobs", str(10**6),
     )
     assert code == 0
-    assert seq_out == par_out
+    assert pools == expected
+    assert out == serial
 
 
 def test_jobs_env_fallback(capsys, monkeypatch):

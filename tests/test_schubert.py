@@ -47,20 +47,20 @@ def test_identity_is_valid_for_any_parabolic(datum):
 
 def test_inversion_set_g2_w2(datum):
     inp = schubert_input(datum("G2"), (), (2, 1, 2, 1, 2))
-    sets = schubert.coroot_inversion_set(inp)
+    sets = schubert.cover_coroots(inp)
     assert set(sets.inv_ordered) == {(0, 1), (1, 1), (3, 2), (2, 1), (3, 1)}
     assert sets.support_B == (1, 2)
 
 
 def test_inversion_set_single_reflection(datum):
     inp = schubert_input(datum("A4"), (), (3,))
-    sets = schubert.coroot_inversion_set(inp)
+    sets = schubert.cover_coroots(inp)
     assert sets.inv_ordered == ((0, 0, 1, 0, 0)[:4],)
 
 
 def test_inversion_set_a4_example(datum):
     inp = schubert_input(datum("A4"), (), (3, 4, 1, 2, 3))
-    sets = schubert.coroot_inversion_set(inp)
+    sets = schubert.cover_coroots(inp)
     assert set(sets.inv_ordered) == {
         (0, 0, 1, 0),
         (0, 1, 1, 0),
@@ -76,7 +76,7 @@ def test_inversion_set_a4_example(datum):
 def test_decompose_g2_scaled_witness(datum):
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
-    sets = schubert.coroot_inversion_set(inp)
+    sets = schubert.cover_coroots(inp)
     elements = schubert._canonical_sorted(g2, sets.inv_ordered)
     assert set(elements) == {(0, 1), (1, 1), (3, 2)}
     wit = sa.decompose((1, 1), elements)
@@ -88,7 +88,7 @@ def test_decompose_simple_coroot_is_none(datum):
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
     elements = schubert._canonical_sorted(
-        g2, schubert.coroot_inversion_set(inp).inv_ordered
+        g2, schubert.cover_coroots(inp).inv_ordered
     )
     assert sa.decompose((0, 1), elements) is None
 
@@ -101,7 +101,7 @@ def test_decompose_d5_theta(datum):
         datum=d5, parabolic=sa.parabolic(d5, [1, 3, 4, 5]), w=rep
     )
     elements = schubert._canonical_sorted(
-        d5, schubert.coroot_inversion_set(inp).inv_ordered
+        d5, schubert.cover_coroots(inp).inv_ordered
     )
     theta = d5.highest_coroot
     wit = sa.decompose(theta, elements)
@@ -112,7 +112,7 @@ def test_decompose_d5_theta(datum):
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_decompose_matches_pair_scan_everywhere(type_str, datum):
     """On every Borel element, for both tie orders, the decomposition map
-    holds first (last) the witness a plain pair scan finds first from the
+    that ``cover_coroots`` carries holds first (last) the witness a plain pair scan finds first from the
     front (back), ``decompose`` returns it, and the cover set is exactly
     the inversion coroots the scan cannot decompose.  ``decompose`` builds
     the whole map per call, so it is called once per element and order."""
@@ -125,7 +125,7 @@ def test_decompose_matches_pair_scan_everywhere(type_str, datum):
     for w in sa.enumerate_coset_reps(d, borel, 99):
         sets = sa.cover_coroots(sa.SchubertInput(datum=d, parabolic=borel, w=w))
         elements = schubert._canonical_sorted(d, sets.inv_ordered)
-        found = schubert.decompositions(elements)
+        found = sets.decomposable
         for reverse_ties in (False, True):
             indecomposable = []
             for eta in elements:
@@ -259,7 +259,7 @@ def test_classify_factorial_a4(datum):
 def test_build_B_wB_a4_example(datum):
     a4 = datum("A4")
     inp = schubert_input(a4, (), (3, 4, 1, 2, 3))
-    basis = sa.build_B_wB(inp)
+    basis = sa.build_B_wB(inp, sa.cover_coroots(inp))
     assert set(basis.coroots) == {
         (0, 0, 1, 0),
         (0, 1, 1, 0),
@@ -273,8 +273,9 @@ def test_build_B_wB_a4_example(datum):
 def test_build_B_wB_53142_both_choices(datum):
     a4 = datum("A4")
     inp = schubert_input(a4, (), (2, 1, 3, 4, 3, 2, 1))
-    default = sa.build_B_wB(inp)
-    reverse = sa.build_B_wB(inp, reverse_ties=True)
+    sets = sa.cover_coroots(inp)
+    default = sa.build_B_wB(inp, sets)
+    reverse = sa.build_B_wB(inp, sets, reverse_ties=True)
     assert default.coroot_for(3) == (1, 1, 1, 0)
     assert reverse.coroot_for(3) == (0, 1, 1, 1)
     simple = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)}
@@ -284,7 +285,7 @@ def test_build_B_wB_53142_both_choices(datum):
 def test_build_B_wB_d5_example(datum):
     d5 = datum("D5")
     inp = schubert_input(d5, (), (2, 3, 1, 2, 3, 4, 5, 3))
-    basis = sa.build_B_wB(inp)
+    basis = sa.build_B_wB(inp, sa.cover_coroots(inp))
     expected = {
         3: (0, 0, 1, 0, 0),
         5: (0, 0, 1, 0, 1),
@@ -298,7 +299,7 @@ def test_build_B_wB_d5_example(datum):
 def test_build_B_wB_d4_example(datum):
     d4 = datum("D4")
     inp = schubert_input(d4, (), (1, 3, 4, 2, 1, 3, 4, 2))
-    basis = sa.build_B_wB(inp)
+    basis = sa.build_B_wB(inp, sa.cover_coroots(inp))
     assert dict(basis.entries) == {
         2: (0, 1, 0, 0),
         1: (1, 1, 0, 0),
@@ -308,14 +309,15 @@ def test_build_B_wB_d4_example(datum):
 
 
 def test_build_B_wB_rejects_non_simply_laced(datum):
+    inp = schubert_input(datum("G2"), (), (1, 2))
     with pytest.raises(NotSimplyLacedError):
-        sa.build_B_wB(schubert_input(datum("G2"), (), (1, 2)))
+        sa.build_B_wB(inp, sa.cover_coroots(inp))
 
 
 def test_p_adapt_a4_example(datum):
     a4 = datum("A4")
     inp_b = schubert_input(a4, (), (3, 4, 1, 2, 3))
-    borel = sa.build_B_wB(inp_b)
+    borel = sa.build_B_wB(inp_b, sa.cover_coroots(inp_b))
     inp = schubert_input(a4, (4,), (3, 4, 1, 2, 3))
     sets = sa.cover_coroots(inp)
     adapted = sa.p_adapt(inp, schubert.restrict_basis(borel, sets.support_P), sets)
@@ -330,8 +332,9 @@ def test_p_adapt_a4_example(datum):
 def test_p_adapt_borel_is_identity(datum):
     a4 = datum("A4")
     inp = schubert_input(a4, (), (3, 4, 1, 2, 3))
-    borel = sa.build_B_wB(inp)
-    assert sa.p_adapt(inp, borel) == borel
+    sets = sa.cover_coroots(inp)
+    borel = sa.build_B_wB(inp, sets)
+    assert sa.p_adapt(inp, borel, sets) == borel
 
 
 def test_p_adapt_d5_maximal_parabolic(datum):
@@ -339,7 +342,8 @@ def test_p_adapt_d5_maximal_parabolic(datum):
     inside = (1, 2, 4, 5)
     inp = schubert_input(d5, inside, (2, 3, 1, 2, 3, 4, 5, 3))
     sets = sa.cover_coroots(inp)
-    borel = sa.build_B_wB(schubert_input(d5, (), (2, 3, 1, 2, 3, 4, 5, 3)))
+    inp_b = schubert_input(d5, (), (2, 3, 1, 2, 3, 4, 5, 3))
+    borel = sa.build_B_wB(inp_b, sa.cover_coroots(inp_b))
     adapted = sa.p_adapt(inp, schubert.restrict_basis(borel, sets.support_P), sets)
     assert adapted.keys == (3,)
     from schubert_atlas import oracle

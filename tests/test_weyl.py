@@ -172,6 +172,19 @@ def test_inversion_sequence_rejects_bad_index(word, datum):
         sa.inversion_sequence(datum("A2"), word)
 
 
+@pytest.mark.parametrize("type_str", ["A4", "B3", "D4", "G2", "F4"])
+def test_inversion_sequence_suffix_is_prefix(type_str, datum):
+    """Entry k of an inversion sequence depends only on the last k letters,
+    so build_B_wB may read the rightmost coroot off a suffix."""
+    d = datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
+        word = sa.canonical_reduced_word(w)
+        seq = sa.inversion_sequence(d, word)
+        for k in range(len(word) + 1):
+            suffix = word[len(word) - k:]
+            assert sa.inversion_sequence(d, suffix) == seq[:k], (type_str, word, k)
+
+
 @pytest.mark.parametrize("type_str", ["A3", "B3"])
 def test_inversion_set_word_independent(type_str, datum):
     d = datum(type_str)
