@@ -1,10 +1,10 @@
 """Exact integer/rational linear algebra: no floating point anywhere.
 
-All matrices are sequences of equal-length rows.  Entries are Python ints
-(arbitrary precision, so the checked-overflow policy for 64-bit builds is
-vacuously satisfied) or ``fractions.Fraction`` for rational results.
-Dimensions in this package never exceed a few dozen, so the simple
-fraction-free algorithms below are the right tool: exactness over speed.
+All matrices are sequences of equal-length rows of Python ints (arbitrary
+precision, so nothing overflows) or ``fractions.Fraction`` for rational
+results.  Dimensions stay below a few dozen, so simple fraction-free
+algorithms are the right tool: exactness over speed.  Every exact inverse
+is the one fraction-free ``adjugate`` divided by the determinant.
 """
 
 from __future__ import annotations
@@ -20,14 +20,6 @@ RatMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    cols = range(len(b[0])) if b else ()
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols)
-        for row in a
-    )
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
@@ -83,36 +75,45 @@ def rank(m: Sequence[Sequence[int]]) -> int:
     return piv
 
 
-def inverse_rational(m: Sequence[Sequence[int]]) -> RatMatrix:
-    """Exact inverse over Q (Gauss-Jordan with fractions)."""
+def adjugate(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, int]:
+    """(adj(m), det(m)) of an invertible integer matrix, by fraction-free
+    (Bareiss) Gauss-Jordan on [m | I]: each step sets row_i <- (p * row_i -
+    f * pivot_row) // prev, an exact division.  The right block ends as
+    +-det(m) m^-1; the sign of the row swaps fixes the sign."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise NotSquareError("inverse of a non-square matrix")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    a = [[int(x) for x in row] + [int(i == j) for j in range(n)]
          for i, row in enumerate(m)]
+    sign = prev = 1
     for col in range(n):
         pr = next((i for i in range(col, n) if a[i][col]), None)
         if pr is None:
             raise SingularMatrixError("matrix is singular over Q")
-        a[col], a[pr] = a[pr], a[col]
-        inv_piv = 1 / a[col][col]
-        a[col] = [x * inv_piv for x in a[col]]
+        if pr != col:
+            a[col], a[pr] = a[pr], a[col]
+            sign = -sign
+        pivot_row, p = a[col], a[col][col]
         for i in range(n):
-            if i != col and a[i][col]:
+            if i != col:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+    return tuple(tuple(sign * x for x in row[n:]) for row in a), sign * prev
+
+
+def inverse_rational(m: Sequence[Sequence[int]]) -> RatMatrix:
+    """Exact inverse over Q: adj(m) / det(m)."""
+    adj, d = adjugate(m)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def invert_unimodular(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Integer inverse of a matrix with determinant +-1."""
-    inv = inverse_rational(m)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise SingularMatrixError("matrix is not invertible over Z")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    adj, d = adjugate(m)
+    if d not in (1, -1):
+        raise SingularMatrixError("matrix is not invertible over Z")
+    return adj if d == 1 else tuple(tuple(-x for x in row) for row in adj)
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> Tuple[int, ...]:

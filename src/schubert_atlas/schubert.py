@@ -20,6 +20,7 @@ from .errors import (
     NotInInversionSetError,
     NotMinimalCosetRepError,
     NotSimplyLacedError,
+    SingularMatrixError,
 )
 from .rootdata import (
     CorootVec,
@@ -148,14 +149,14 @@ class ClassificationReport:
     m_matrix: Optional[LabeledMatrix] = None
     n_matrix: Optional[LabeledMatrix] = None
     hat_n_keys: Optional[Tuple[int, ...]] = None
-    hat_n: Optional[Tuple[Fraction, ...]] = None
+    hat_n: Optional[Tuple[int | Fraction, ...]] = None
     gorenstein: Status = Status.YES
     q_gorenstein: Status = Status.YES
     fano: Status = Status.YES
     q_gorenstein_fano: Status = Status.YES
-    gorenstein_failures: Tuple[Tuple[CorootVec, Fraction], ...] = ()
+    gorenstein_failures: Tuple[Tuple[CorootVec, int | Fraction], ...] = ()
     nef_anticanonical: Optional[bool] = True
-    c1: Optional[Tuple[Fraction, ...]] = None
+    c1: Optional[Tuple[int | Fraction, ...]] = None
     anticanonical_weil: Tuple[int, ...] = ()
     provenance: Mapping[str, str] = field(default_factory=dict)
 
@@ -425,20 +426,18 @@ def _ht_plus_one(coroots: Sequence[CorootVec]) -> Tuple[int, ...]:
 
 def _anticanonical(
     datum: RootDatum,
-    m_entries: Sequence[Sequence[int]],
+    n_entries: Sequence[Sequence[int | Fraction]],
     keys: Sequence[int],
     coroots: Sequence[CorootVec],
-) -> Tuple[exactlinalg.RatMatrix, Tuple[Fraction, ...], Tuple[Fraction, ...]]:
-    """(N, hat-n, c1): N = M^-1, hat-n = N (ht + 1) over the coroots that
-    label the columns of N, and c1 = sum of hat-n_k omega_k over the keys."""
-    n_rat = exactlinalg.inverse_rational(m_entries)
+) -> Tuple[Tuple[int | Fraction, ...], Tuple[int | Fraction, ...]]:
+    """(hat-n, c1) from N = M^-1: hat-n = N (ht + 1) over the coroots that
+    label the columns of N, and c1 = sum of hat-n_k omega_k over the keys.
+    An integer N gives integers, a rational N gives Fractions."""
     h1 = _ht_plus_one(coroots)
-    hat = tuple(
-        sum((row[j] * h1[j] for j in range(len(h1))), Fraction(0)) for row in n_rat
-    )
+    hat = tuple(sum(x * y for x, y in zip(row, h1)) for row in n_entries)
     hat_by_key = dict(zip(keys, hat))
-    c1 = tuple(hat_by_key.get(i, Fraction(0)) for i in range(1, datum.rank + 1))
-    return n_rat, hat, c1
+    c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
+    return hat, c1
 
 
 def gorenstein_fano_report(
@@ -493,7 +492,7 @@ def gorenstein_fano_report(
             basis=basis,
             hat_n_keys=(),
             hat_n=(),
-            c1=tuple(Fraction(0) for _ in range(datum.rank)),
+            c1=(0,) * datum.rank,
             provenance=prov,
             **common,
         )
@@ -505,19 +504,18 @@ def gorenstein_fano_report(
             tuple(coroot[i - 1] for i in keys) for _, coroot in basis.entries
         )
         m = LabeledMatrix(row_labels=basis.entries, col_labels=keys, entries=m_entries)
-        n_rat, hat, c1 = _anticanonical(datum, m_entries, keys, basis.coroots)
-        if any(x.denominator != 1 for row in n_rat for x in row):
-            raise InternalError("adapted-basis matrix is not unimodular")
-        n = LabeledMatrix(row_labels=keys, col_labels=basis.entries, entries=n_rat)
+        try:
+            n_entries = exactlinalg.invert_unimodular(m_entries)
+        except SingularMatrixError:
+            raise InternalError("adapted-basis matrix is not unimodular") from None
+        hat, c1 = _anticanonical(datum, n_entries, keys, basis.coroots)
+        n = LabeledMatrix(row_labels=keys, col_labels=basis.entries, entries=n_entries)
         basis_set = set(basis.coroots)
         failures = []
         for eta in sets.cover_P:
             if eta in basis_set:
                 continue
-            defect = (
-                sum((c1[k - 1] * eta[k - 1] for k in keys), Fraction(0))
-                - height(eta)
-            )
+            defect = sum(c1[k - 1] * eta[k - 1] for k in keys) - height(eta)
             if defect != 1:
                 failures.append((eta, defect))
         gor = _status(not failures)
@@ -550,8 +548,9 @@ def gorenstein_fano_report(
     if q_fact:
         m_entries = pic.entries
         m = LabeledMatrix(row_labels=sets.cover_P, col_labels=ks, entries=m_entries)
-        n_rat, hat, c1 = _anticanonical(datum, m_entries, ks, sets.cover_P)
-        n = LabeledMatrix(row_labels=ks, col_labels=sets.cover_P, entries=n_rat)
+        n_entries = exactlinalg.inverse_rational(m_entries)
+        hat, c1 = _anticanonical(datum, n_entries, ks, sets.cover_P)
+        n = LabeledMatrix(row_labels=ks, col_labels=sets.cover_P, entries=n_entries)
         integral = all(x.denominator == 1 for x in hat)
         positive = all(x > 0 for x in hat)
         prov.update(

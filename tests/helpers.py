@@ -9,6 +9,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import schubert_atlas as sa
 from schubert_atlas import weyl
+from schubert_atlas.errors import SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
 
 
@@ -26,7 +27,16 @@ def valid_parabolics(datum, w) -> Iterable[Tuple[int, ...]]:
         yield from itertools.combinations(free, r)
 
 
-# --- determinant / rank oracles ------------------------------------------
+# --- matrix product, determinant, rank and inverse oracles -----------------
+
+
+def mat_mul(a, b):
+    cols = range(len(b[0])) if b else ()
+    return tuple(
+        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols)
+        for row in a
+    )
+
 
 
 def cofactor_det(m) -> int:
@@ -62,6 +72,26 @@ def fraction_rank(m) -> int:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         r += 1
     return r
+
+
+def gauss_jordan_inverse(m):
+    """Exact inverse over Q by Gauss-Jordan with fractions: a reference for
+    the fraction-free adjugate, raising ``SingularMatrixError`` alike."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        pr = next((i for i in range(col, n) if a[i][col]), None)
+        if pr is None:
+            raise SingularMatrixError("matrix is singular over Q")
+        a[col], a[pr] = a[pr], a[col]
+        inv_piv = 1 / a[col][col]
+        a[col] = [x * inv_piv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 # --- Poincare-polynomial row-count oracle ---------------------------------

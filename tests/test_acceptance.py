@@ -475,3 +475,97 @@ def test_performance_budgets(datum, capsys, tmp_path):
     assert code == 0
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"G2 survey took {elapsed:.2f}s"
+
+
+# -------------------------------------------------------------------- 9 ---
+
+BETTI_CASES = (
+    ("A3", ()),
+    ("A4", ()),
+    ("D4", ()),
+    ("B3", ()),
+    ("G2", ()),
+    ("A4", (2,)),
+    ("D4", (1, 3, 4)),
+    ("C3", (3,)),
+)
+
+
+def _simple_reflection_matrices(cartan):
+    """s_i on the root lattice in the simple-root basis: column j is
+    s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^vee> alpha_i."""
+    n = len(cartan)
+    return [
+        tuple(
+            tuple(int(r == c) - (cartan[i][c] if r == i else 0) for c in range(n))
+            for r in range(n)
+        )
+        for i in range(n)
+    ]
+
+
+def _word_matrix(reflections, word):
+    n = len(reflections)
+    m = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
+    for letter in word:
+        s = reflections[letter - 1]
+        m = tuple(
+            tuple(sum(row[k] * s[k][c] for k in range(n)) for c in range(n))
+            for row in m
+        )
+    return m
+
+
+def _positive_roots(reflections):
+    n = len(reflections)
+    found = {tuple(int(r == i) for r in range(n)) for i in range(n)}
+    frontier = list(found)
+    while frontier:
+        root = frontier.pop()
+        for s in reflections:
+            image = tuple(sum(s[r][c] * root[c] for c in range(n)) for r in range(n))
+            if all(x >= 0 for x in image) and image not in found:
+                found.add(image)
+                frontier.append(image)
+    return found
+
+
+def test_betti_numbers_match_bruhat_order(datum):
+    """The paper's b_2 = b_{2l(w)-2} criterion rests on b_top counting the
+    coatoms of w in W^P.  By the subword property those are the words of
+    length l(w) - 1 left by deleting one letter of a reduced word of w that
+    send no alpha_j (j in I_P) negative; b2 counts the simple reflections
+    s_k <= w in W^P.  Matrices and lengths come from the Cartan matrix here,
+    not from the library's cover or classification code."""
+    checked = 0
+    for type_str, inside in BETTI_CASES:
+        d = datum(type_str)
+        reflections = _simple_reflection_matrices(d.cartan)
+        positive = _positive_roots(reflections)
+
+        def in_w_p(m):
+            return all(any(row[j - 1] > 0 for row in m) for j in inside)
+
+        def length(m):
+            n = len(m)
+            return sum(
+                1
+                for root in positive
+                if any(sum(m[r][c] * root[c] for c in range(n)) < 0 for r in range(n))
+            )
+
+        p = sa.parabolic(d, inside)
+        for w in sa.enumerate_coset_reps(d, p, 999):
+            word = sa.canonical_reduced_word(w)
+            assert length(_word_matrix(reflections, word)) == len(word) == w.length
+            coatoms = set()
+            for pos in range(len(word)):
+                m = _word_matrix(reflections, word[:pos] + word[pos + 1 :])
+                if length(m) == len(word) - 1 and in_w_p(m):
+                    coatoms.add(m)
+            letters = {k for k in word if in_w_p(reflections[k - 1])}
+            report = sa.classify(sa.SchubertInput(datum=d, parabolic=p, w=w))
+            assert report.b_top == len(coatoms), (type_str, inside, word)
+            assert report.b2 == len(letters), (type_str, inside, word)
+            checked += 1
+    assert checked == 504

@@ -322,10 +322,25 @@ def test_survey_jobs_capped(type_str, cpus, expected, capsys, monkeypatch):
 
 
 def test_jobs_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
-    code, out, _ = run(capsys, "survey", "--type", "A2", "--format", "csv")
+    """Without --jobs, the environment variable sets the worker count: an A3
+    Borel survey (24 rows, two 16-element chunks) reaches a pool of 2."""
+    code, serial, _ = run(capsys, "survey", "--type", "A3", "--format", "csv")
     assert code == 0
-    assert len(list(csv.DictReader(io.StringIO(out)))) == 6
+    assert len(list(csv.DictReader(io.StringIO(serial)))) == 24
+    pools = []
+
+    class RecordingPool(cli.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run(capsys, "survey", "--type", "A3", "--format", "csv")
+    assert code == 0
+    assert pools == [2]
+    assert out == serial
 
 
 # --- conjectures --------------------------------------------------------------

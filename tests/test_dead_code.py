@@ -17,11 +17,8 @@ ALLOWED = {
     "longest_element": "tests build w0 with it",
     "fundamental_weight": "tests pair weights with coroots through it",
     "weight_coroot_pairing": "tests pair weights with coroots through it",
-    "mat_mul": "tests multiply a matrix by its inverse with it",
     "coroot_for": "tests read an adapted-basis entry by key with it",
     "cover_coroots_direct": "the brute-force cover oracle the tests check against",
-    "invert_unimodular": "perfbench/tracer.py traces it by name",
-    "inverse_rational": "perfbench/tracer.py traces it by name",
 }
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from schubert_atlas import exactlinalg as xl
 from schubert_atlas.errors import NotSquareError, SingularMatrixError
 
-from helpers import cofactor_det, fraction_rank
+from helpers import cofactor_det, fraction_rank, gauss_jordan_inverse, mat_mul
 
 
 def test_det_pinned():
@@ -47,6 +47,20 @@ def test_inverse_pinned():
 def test_inverse_singular():
     with pytest.raises(SingularMatrixError):
         xl.inverse_rational(((1, 2), (2, 4)))
+
+
+def test_invert_unimodular_pinned():
+    assert xl.invert_unimodular(((1, 0), (3, 1))) == ((1, 0), (-3, 1))
+    # determinant -1: the adjugate is negated
+    assert xl.invert_unimodular(((0, 1), (1, 0))) == ((0, 1), (1, 0))
+    assert xl.invert_unimodular(((2, 1), (1, 0))) == ((0, 1), (1, -2))
+
+
+def test_invert_unimodular_rejects_determinant_two():
+    for m in (((1, 1), (-1, 1)), ((2, 0), (0, -1))):
+        assert abs(xl.det(m)) == 2
+        with pytest.raises(SingularMatrixError):
+            xl.invert_unimodular(m)
 
 
 def test_smith_pinned():
@@ -131,10 +145,29 @@ def test_inverse_times_matrix_is_identity(m):
         return
     inv = xl.inverse_rational(m)
     n = len(m)
-    prod = xl.mat_mul(m, inv)
+    prod = mat_mul(m, inv)
     assert prod == tuple(
         tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
     )
+
+
+@settings(deadline=None, max_examples=200)
+@given(_matrix_strategy())
+def test_adjugate_matches_determinant_and_gauss_jordan(m):
+    """adj(m) = det(m) m^-1 with the sign of the row swaps tracked, and the
+    rational inverse built from it equals plain Gauss-Jordan over Q."""
+    n = len(m)
+    if xl.det(m) == 0:
+        for fn in (xl.adjugate, xl.inverse_rational, gauss_jordan_inverse):
+            with pytest.raises(SingularMatrixError):
+                fn(m)
+        return
+    adj, d = xl.adjugate(m)
+    assert d == xl.det(m) == cofactor_det(m)
+    assert mat_mul(m, adj) == tuple(
+        tuple(d * int(i == j) for j in range(n)) for i in range(n)
+    )
+    assert xl.inverse_rational(m) == gauss_jordan_inverse(m)
 
 
 @settings(deadline=None, max_examples=150)

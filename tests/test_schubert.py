@@ -11,7 +11,13 @@ from schubert_atlas.errors import (
     NotSimplyLacedError,
 )
 
-from helpers import decompose_reference, hat_n_map, reorder_matrix, schubert_input
+from helpers import (
+    decompose_reference,
+    hat_n_map,
+    mat_mul,
+    reorder_matrix,
+    schubert_input,
+)
 
 
 def frac(x):
@@ -547,6 +553,42 @@ def test_report_invariants_sweep(type_str, cap, datum):
                 sum(eta) + 1 for eta in rep.cover_coroots
             )
             assert exactlinalg.rank(rep.picard_matrix.entries) == rep.b2
+
+
+@pytest.mark.parametrize(
+    "type_str,inside",
+    [("A4", ()), ("D4", ()), ("E6", (2, 3, 4, 5, 6))],
+    ids=["A4", "D4", "E6-P1"],
+)
+def test_simply_laced_anticanonical_data_are_integers(type_str, inside, datum):
+    """In simply-laced types N = M^-1, hat-n, c1 and every Gorenstein defect
+    are Python ints: no Fraction is built on that path."""
+    d = datum(type_str)
+    p = sa.parabolic(d, inside)
+    for w in sa.enumerate_coset_reps(d, p, 99):
+        rep = sa.classify(sa.SchubertInput(datum=d, parabolic=p, w=w))
+        values = list(rep.hat_n) + list(rep.c1 or ())
+        values += [defect for _, defect in rep.gorenstein_failures]
+        if rep.n_matrix is not None:
+            values += [x for row in rep.n_matrix.entries for x in row]
+        assert all(type(x) is int for x in values), (type_str, w)
+
+
+@pytest.mark.parametrize("type_str", ["B3", "F4"])
+def test_q_factorial_general_n_inverts_m(type_str, datum):
+    d = datum(type_str)
+    borel = sa.parabolic(d, ())
+    seen = 0
+    for w in sa.enumerate_coset_reps(d, borel, 99):
+        rep = sa.classify(sa.SchubertInput(datum=d, parabolic=borel, w=w))
+        if rep.regime != "q_factorial_general":
+            continue
+        seen += 1
+        size = len(rep.hat_n_keys)
+        assert mat_mul(rep.m_matrix.entries, rep.n_matrix.entries) == tuple(
+            tuple(int(i == j) for j in range(size)) for i in range(size)
+        ), (type_str, w)
+    assert seen
 
 
 def test_anticanonical_weil_recomputation(datum):
