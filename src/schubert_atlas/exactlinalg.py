@@ -50,31 +50,6 @@ def det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rank(m: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals (fraction-free elimination)."""
-    if not m or not m[0]:
-        return 0
-    a = [list(map(int, row)) for row in m]
-    nr, nc = len(a), len(a[0])
-    piv = 0
-    prev = 1
-    for col in range(nc):
-        pr = next((i for i in range(piv, nr) if a[i][col]), None)
-        if pr is None:
-            continue
-        a[piv], a[pr] = a[pr], a[piv]
-        pivot = a[piv][col]
-        for i in range(piv + 1, nr):
-            for j in range(col + 1, nc):
-                a[i][j] = (a[i][j] * pivot - a[i][col] * a[piv][j]) // prev
-            a[i][col] = 0
-        prev = pivot
-        piv += 1
-        if piv == nr:
-            break
-    return piv
-
-
 def adjugate(m: Sequence[Sequence[int]]) -> Tuple[IntMatrix, int]:
     """(adj(m), det(m)) of an invertible integer matrix, by fraction-free
     (Bareiss) Gauss-Jordan on [m | I]: each step sets row_i <- (p * row_i -

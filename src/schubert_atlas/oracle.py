@@ -114,12 +114,11 @@ def check_order_reversal(
     unresolved = set(pairs)
     scanned = 0
     truncated = False
-    for word in iter_reduced_words(w):
+    for _, seq in iter_reduced_words(w):
         if scanned >= cap:
             truncated = True
             break
         scanned += 1
-        seq = inversion_sequence(datum, word)
         pos = {c: i for i, c in enumerate(seq)}
         for eta in list(unresolved):
             for pair in pairs[eta]:
@@ -159,12 +158,11 @@ def check_coxeter_deletion(
     interior_seen = {eta: False for eta in targets}
     scanned = 0
     truncated = False
-    for word in iter_reduced_words(w):
+    for word, seq in iter_reduced_words(w):
         if scanned >= cap:
             truncated = True
             break
         scanned += 1
-        seq = inversion_sequence(datum, word)
         r = len(word)
         # the letter at 1-based position l realizes the coroot seq[r - l]
         for l in range(2, r):
@@ -209,12 +207,11 @@ def check_rightmost_indecomposable(
     counter: List[object] = []
     scanned = 0
     truncated = False
-    for word in iter_reduced_words(w):
+    for word, seq in iter_reduced_words(w):
         if scanned >= cap:
             truncated = True
             break
         scanned += 1
-        seq = inversion_sequence(datum, word)
         r = len(word)
         rightmost: Dict[int, int] = {}
         for pos in range(r - 1, -1, -1):

@@ -9,22 +9,19 @@ n-1 and n both attach there).
 
 The Cartan matrix is stored as ``C[i][j] = <alpha_j, alpha_i^vee>`` with
 0-based storage indices; the public API speaks 1-based simple indices.
-Roots are integer coordinate vectors over the simple roots, coroots over the
-simple coroots, and weights are rational vectors over the fundamental
-weights.
+Roots are integer coordinate vectors over the simple roots and coroots over
+the simple coroots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import DimensionMismatchError, InvalidTypeError, NotACorootError
 
 RootVec = Tuple[int, ...]
 CorootVec = Tuple[int, ...]
-WeightVec = Tuple[Fraction, ...]
 IntMatrix = Tuple[Tuple[int, ...], ...]
 
 _FAMILIES = "ABCDEFG"
@@ -120,7 +117,8 @@ class Memo:
     datum.
 
     - ``canonical_words``: matrix -> canonical reduced word;
-    - ``rightmost``: (k, reverse_ties) -> {matrix: (distance, witness word)};
+    - ``rightmost``: (k, reverse_ties) -> {matrix: (distance, coroot)}, the
+      output of ``rightmost_distance``;
     - ``reflections``: positive coroot -> its reflection;
     - ``length_drops``: matrix -> (eta, w s_eta, length drop) per inversion
       coroot eta.
@@ -243,21 +241,6 @@ def pair_root_with_simple_coroot(datum: RootDatum, r: RootVec, j: int) -> int:
 def height(c: CorootVec) -> int:
     """Sum of the coroot coefficients (pairing with rho)."""
     return sum(c)
-
-
-def fundamental_weight(datum: RootDatum, i: int) -> WeightVec:
-    """The weight omega_i as a coordinate vector over fundamental weights."""
-    return tuple(Fraction(1 if j == i - 1 else 0) for j in range(datum.rank))
-
-
-def weight_coroot_pairing(w: WeightVec, c: CorootVec) -> Fraction:
-    """<sum w_i omega_i, c> = sum over i of w_i * (coefficient of
-    alpha_i^vee in c)."""
-    if len(w) != len(c):
-        raise DimensionMismatchError(
-            f"weight has length {len(w)}, coroot has length {len(c)}"
-        )
-    return sum((wi * ci for wi, ci in zip(w, c)), Fraction(0))
 
 
 def require_positive_coroot(datum: RootDatum, c: CorootVec) -> RootCorootPair:

@@ -112,12 +112,6 @@ class AdaptedBasis:
     def coroots(self) -> Tuple[CorootVec, ...]:
         return tuple(c for _, c in self.entries)
 
-    def coroot_for(self, k: int) -> CorootVec:
-        for kk, c in self.entries:
-            if kk == k:
-                return c
-        raise KeyError(k)
-
 
 @dataclass(frozen=True)
 class LabeledMatrix:
@@ -280,21 +274,20 @@ def picard_matrix(inp: SchubertInput, sets: CorootSets) -> LabeledMatrix:
 
 
 def classify_factorial(
-    inp: SchubertInput, sets: CorootSets
+    inp: SchubertInput, pic: LabeledMatrix
 ) -> Tuple[bool, bool, Dict[str, object]]:
-    """(Q-factorial, factorial, evidence).
+    """(Q-factorial, factorial, evidence) from the Picard matrix of ``inp``.
 
     Q-factorial iff the cover set is square against I^P_w; factorial
     additionally needs determinant +-1.  In simply-laced types the two must
     agree, and a violation is a hard internal error.
     """
-    pic = picard_matrix(inp, sets)
     evidence: Dict[str, object] = {}
     evidence["invariant_factors"] = exactlinalg.smith_normal_form(pic.entries)
-    q_fact = len(sets.cover_P) == len(sets.support_P)
+    q_fact = len(pic.row_labels) == len(pic.col_labels)
     factorial = False
     if q_fact:
-        d = exactlinalg.det(pic.entries) if sets.cover_P else 1
+        d = exactlinalg.det(pic.entries)
         evidence["determinant"] = d
         factorial = d in (1, -1)
     if inp.datum.simply_laced and factorial != q_fact:
@@ -311,8 +304,9 @@ def build_B_wB(
     """The adapted coroot basis of the Borel-case cover set (simply-laced),
     read off the coroot record ``sets`` of ``inp``.
 
-    For each k in the support, take the rightmost-witness coroot and, while
-    it decomposes, descend into the summand with unit k-th coefficient.
+    For each k in the support, take the coroot that the rightmost occurrence
+    of s_k realizes (``rightmost_distance``) and, while it decomposes,
+    descend into the summand with unit k-th coefficient.
     Entries are ordered by ascending rightmost distance, ties by index.
     """
     datum = inp.datum
@@ -321,9 +315,7 @@ def build_B_wB(
     decomposable = sets.decomposable
     entries: List[Tuple[int, int, CorootVec]] = []  # (d, k, coroot)
     for k in sets.support_B:
-        d, witness = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
-        # entry d of an inversion sequence depends only on the last d letters
-        current = inversion_sequence(datum, witness[-d:])[-1]
+        d, current = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
         if current[k - 1] != 1:
             raise InternalError(
                 f"rightmost coroot {current} lacks unit coefficient at {k}"
@@ -456,8 +448,8 @@ def gorenstein_fano_report(
         raise InternalError(
             "adapted basis must be supplied exactly for simply-laced data"
         )
-    q_fact, factorial, evidence = classify_factorial(inp, sets)
     pic = picard_matrix(inp, sets)
+    q_fact, factorial, evidence = classify_factorial(inp, pic)
     ks = sets.support_P
     weil = _ht_plus_one(sets.cover_P)
     prov: Dict[str, str] = {

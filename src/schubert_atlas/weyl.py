@@ -171,10 +171,6 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(a.datum, matrix, _count_inversions(a.datum, matrix))
 
 
-def inverse(w: WeylElement) -> WeylElement:
-    return element_from_word(w.datum, canonical_reduced_word(w)[::-1])
-
-
 def image_of_simple_coroot(w: WeylElement, i: int) -> CorootVec:
     """w(alpha_i^vee), read off as column i of the matrix."""
     i0 = i - 1
@@ -242,13 +238,6 @@ def min_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
         cur = right_mul_simple(cur, j)
 
 
-def coset_factorize(w: WeylElement, p: ParabolicSubset) -> Tuple[WeylElement, WeylElement]:
-    """Split w = u * v with u in W^P, v in W_P, lengths additive."""
-    u = min_coset_rep(w, p)
-    v = multiply(inverse(u), w)
-    return u, v
-
-
 def inversion_sequence(datum: RootDatum, word: Sequence[int]) -> Tuple[CorootVec, ...]:
     """The inversion coroots of a reduced word, in reflection order.
 
@@ -270,40 +259,41 @@ def inversion_sequence(datum: RootDatum, word: Sequence[int]) -> Tuple[CorootVec
 
 def rightmost_distance(
     w: WeylElement, k: int, reverse_ties: bool = False
-) -> Tuple[int, Word]:
-    """Minimal distance of the rightmost occurrence of s_k from the end of a
-    reduced word of w, together with a reduced word realizing it.
+) -> Tuple[int, CorootVec]:
+    """Minimal distance d of the rightmost occurrence of s_k from the end of
+    a reduced word of w, together with the inversion coroot that occurrence
+    realizes: entry d of the inversion sequence of a witness word.
 
-    The end position has distance 1.  Ties between descents are broken by
-    the smallest index, or the largest when ``reverse_ties`` is set.
+    The end position has distance 1.  A descent s_i above the occurrence
+    carries the coroot through s_i.  Ties between descents are broken by the
+    smallest index, or the largest when ``reverse_ties`` is set.
     """
     _check_index(w.datum, k)
     if k not in support(w):
         raise NotInSupportError(f"s_{k} is not below {w!r}")
-    memo: Dict[Matrix, Tuple[int, Word]] = w.datum.memo.rightmost.setdefault(
+    datum = w.datum
+    memo: Dict[Matrix, Tuple[int, CorootVec]] = datum.memo.rightmost.setdefault(
         (k, reverse_ties), {}
     )
 
-    def rec(el: WeylElement) -> Tuple[int, Word]:
+    def rec(el: WeylElement) -> Tuple[int, CorootVec]:
         hit = memo.get(el.matrix)
         if hit is not None:
             return hit
         if has_right_descent(el, k):
-            res = (1, canonical_reduced_word(right_mul_simple(el, k)) + (k,))
+            res = (1, datum.simple_coroot(k))
         else:
-            best: Optional[Tuple[int, Word]] = None
+            best: Optional[Tuple[int, int, CorootVec]] = None
             for i in right_descents(el):
                 shorter = right_mul_simple(el, i)
                 if k not in support(shorter):
                     continue
-                d_i, wit = rec(shorter)
-                cand = (1 + d_i, wit + (i,))
-                if best is None or cand[0] < best[0] or (
-                    cand[0] == best[0] and reverse_ties
-                ):
-                    best = cand
+                d_i, c = rec(shorter)
+                if best is None or d_i < best[0] or (d_i == best[0] and reverse_ties):
+                    best = (d_i, i, c)
             assert best is not None  # k in support guarantees a branch
-            res = best
+            d_i, i, c = best
+            res = (1 + d_i, _reflect_coroot(datum.cartan, i - 1, c))
         memo[el.matrix] = res
         return res
 
@@ -355,42 +345,25 @@ def enumerate_coset_reps(
         level = sorted(nxt, key=canonical_reduced_word)
 
 
-def longest_element(datum: RootDatum) -> WeylElement:
-    w = identity_element(datum)
-    while w.length < len(datum.positives):  # l(w0) is the number of positive roots
-        i = next(i for i in range(1, datum.rank + 1) if not has_right_descent(w, i))
-        w = right_mul_simple(w, i)
-    return w
+def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, ...]]]:
+    """All distinct reduced words of w, each with its inversion sequence, by
+    right-descent recursion.  The product x of the letters peeled so far is
+    carried along: the letter peeled next as s_i realizes x(alpha_i^vee)."""
+    datum = w.datum
 
+    def walk(v: WeylElement, x: Matrix, word: Word, seq: Tuple[CorootVec, ...]):
+        if v.length == 0:
+            yield word, seq
+            return
+        for i in right_descents(v):
+            yield from walk(
+                right_mul_simple(v, i),
+                _mul_simple_right(datum, x, i),
+                (i,) + word,
+                seq + (tuple(row[i - 1] for row in x),),
+            )
 
-def iter_reduced_words(w: WeylElement) -> Iterator[Word]:
-    """All distinct reduced words of w, by right-descent recursion."""
-    if w.length == 0:
-        yield ()
-        return
-    for i in right_descents(w):
-        for prefix in iter_reduced_words(right_mul_simple(w, i)):
-            yield prefix + (i,)
-
-
-@dataclass(frozen=True)
-class ReducedWords:
-    words: Tuple[Word, ...]
-    truncated: bool
-
-
-def all_reduced_words(w: WeylElement, cap: int = DEFAULT_WORD_CAP) -> ReducedWords:
-    """Up to ``cap`` distinct reduced words plus an explicit truncation flag."""
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    out: List[Word] = []
-    truncated = False
-    for word in iter_reduced_words(w):
-        if len(out) == cap:
-            truncated = True
-            break
-        out.append(word)
-    return ReducedWords(words=tuple(out), truncated=truncated)
+    yield from walk(w, identity(datum.rank), (), ())
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:

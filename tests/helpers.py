@@ -9,7 +9,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import schubert_atlas as sa
 from schubert_atlas import weyl
-from schubert_atlas.errors import SingularMatrixError
+from schubert_atlas.errors import DimensionMismatchError, SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
 
 
@@ -247,6 +247,96 @@ def enumerate_reference(datum, p, max_len, key=canonical_word_reference):
             if not weyl.has_right_descent(w, i)
         }
         length += 1
+
+
+# --- element helpers that only tests need ------------------------------------
+
+
+def inverse(w):
+    return sa.element_from_word(w.datum, sa.canonical_reduced_word(w)[::-1])
+
+
+def coset_factorize(w, p):
+    """Split w = u * v with u in W^P, v in W_P, lengths additive."""
+    u = sa.min_coset_rep(w, p)
+    return u, weyl.multiply(inverse(u), w)
+
+
+def longest_element(datum):
+    w = weyl.identity_element(datum)
+    while w.length < len(datum.positives):  # l(w0) is the number of positive roots
+        i = next(i for i in range(1, datum.rank + 1) if not weyl.has_right_descent(w, i))
+        w = weyl.right_mul_simple(w, i)
+    return w
+
+
+def coroot_for(basis, k):
+    """The coroot of an adapted basis stored under key k."""
+    return dict(basis.entries)[k]
+
+
+# --- weights ----------------------------------------------------------------
+
+WeightVec = Tuple[Fraction, ...]
+
+
+def fundamental_weight(datum, i: int) -> WeightVec:
+    """The weight omega_i as a coordinate vector over fundamental weights."""
+    return tuple(Fraction(1 if j == i - 1 else 0) for j in range(datum.rank))
+
+
+def weight_coroot_pairing(w: WeightVec, c) -> Fraction:
+    """<sum w_i omega_i, c> = sum over i of w_i * (coefficient of
+    alpha_i^vee in c)."""
+    if len(w) != len(c):
+        raise DimensionMismatchError(
+            f"weight has length {len(w)}, coroot has length {len(c)}"
+        )
+    return sum((wi * ci for wi, ci in zip(w, c)), Fraction(0))
+
+
+# --- word-carrying walks: references for the coroot-carrying ones -----------
+
+
+def reduced_words_reference(w):
+    """All distinct reduced words of w by right-descent recursion, words only:
+    the order ``iter_reduced_words`` must keep."""
+    if w.length == 0:
+        yield ()
+        return
+    for i in weyl.right_descents(w):
+        for prefix in reduced_words_reference(weyl.right_mul_simple(w, i)):
+            yield prefix + (i,)
+
+
+def rightmost_reference(w, k, reverse_ties=False):
+    """(d, witness word) by a DFS that carries whole words: d is the minimal
+    distance of the rightmost s_k from the end, ties between descents broken
+    by the smallest index, or the largest with ``reverse_ties``."""
+    memo = {}
+
+    def rec(el):
+        if el.matrix in memo:
+            return memo[el.matrix]
+        if weyl.has_right_descent(el, k):
+            res = (1, sa.canonical_reduced_word(weyl.right_mul_simple(el, k)) + (k,))
+        else:
+            best = None
+            for i in weyl.right_descents(el):
+                shorter = weyl.right_mul_simple(el, i)
+                if k not in weyl.support(shorter):
+                    continue
+                d_i, wit = rec(shorter)
+                cand = (1 + d_i, wit + (i,))
+                if best is None or cand[0] < best[0] or (
+                    cand[0] == best[0] and reverse_ties
+                ):
+                    best = cand
+            res = best
+        memo[el.matrix] = res
+        return res
+
+    return rec(w)
 
 
 # --- pair-scan decomposition oracle ----------------------------------------

@@ -16,10 +16,11 @@ import time
 from fractions import Fraction
 
 import schubert_atlas as sa
-from schubert_atlas import cli, exactlinalg, oracle, schubert, weyl
+from schubert_atlas import cli, oracle, schubert, weyl
 
 from helpers import (
     coset_length_counts,
+    fraction_rank,
     hat_n_map,
     reorder_matrix,
     schubert_input,
@@ -296,7 +297,7 @@ def test_oracle_equivalence_suite(datum):
                     inp
                 ), (type_str, w, inside)
                 pic = sa.picard_matrix(inp, sets)
-                assert exactlinalg.rank(pic.entries) == len(sets.support_P)
+                assert fraction_rank(pic.entries) == len(sets.support_P)
     assert time.perf_counter() - start < 300.0
 
 

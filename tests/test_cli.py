@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -402,3 +403,37 @@ def test_conjectures_table_format(capsys):
     code, out, _ = run(capsys, "conjectures", "--type", "A2", "--which", "all")
     assert code == 0
     assert "conjecture 1" in out and "verified" in out
+
+
+# --- golden bytes ---------------------------------------------------------------
+
+_E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
+
+
+@pytest.mark.parametrize(
+    "args, code, digest",
+    [
+        (("conjectures", "--type", "A4", "--which", "all"), 0,
+         "7779a2d8e3eba00fd7ab9a3f81273cbe7d54dc980996058f7c5894cc4d3b9945"),
+        (("conjectures", "--type", "D4", "--which", "3", "--cap", "3"), 3,
+         "03c4257d9715367b3a866d746075aea7250ca7bf9c79aa48c9bb0abde64228e7"),
+        (("conjectures", "--type", "B3", "--which", "2"), 1,
+         "f009d3dc125db5649520dde5eaf5d3650bca4176484a73fff5cef0cde3dfc316"),
+        (("survey", "--type", "D4"), 0,
+         "2bf5ef409ede9100e589552a5888a0521a4f6929eb3782d050226568508fdf5f"),
+        (("survey", "--type", "B3"), 0,
+         "b93424b15096e4b904017936c855e3136499fedad632936e5a7c1f4cb5190853"),
+        (("survey", "--type", "E6", "--parabolic", "1 6", "--max-length", "6"), 0,
+         "36bc6169d1225e9c62fcd76a881e8d4f6f484d4a9c14e60a26bb58a472c0956f"),
+        (("classify", "--type", "E7", "--parabolic", "7", "--word", _E7_WORD,
+          "--coerce"), 0,
+         "da78b4c57ba1f7aab2c32fe20f3de4306348a19e6c82c1363f231723aae18571"),
+    ],
+    ids=["conj-A4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
+         "survey-E6-P16-len6", "classify-E7-coerce"],
+)
+def test_golden_output_bytes(args, code, digest, capsys):
+    """Exit code and sha256 of the JSON output, pinned from a reference run:
+    any change to a byte of the output fails here."""
+    got, out, _ = run(capsys, *args, "--format", "json")
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

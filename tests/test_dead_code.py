@@ -3,6 +3,13 @@
 Every module-level function and method in ``src/schubert_atlas`` must be
 referenced somewhere in the package other than its own definition, be
 exported through ``__all__``, or sit on the allowlist below with a reason.
+
+A module-level function ``f`` of ``mod`` counts as referenced only through a
+bare ``f`` inside ``mod``, a ``from .mod import f`` in another module (the
+re-exports of ``__init__`` count only through ``__all__``) or an attribute
+``mod.f``.  An attribute of the same name on some other object does not count
+for it: ``RootDatum.rank`` says nothing about a function ``rank``.  Methods
+count through any attribute of their name.
 """
 
 import ast
@@ -13,65 +20,72 @@ import schubert_atlas
 SRC = Path(schubert_atlas.__file__).parent
 
 ALLOWED = {
-    "coset_factorize": "tests check the W^P x W_P factorization with it",
-    "longest_element": "tests build w0 with it",
-    "fundamental_weight": "tests pair weights with coroots through it",
-    "weight_coroot_pairing": "tests pair weights with coroots through it",
-    "coroot_for": "tests read an adapted-basis entry by key with it",
     "cover_coroots_direct": "the brute-force cover oracle the tests check against",
 }
 
 
 def _trees():
-    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def _definitions(tree):
-    """(name, line) of the module-level functions and the methods."""
+def _functions(tree):
+    """(name, line) of the module-level functions."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node.lineno
-        elif isinstance(node, ast.ClassDef):
+
+
+def _methods(tree):
+    """(name, line) of the methods, dunders left out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     yield item.name, item.lineno
 
 
-def _references(tree):
-    """Names used as variables or attributes, and names imported."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.ImportFrom):
-            yield from (alias.name for alias in node.names)
+def _module_references(trees):
+    """{(module, name)} of the module-level names referenced as the module
+    docstring describes, and the set of every attribute name."""
+    used = set()
+    attrs = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in trees:
+                    used.add((node.value.id, node.attr))
+            elif isinstance(node, ast.ImportFrom) and module != "__init__":
+                source = (node.module or "").rpartition(".")[2]
+                used.update((source, alias.name) for alias in node.names)
+    return used, attrs
 
 
 def test_every_function_is_referenced():
     trees = _trees()
-    init = trees["__init__.py"]
-    imported = {
-        alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    used = set(schubert_atlas.__all__)
-    for filename, tree in trees.items():
-        refs = set(_references(tree))
-        if filename == "__init__.py":
-            refs -= imported  # re-exports count only through __all__
-        used |= refs
+    used, attrs = _module_references(trees)
+    exported = set(schubert_atlas.__all__)
     dead = [
-        f"{filename}:{line} {name}"
-        for filename, tree in trees.items()
-        for name, line in _definitions(tree)
-        if name not in used and name not in ALLOWED
+        f"{module}.py:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _functions(tree)
+        if (module, name) not in used and name not in exported and name not in ALLOWED
+    ]
+    dead += [
+        f"{module}.py:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _methods(tree)
+        if name not in attrs and name not in exported and name not in ALLOWED
     ]
     assert not dead, dead
 
 
 def test_allowlist_names_existing_functions():
-    defined = {name for tree in _trees().values() for name, _ in _definitions(tree)}
+    defined = {
+        name
+        for tree in _trees().values()
+        for name, _ in [*_functions(tree), *_methods(tree)]
+    }
     assert set(ALLOWED) <= defined, set(ALLOWED) - defined

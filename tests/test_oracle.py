@@ -4,7 +4,7 @@ import schubert_atlas as sa
 from schubert_atlas import oracle, weyl
 from schubert_atlas.errors import NotSimplyLacedError
 
-from helpers import schubert_input, valid_parabolics
+from helpers import longest_element, schubert_input, valid_parabolics
 
 
 def test_direct_cover_g2_grassmannian(datum):
@@ -123,7 +123,7 @@ def test_order_reversal_requires_simply_laced(datum):
 
 def test_order_reversal_truncation_flag(datum):
     d4 = datum("D4")
-    w0 = weyl.longest_element(d4)
+    w0 = longest_element(d4)
     frag = oracle.check_order_reversal(w0, cap=1)
     assert frag.truncated and not frag.verified
     assert frag.counterexamples == ()  # inconclusive, not refuted
@@ -181,7 +181,7 @@ def test_rightmost_indecomposable_53142(datum):
 
 def test_rightmost_indecomposable_longest_element(datum):
     d4 = datum("D4")
-    frag = oracle.check_rightmost_indecomposable(weyl.longest_element(d4))
+    frag = oracle.check_rightmost_indecomposable(longest_element(d4))
     assert frag.verified
 
 
@@ -197,7 +197,7 @@ def test_rightmost_indecomposable_requires_simply_laced(datum):
 
 def test_scans_are_deterministic(datum):
     a3 = datum("A3")
-    w0 = weyl.longest_element(a3)
+    w0 = longest_element(a3)
     assert oracle.check_order_reversal(w0) == oracle.check_order_reversal(w0)
     assert oracle.check_coxeter_deletion(w0) == oracle.check_coxeter_deletion(w0)
     assert oracle.check_rightmost_indecomposable(

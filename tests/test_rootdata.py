@@ -10,11 +10,11 @@ from schubert_atlas.errors import (
 from schubert_atlas.rootdata import (
     CartanType,
     cartan_matrix,
-    fundamental_weight,
     pair_root_coroot,
     require_positive_coroot,
-    weight_coroot_pairing,
 )
+
+from helpers import fundamental_weight, weight_coroot_pairing
 
 
 def closed_form_count(family, n):

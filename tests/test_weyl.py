@@ -16,11 +16,24 @@ from schubert_atlas.errors import (
     NotInSupportError,
 )
 
-from helpers import canonical_word_reference, coset_length_counts, enumerate_reference
+from helpers import (
+    canonical_word_reference,
+    coset_factorize,
+    coset_length_counts,
+    enumerate_reference,
+    inverse,
+    longest_element,
+    reduced_words_reference,
+    rightmost_reference,
+)
 
 
 def el(datum, word):
     return sa.element_from_word(datum, word)
+
+
+def words_of(w):
+    return [word for word, _ in weyl.iter_reduced_words(w)]
 
 
 # --- words, lengths, actions ------------------------------------------------
@@ -59,8 +72,8 @@ def test_equality_is_by_matrix(datum):
 def test_multiply_inverse(datum):
     g2 = datum("G2")
     w = el(g2, (2, 1, 2, 1, 2))
-    assert weyl.multiply(w, weyl.inverse(w)).is_identity
-    assert weyl.inverse(w).length == w.length
+    assert weyl.multiply(w, inverse(w)).is_identity
+    assert inverse(w).length == w.length
 
 
 # --- canonical words ---------------------------------------------------------
@@ -128,7 +141,7 @@ def test_min_coset_rep_examples(datum):
     assert sa.min_coset_rep(rep, sa.parabolic(a2, [2])) == rep
 
     d5 = datum("D5")
-    w0 = weyl.longest_element(d5)
+    w0 = longest_element(d5)
     assert w0.length == 20
     rep = sa.min_coset_rep(w0, sa.parabolic(d5, [1, 3, 4, 5]))
     assert rep.length == 13
@@ -140,7 +153,7 @@ def test_coset_factorization_lengths_additive(type_str, inside, datum):
     d = datum(type_str)
     p = sa.parabolic(d, inside)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
-        u, v = weyl.coset_factorize(w, p)
+        u, v = coset_factorize(w, p)
         assert sa.is_min_coset_rep(u, p)
         assert weyl.multiply(u, v) == w
         assert u.length + v.length == w.length
@@ -174,8 +187,7 @@ def test_inversion_sequence_rejects_bad_index(word, datum):
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "D4", "G2", "F4"])
 def test_inversion_sequence_suffix_is_prefix(type_str, datum):
-    """Entry k of an inversion sequence depends only on the last k letters,
-    so build_B_wB may read the rightmost coroot off a suffix."""
+    """Entry k of an inversion sequence depends only on the last k letters."""
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
         word = sa.canonical_reduced_word(w)
@@ -189,8 +201,7 @@ def test_inversion_sequence_suffix_is_prefix(type_str, datum):
 def test_inversion_set_word_independent(type_str, datum):
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
-        words = sa.all_reduced_words(w).words
-        sets = {frozenset(sa.inversion_sequence(d, word)) for word in words}
+        sets = {frozenset(sa.inversion_sequence(d, word)) for word in words_of(w)}
         assert len(sets) == 1
         assert len(next(iter(sets))) == w.length
 
@@ -220,7 +231,7 @@ def test_reflection_ordering_property_exhaustive(type_str, datum):
     d = datum(type_str)
     positives = set(d.positive_coroots)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
-        for word in sa.all_reduced_words(w).words:
+        for word in words_of(w):
             seq = sa.inversion_sequence(d, word)
             pos = {c: i for i, c in enumerate(seq)}
             for a in range(len(seq)):
@@ -237,14 +248,15 @@ def test_reflection_ordering_property_exhaustive(type_str, datum):
 
 
 def test_rightmost_distance_53142(datum):
+    """In 53142 = s2 s1 s3 s4 s3 s2 s1 the rightmost s3 sits three letters
+    from the end at best; the two tie orders reach it through different
+    words and realize different inversion coroots."""
     a4 = datum("A4")
     w = el(a4, (2, 1, 3, 4, 3, 2, 1))
-    assert sa.rightmost_distance(w, 3)[0] == 3
-    for k in (1, 2, 4):
-        assert sa.rightmost_distance(w, k)[0] == 1
-    d, witness = sa.rightmost_distance(w, 3)
-    assert el(a4, witness) == w
-    assert witness[len(witness) - d] == 3
+    for k, simple in ((1, (1, 0, 0, 0)), (2, (0, 1, 0, 0)), (4, (0, 0, 0, 1))):
+        assert sa.rightmost_distance(w, k) == (1, simple)
+    assert sa.rightmost_distance(w, 3) == (3, (1, 1, 1, 0))
+    assert sa.rightmost_distance(w, 3, reverse_ties=True) == (3, (0, 1, 1, 1))
 
 
 def test_rightmost_distance_descent_is_one(datum):
@@ -261,24 +273,24 @@ def test_rightmost_distance_not_in_support(datum):
 
 @pytest.mark.parametrize("type_str", ["A3", "A4"])
 def test_rightmost_distance_vs_all_words(type_str, datum):
-    """d_w(k) is the true minimum over reduced words, and the witness
-    realizes it."""
+    """d_w(k) is the true minimum over reduced words, and the coroot is the
+    one some word realizing it carries at its rightmost s_k."""
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
         if w.is_identity:
             continue
-        words = sa.all_reduced_words(w).words
+        pairs = list(weyl.iter_reduced_words(w))
         for k in set(sa.canonical_reduced_word(w)):
-            expected = min(
-                len(word) - max(i for i, x in enumerate(word) if x == k)
-                for word in words
-            )
-            dist, witness = sa.rightmost_distance(w, k)
-            assert dist == expected
-            assert witness in words
-            assert len(witness) - max(
-                i for i, x in enumerate(witness) if x == k
-            ) == dist
+            dist = {
+                word: len(word) - max(i for i, x in enumerate(word) if x == k)
+                for word, _ in pairs
+            }
+            expected = min(dist.values())
+            realized = {seq[expected - 1] for word, seq in pairs if dist[word] == expected}
+            for reverse_ties in (False, True):
+                got, coroot = sa.rightmost_distance(w, k, reverse_ties)
+                assert got == expected
+                assert coroot in realized
 
 
 # --- reflections ---------------------------------------------------------------
@@ -311,7 +323,7 @@ def test_reflection_element_matches_conjugation(datum):
     eta = sa.act_on_coroot(u, g2.simple_coroot(i))
     assert all(x >= 0 for x in eta)
     lhs = sa.reflection_element(g2, eta)
-    rhs = weyl.multiply(weyl.multiply(u, el(g2, (i,))), weyl.inverse(u))
+    rhs = weyl.multiply(weyl.multiply(u, el(g2, (i,))), inverse(u))
     assert lhs == rhs
 
 
@@ -372,26 +384,36 @@ def test_enumerate_matches_poincare_counts(type_str, inside, datum):
 
 def test_all_reduced_words_examples(datum):
     a2 = datum("A2")
-    assert set(sa.all_reduced_words(el(a2, (1, 2, 1))).words) == {
-        (1, 2, 1),
-        (2, 1, 2),
-    }
+    assert set(words_of(el(a2, (1, 2, 1)))) == {(1, 2, 1), (2, 1, 2)}
     g2 = datum("G2")
-    w0 = el(g2, (1, 2, 1, 2, 1, 2))
-    scan = sa.all_reduced_words(w0)
-    assert len(scan.words) == 2 and not scan.truncated
-    assert sa.all_reduced_words(weyl.identity_element(a2)).words == ((),)
-
-
-def test_all_reduced_words_cap(datum):
+    assert len(words_of(el(g2, (1, 2, 1, 2, 1, 2)))) == 2
+    assert list(weyl.iter_reduced_words(weyl.identity_element(a2))) == [((), ())]
     a3 = datum("A3")
-    w0 = weyl.longest_element(a3)
-    scan = sa.all_reduced_words(w0, cap=3)
-    assert len(scan.words) == 3 and scan.truncated
-    full = sa.all_reduced_words(w0)
-    assert not full.truncated
-    assert len(full.words) == 16  # reduced words of the longest element of S4
-    assert all(sa.element_from_word(a3, word) == w0 for word in full.words)
+    w0 = longest_element(a3)
+    words = words_of(w0)
+    assert len(words) == len(set(words)) == 16  # reduced words of w0 in S4
+    assert all(sa.element_from_word(a3, word) == w0 for word in words)
+
+
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2"])
+def test_walks_match_word_carrying_references(type_str, datum):
+    """The walks that carry coroots agree with the word-carrying ones: the
+    same reduced words in the same order, each with its own inversion
+    sequence, and for every support letter and both tie orders the distance
+    of the reference witness word with the coroot at that entry."""
+    d = datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
+        pairs = list(weyl.iter_reduced_words(w))
+        assert [word for word, _ in pairs] == list(reduced_words_reference(w))
+        for word, seq in pairs:
+            assert seq == sa.inversion_sequence(d, word), (type_str, word)
+        for k in weyl.support(w):
+            for reverse_ties in (False, True):
+                dist, witness = rightmost_reference(w, k, reverse_ties)
+                expected = (dist, sa.inversion_sequence(d, witness)[dist - 1])
+                assert sa.rightmost_distance(w, k, reverse_ties) == expected, (
+                    type_str, sa.canonical_reduced_word(w), k, reverse_ties
+                )
 
 
 # --- Bruhat order ----------------------------------------------------------------
@@ -430,7 +452,7 @@ def test_bruhat_leq_matches_subword_definition(datum):
     d = datum("A3")
     elements = list(sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99))
     for w in elements:
-        words = sa.all_reduced_words(w).words
+        words = words_of(w)
         below = set()
         for word in words:
             for r in range(len(word) + 1):
