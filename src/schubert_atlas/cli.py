@@ -35,6 +35,7 @@ from .weyl import (
     ParabolicSubset,
     WeylElement,
     canonical_reduced_word,
+    coset_counts_by_length,
     element_from_word,
     enumerate_coset_reps,
     min_coset_rep,
@@ -47,6 +48,7 @@ EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 
 JOBS_ENV_VAR = "SCHUBERT_ATLAS_JOBS"
+DEFAULT_MAX_ROWS = 200_000
 
 
 @dataclass
@@ -56,6 +58,7 @@ class CliConfig:
     parabolic: Tuple[int, ...] = ()
     word: Tuple[int, ...] = ()
     max_length: Optional[int] = None
+    max_rows: int = DEFAULT_MAX_ROWS
     format: str = "table"
     coerce: bool = False
     which: str = "all"
@@ -106,6 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_survey = sub.add_parser("survey", help="classify every w in W^P up to a length cap")
     common(p_survey, with_word=False)
     p_survey.add_argument("--max-length", type=int, default=None)
+    p_survey.add_argument(
+        "--max-rows", type=int, default=DEFAULT_MAX_ROWS,
+        help="refuse a survey of more rows than this, counted before "
+        f"enumerating (default {DEFAULT_MAX_ROWS})",
+    )
 
     p_conj = sub.add_parser("conjectures", help="run reduced-word conjecture scans")
     common(p_conj, with_word=False)
@@ -132,12 +140,16 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
     cap = getattr(args, "cap", weyl.DEFAULT_WORD_CAP)
     if cap < 1:
         raise InvalidInputError(f"--cap must be at least 1, got {cap}")
+    max_rows = getattr(args, "max_rows", DEFAULT_MAX_ROWS)
+    if max_rows < 1:
+        raise InvalidInputError(f"--max-rows must be at least 1, got {max_rows}")
     return CliConfig(
         subcommand=args.subcommand,
         type=args.type,
         parabolic=tuple(sorted(set(parse_word(args.parabolic)))),
         word=parse_word(getattr(args, "word", "") or ""),
         max_length=max_length,
+        max_rows=max_rows,
         format=args.format,
         coerce=getattr(args, "coerce", False),
         which=getattr(args, "which", "all"),
@@ -256,6 +268,14 @@ def run_survey(cfg: CliConfig) -> int:
     cap = cfg.max_length
     if cap is None:
         cap = len(datum.positives)
+    rows_due = sum(coset_counts_by_length(datum, p)[: cap + 1])
+    if rows_due > cfg.max_rows:
+        print(
+            f"error: the survey has {rows_due} rows, more than --max-rows "
+            f"{cfg.max_rows}; lower --max-length or raise --max-rows",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     elements = list(enumerate_coset_reps(datum, p, cap))
     chunksize = 16
     # the fork start method forks every worker up front, so never ask for

@@ -14,12 +14,12 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import NotSimplyLacedError
 from .rootdata import CorootVec, RootDatum
-from .schubert import SchubertInput, _canonical_sorted, decompositions
+from .schubert import SchubertInput, decompositions
 from .weyl import (
     DEFAULT_WORD_CAP,
     WeylElement,
+    canonical_record,
     canonical_reduced_word,
-    inversion_sequence,
     is_min_coset_rep,
     iter_reduced_words,
     multiply,
@@ -40,7 +40,7 @@ def _length_drop_pairs(
     if hit is not None:
         return hit
     out = []
-    for eta in inversion_sequence(datum, canonical_reduced_word(w)):
+    for eta in canonical_record(w)[1]:
         refl = reflection_element(datum, eta)
         u = multiply(w, refl)
         out.append((eta, u, w.length - u.length))
@@ -101,12 +101,11 @@ def check_order_reversal(
     datum = w.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError("order-reversal scan needs a simply-laced type")
-    canon = canonical_reduced_word(w)
-    inv = _canonical_sorted(datum, inversion_sequence(datum, canon))
+    canon, seq = canonical_record(w)
     # simply-laced: every witness has c == 1, so mu + mu' = eta
     pairs = {
         eta: [(wit.mu, wit.mu_prime) for wit in witnesses]
-        for eta, witnesses in decompositions(inv).items()
+        for eta, witnesses in decompositions(datum, seq).items()
     }
     if not pairs:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
@@ -197,12 +196,10 @@ def check_rightmost_indecomposable(
     datum = w.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError("rightmost scan needs a simply-laced type")
-    canon = canonical_reduced_word(w)
+    canon, seq = canonical_record(w)
     if w.is_identity:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
-    decomposable = decompositions(
-        _canonical_sorted(datum, inversion_sequence(datum, canon))
-    )
+    decomposable = decompositions(datum, seq)
     distances = {k: rightmost_distance(w, k)[0] for k in support(w)}
     counter: List[object] = []
     scanned = 0

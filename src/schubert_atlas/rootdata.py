@@ -113,15 +113,22 @@ class RootCorootPair:
 
 @dataclass
 class Memo:
-    """The four memo tables a root datum owns; each lives as long as the
+    """The five memo tables a root datum owns; each lives as long as the
     datum.
 
-    - ``canonical_words``: matrix -> canonical reduced word;
+    - ``canonical_words``: matrix -> (canonical reduced word, its inversion
+      sequence), the output of ``canonical_record``; a miss extends the
+      record of the nearest memoized ancestor and stores every record on
+      the way;
     - ``rightmost``: (k, reverse_ties) -> {matrix: (distance, coroot)}, the
       output of ``rightmost_distance``;
     - ``reflections``: positive coroot -> its reflection;
     - ``length_drops``: matrix -> (eta, w s_eta, length drop) per inversion
-      coroot eta.
+      coroot eta;
+    - ``splittings``: positive coroot eta -> every witness c * eta = mu + mu'
+      over positive coroots with mu before mu' in canonical order, in
+      lexicographic order of (mu, mu'); filled per eta by
+      ``schubert.decompositions``.
 
     The coroot record of an element is not memoized: ``classify`` builds it
     once with ``cover_coroots`` and drops it with the report.
@@ -131,6 +138,7 @@ class Memo:
     rightmost: dict = field(default_factory=dict)
     reflections: dict = field(default_factory=dict)
     length_drops: dict = field(default_factory=dict)
+    splittings: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +148,16 @@ class RootDatum:
     ``positives`` is sorted by (coroot height, coroot coordinates, root
     coordinates); the position in this list is the *canonical index* of a
     pair, used for deterministic tie-breaking downstream.
+    ``coroot_by_pairings`` maps the pairings (<r, alpha_1^vee>, ...,
+    <r, alpha_n^vee>) of each positive root r, which determine r, to its
+    coroot.
     """
 
     cartan_type: CartanType
     cartan: IntMatrix
     positives: Tuple[RootCorootPair, ...]
     simply_laced: bool
+    coroot_by_pairings: Dict[Tuple[int, ...], CorootVec] = field(repr=False)
     memo: Memo = field(default_factory=Memo, repr=False)
 
     def __post_init__(self) -> None:
@@ -188,7 +200,9 @@ def _reflect_coroot(cartan: IntMatrix, i: int, c: CorootVec) -> CorootVec:
 
 def build_root_datum(ct: CartanType | str) -> RootDatum:
     """Generate the full positive system by closing the simple pairs under
-    parallel simple reflections (root and coroot components together)."""
+    parallel simple reflections (root and coroot components together).
+    Reflecting r in alpha_i lowers its coordinate i by <r, alpha_i^vee>,
+    which gives the pairings of r on the way."""
     if isinstance(ct, str):
         ct = CartanType.parse(ct)
     cartan = cartan_matrix(ct)
@@ -199,17 +213,21 @@ def build_root_datum(ct: CartanType | str) -> RootDatum:
         simples.append((unit, unit))
     seen = set(simples)
     frontier = list(simples)
+    coroot_by_pairings = {}
     while frontier:
         nxt = []
         for root, coroot in frontier:
+            pairings = []
             for i in range(n):
                 r2 = _reflect_root(cartan, i, root)
+                pairings.append(root[i] - r2[i])
                 if any(x < 0 for x in r2):
                     continue
                 c2 = _reflect_coroot(cartan, i, coroot)
                 if (r2, c2) not in seen:
                     seen.add((r2, c2))
                     nxt.append((r2, c2))
+            coroot_by_pairings[tuple(pairings)] = coroot
         frontier = nxt
     ordered = sorted(seen, key=lambda rc: (sum(rc[1]), rc[1], rc[0]))
     positives = tuple(RootCorootPair(root=r, coroot=c) for r, c in ordered)
@@ -218,6 +236,7 @@ def build_root_datum(ct: CartanType | str) -> RootDatum:
         cartan=cartan,
         positives=positives,
         simply_laced=ct.family in ("A", "D", "E"),
+        coroot_by_pairings=coroot_by_pairings,
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -31,9 +31,9 @@ from .rootdata import (
 from .weyl import (
     ParabolicSubset,
     WeylElement,
+    canonical_record,
     canonical_reduced_word,
     has_right_descent,
-    inversion_sequence,
     rightmost_distance,
 )
 
@@ -155,31 +155,63 @@ class ClassificationReport:
     provenance: Mapping[str, str] = field(default_factory=dict)
 
 
+def _splittings(datum: RootDatum, eta: CorootVec) -> Tuple[DecompositionWitness, ...]:
+    """Every c * eta = mu + mu' over positive coroots with mu before mu' in
+    canonical order, in lexicographic order of (mu, mu'); memoized per eta.
+
+    mu, mu' and eta span a rank-2 subsystem, so c is at most its largest
+    bond multiplicity: 1 in ADE, 2 in B, C and F, 3 in G2.
+    """
+    memo = datum.memo.splittings
+    hit = memo.get(eta)
+    if hit is not None:
+        return hit
+    index = datum.coroot_index
+    c_max = max(1, -min(map(min, datum.cartan)))
+    found = []
+    for c in range(1, c_max + 1):
+        target = tuple(c * x for x in eta)
+        for a, mu in enumerate(datum.positive_coroots):
+            if 2 * sum(mu) > c * sum(eta):  # mu' = target - mu is no lower
+                break
+            b = index.get(tuple(map(operator.sub, target, mu)), -1)
+            if b > a:
+                found.append((a, b, c))
+    coroots = datum.positive_coroots
+    result = tuple(
+        DecompositionWitness(c=c, mu=coroots[a], mu_prime=coroots[b])
+        for a, b, c in sorted(found)
+    )
+    memo[eta] = result
+    return result
+
+
+def _witnesses(
+    datum: RootDatum, eta: CorootVec, members
+) -> List[DecompositionWitness]:
+    return [
+        wit
+        for wit in _splittings(datum, eta)
+        if wit.mu in members and wit.mu_prime in members
+    ]
+
+
 def decompositions(
-    elements: Sequence[CorootVec],
+    datum: RootDatum, elements: Sequence[CorootVec]
 ) -> Dict[CorootVec, List[DecompositionWitness]]:
     """Every c * eta = mu + mu' with mu, mu', eta among ``elements`` and
-    mu before mu'.  The keys are exactly the decomposable eta; each list
-    follows the lexicographic order of the pairs (mu, mu') in ``elements``,
-    which should be the inversion coroots in canonical order.
+    mu before mu' in canonical order.  The keys are exactly the
+    decomposable eta, in the order of ``elements``; each list follows the
+    lexicographic canonical order of the pairs (mu, mu').  The work is the
+    number of splittings of the ``elements`` in the whole positive system
+    (``Memo.splittings``), not the number of their pairs.
     """
-    members = set(elements)
+    members = frozenset(elements)
     found: Dict[CorootVec, List[DecompositionWitness]] = {}
-    size = len(elements)
-    for a in range(size):
-        mu = elements[a]
-        for b in range(a + 1, size):
-            mu2 = elements[b]
-            s = tuple(x + y for x, y in zip(mu, mu2))
-            g = math.gcd(*s)
-            for c in range(1, g + 1):
-                if g % c:
-                    continue
-                eta = tuple(x // c for x in s)
-                if eta in members:
-                    found.setdefault(eta, []).append(
-                        DecompositionWitness(c=c, mu=mu, mu_prime=mu2)
-                    )
+    for eta in elements:
+        witnesses = _witnesses(datum, eta, members)
+        if witnesses:
+            found[eta] = witnesses
     return found
 
 
@@ -192,6 +224,7 @@ def _pick(
 
 
 def decompose(
+    datum: RootDatum,
     eta: CorootVec,
     inv_elements: Sequence[CorootVec],
     reverse_ties: bool = False,
@@ -199,17 +232,15 @@ def decompose(
     """A witness c * eta = mu + mu' over unordered pairs of distinct
     inversion coroots.  The witness has mu of minimal canonical position,
     ties by minimal mu'; ``reverse_ties`` takes the maximal pair instead.
-    Returns None exactly when eta is indecomposable.  ``inv_elements`` must
-    be sorted by canonical index.
-
-    Each call builds the whole ``decompositions`` map of ``inv_elements``,
-    so a caller that needs several lookups should read
-    ``cover_coroots(inp).decomposable`` instead.
+    Returns None exactly when eta is indecomposable.  It reads only the
+    memoized splittings of eta in ``datum``, so a lookup costs the same as
+    one entry of ``decompositions``.
     """
     eta = tuple(eta)
-    if eta not in inv_elements:
+    members = frozenset(inv_elements)
+    if eta not in members:
         raise NotInInversionSetError(f"{eta} not in the inversion set")
-    witnesses = decompositions(inv_elements).get(eta)
+    witnesses = _witnesses(datum, eta, members)
     return _pick(witnesses, reverse_ties) if witnesses else None
 
 
@@ -234,15 +265,17 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
 
     R+_{w,B} consists of the indecomposable inversion coroots; R+_{w,P}
     keeps those whose reflection maps every alpha_j^vee (j in I_P) outside
-    the inversion set.
+    the inversion set.  The word and the inversion sequence come from the
+    memoized ``canonical_record`` of w, and the decompositions from the
+    splittings memoized per coroot, so no pair of inversion coroots is
+    scanned here.
     """
     datum = inp.datum
-    word = canonical_reduced_word(inp.w)
-    inv = inversion_sequence(datum, word)
+    word, inv = canonical_record(inp.w)
     supp = tuple(sorted(set(word)))
     outside = set(inp.parabolic.complement)
     elements = _canonical_sorted(datum, inv)
-    decomposable = decompositions(elements)
+    decomposable = decompositions(datum, elements)
     cover_b = tuple(c for c in elements if c not in decomposable)
     inv_set = frozenset(inv)
     inside = inp.parabolic.inside_sorted

@@ -8,6 +8,7 @@ are applied left to right: ``element_from_word(d, (i1, ..., ir))`` acts as
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -192,23 +193,58 @@ def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
     return WeylElement(w.datum, matrix, w.length + delta)
 
 
-def canonical_reduced_word(w: WeylElement) -> Word:
-    """Deterministic reduced word: repeatedly peel the smallest left descent,
-    read off x = w(2 rho^vee), which s_i w carries as s_i x."""
-    cache = w.datum.memo.canonical_words
-    hit = cache.get(w.matrix)
+def canonical_record(w: WeylElement) -> Tuple[Word, Tuple[CorootVec, ...]]:
+    """The canonical reduced word of w and its inversion sequence.
+
+    The word peels the smallest left descent i, read off x = w(2 rho^vee),
+    which s_i w carries as s_i x: word(w) = (i,) + word(s_i w), and the
+    sequence of w is that of s_i w followed by (s_i w)^-1(alpha_i^vee)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.3).  A miss peels
+    down to the nearest memoized ancestor, or the identity, then extends
+    the records back up, memoizing each.
+    """
+    memo = w.datum.memo.canonical_words
+    hit = memo.get(w.matrix)
     if hit is not None:
         return hit
     datum = w.datum
-    x = _apply(w.matrix, datum.two_rho_coroot)
-    letters: List[int] = []
-    for _ in range(w.length):
-        i = next(_left_descents(datum, x))
-        letters.append(i)
-        x = _reflect_coroot(datum.cartan, i - 1, x)
-    word = tuple(letters)
-    cache[w.matrix] = word
-    return word
+    cartan = datum.cartan
+    matrix = w.matrix
+    x = _apply(matrix, datum.two_rho_coroot)
+    steps = []  # (matrix, i, pairings <beta, alpha_a^vee> of beta = (s_i w)^-1(alpha_i))
+    while True:
+        i = next(_left_descents(datum, x), None)
+        if i is None:
+            word, seq = (), ()
+            break
+        i0 = i - 1
+        # q_a = sum_b C[b][i] M[b][a] pairs w^-1(alpha_i) = -beta with alpha_a^vee;
+        # S_i M differs from M only in row i, by -q
+        q = [0] * len(x)
+        for row, c in zip(matrix, (r[i0] for r in cartan)):
+            if c:
+                q = [u + c * v for u, v in zip(q, row)]
+        steps.append((matrix, i, tuple(-v for v in q)))
+        matrix = (
+            matrix[:i0] + (tuple(u - v for u, v in zip(matrix[i0], q)),) + matrix[i0 + 1:]
+        )
+        x = _reflect_coroot(cartan, i0, x)
+        hit = memo.get(matrix)
+        if hit is not None:
+            word, seq = hit
+            break
+    coroot_by_pairings = datum.coroot_by_pairings
+    for m, i, pairings in reversed(steps):
+        word = (i,) + word
+        seq = seq + (coroot_by_pairings[pairings],)
+        memo[m] = (word, seq)
+    return word, seq
+
+
+def canonical_reduced_word(w: WeylElement) -> Word:
+    """Deterministic reduced word: repeatedly peel the smallest left descent
+    (see ``canonical_record``)."""
+    return canonical_record(w)[0]
 
 
 def support(w: WeylElement) -> FrozenSet[int]:
@@ -343,6 +379,33 @@ def enumerate_coset_reps(
                 if i not in descents and datum.simple_coroot(i) not in blocked:
                     nxt.add(WeylElement(datum, _mul_simple_left(datum, w.matrix, i), length))
         level = sorted(nxt, key=canonical_reduced_word)
+
+
+def coset_counts_by_length(datum: RootDatum, p: ParabolicSubset) -> List[int]:
+    """The number of w in W^P of each length 0, 1, ...: the coefficients of
+    the Poincare quotient W(q) / W_P(q), where W_J(q) is the product of
+    1 + q + ... + q^m over the exponents m of the roots supported on J."""
+
+    def exponents(inside) -> Iterator[int]:
+        # as many exponents are at least h as there are roots of height h
+        # (Kostant)
+        per_height = Counter(
+            sum(pair.root)
+            for pair in datum.positives
+            if all(j in inside for j, c in enumerate(pair.root, 1) if c)
+        )
+        for h in per_height:
+            yield from [h] * (per_height[h] - per_height[h + 1])
+
+    poly = [1]
+    for m in exponents(range(1, datum.rank + 1)):
+        poly = [sum(poly[max(0, k - m):k + 1]) for k in range(len(poly) + m)]
+    for m in exponents(p.inside):
+        quotient: List[int] = []
+        for k in range(len(poly) - m):
+            quotient.append(poly[k] - sum(quotient[max(0, k - m):k]))
+        poly = quotient
+    return poly
 
 
 def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, ...]]]:

@@ -4,6 +4,7 @@ the library code paths they check."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -11,6 +12,7 @@ import schubert_atlas as sa
 from schubert_atlas import weyl
 from schubert_atlas.errors import DimensionMismatchError, SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
+from schubert_atlas.schubert import DecompositionWitness
 
 
 def schubert_input(datum, inside, word):
@@ -365,6 +367,31 @@ def decompose_reference(eta, inv_elements, reverse_ties=False):
             if all(mu[i] + mu2[i] == c * eta[i] for i in range(len(eta))):
                 return (c, mu, mu2)
     return None
+
+
+def decompositions_reference(elements):
+    """The decomposition map by a scan over all pairs a < b of ``elements``
+    (inversion coroots in canonical order): each c dividing gcd(mu + mu')
+    with (mu + mu')/c among them appends ``DecompositionWitness(c, mu, mu')``
+    to that coroot's list, in lexicographic pair order."""
+    members = set(elements)
+    found = {}
+    size = len(elements)
+    for a in range(size):
+        mu = elements[a]
+        for b in range(a + 1, size):
+            mu2 = elements[b]
+            s = tuple(x + y for x, y in zip(mu, mu2))
+            g = math.gcd(*s)
+            for c in range(1, g + 1):
+                if g % c:
+                    continue
+                eta = tuple(x // c for x in s)
+                if eta in members:
+                    found.setdefault(eta, []).append(
+                        DecompositionWitness(c=c, mu=mu, mu_prime=mu2)
+                    )
+    return found
 
 
 # --- misc ------------------------------------------------------------------

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
@@ -177,8 +178,10 @@ def test_malformed_jobs_env_is_validation_error(capsys, monkeypatch):
         (("survey", "--max-length", "-1"), "--max-length must be at least 0, got -1"),
         (("conjectures", "--max-length", "-2"), "--max-length must be at least 0, got -2"),
         (("conjectures", "--cap", "0"), "--cap must be at least 1, got 0"),
+        (("survey", "--max-rows", "0"), "--max-rows must be at least 1, got 0"),
     ],
-    ids=["survey-max-length", "conjectures-max-length", "conjectures-cap"],
+    ids=["survey-max-length", "conjectures-max-length", "conjectures-cap",
+         "survey-max-rows"],
 )
 def test_out_of_range_bounds_are_validation_errors(args, message, capsys):
     code, out, err = run(capsys, *args[:1], "--type", "A3", *args[1:])
@@ -247,6 +250,42 @@ def test_survey_counts_match_poincare_quotient(type_str, inside, capsys, datum):
 def test_survey_max_length(capsys):
     rows = _survey_rows(capsys, "--type", "A3", "--max-length", "2")
     assert {int(r["length"]) for r in rows} == {0, 1, 2}
+
+
+def test_survey_size_guard_refuses_before_enumerating(capsys):
+    """E7/P7 has 1,451,520 rows: refused at once, with nothing on stdout."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "survey", "--type", "E7", "--parabolic", "7")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the survey has 1451520 rows, more than --max-rows 200000; "
+        "lower --max-length or raise --max-rows\n"
+    )
+
+
+def test_survey_size_guard_counts_truncated_rows(capsys):
+    """The bound is inclusive and counts only rows up to --max-length: A3
+    has 24 rows, 1 + 3 + 5 of them of length at most 2."""
+    assert len(_survey_rows(capsys, "--type", "A3", "--max-rows", "24")) == 24
+    code, out, _ = run(capsys, "survey", "--type", "A3", "--max-rows", "23")
+    assert (code, out) == (2, "")
+    rows = _survey_rows(
+        capsys, "--type", "A3", "--max-length", "2", "--max-rows", "9"
+    )
+    assert len(rows) == 9
+
+
+def test_survey_size_guard_admits_full_e6_borel(capsys, monkeypatch):
+    """The 51,840-row E6 Borel survey passes the default bound; the walk is
+    stubbed out, so only the header is written."""
+    walks = []
+    monkeypatch.setattr(
+        cli, "enumerate_coset_reps", lambda *args: walks.append(args) or iter(())
+    )
+    code, out, err = run(capsys, "survey", "--type", "E6", "--format", "csv")
+    assert (code, err, len(walks)) == (0, "", 1)
+    assert out.splitlines() == [",".join(schubert.CSV_FIELDS)]
 
 
 def test_survey_json_round_trip(capsys):
@@ -428,12 +467,23 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
         (("classify", "--type", "E7", "--parabolic", "7", "--word", _E7_WORD,
           "--coerce"), 0,
          "da78b4c57ba1f7aab2c32fe20f3de4306348a19e6c82c1363f231723aae18571"),
+        (("survey", "--type", "G2"), 0,
+         "9068194d1b177581e0a458eac44fbb920af6542e13dfd0ab1fddd6262dad0c02"),
+        # the same digest perfbench pins for its F4 call
+        (("survey", "--type", "F4", "--format", "csv"), 0,
+         "ff6005c117bce86bb815adad9e1bdb7f16f5a2b727646c47cce4c1d7fff40c80"),
+        (("survey", "--type", "C3", "--parabolic", "3"), 0,
+         "c66ecac7ac1f1ab530f95fc560724b40d8199eacd6b4b18b67fea0be1818a1a8"),
     ],
     ids=["conj-A4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
-         "survey-E6-P16-len6", "classify-E7-coerce"],
+         "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
+         "survey-C3-P3"],
 )
 def test_golden_output_bytes(args, code, digest, capsys):
-    """Exit code and sha256 of the JSON output, pinned from a reference run:
-    any change to a byte of the output fails here."""
-    got, out, _ = run(capsys, *args, "--format", "json")
+    """Exit code and sha256 of the output, JSON unless the case names its
+    format, pinned from a reference run: any change to a byte of the output
+    fails here."""
+    if "--format" not in args:
+        args += ("--format", "json")
+    got, out, _ = run(capsys, *args)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

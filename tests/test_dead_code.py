@@ -1,4 +1,5 @@
-"""Guard against code that nothing calls.
+"""Guard against code that nothing calls, and against imports that nothing
+uses.
 
 Every module-level function and method in ``src/schubert_atlas`` must be
 referenced somewhere in the package other than its own definition, be
@@ -18,6 +19,7 @@ from pathlib import Path
 import schubert_atlas
 
 SRC = Path(schubert_atlas.__file__).parent
+TESTS = Path(__file__).parent
 
 ALLOWED = {
     "cover_coroots_direct": "the brute-force cover oracle the tests check against",
@@ -89,3 +91,37 @@ def test_allowlist_names_existing_functions():
         for name, _ in [*_functions(tree), *_methods(tree)]
     }
     assert set(ALLOWED) <= defined, set(ALLOWED) - defined
+
+
+def _unused_imports(path):
+    """(line, name) of each name a module imports and never reads.  A name
+    listed in ``__all__`` counts as read; ``__future__`` imports do not
+    bind names."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    """Every import in ``src/schubert_atlas`` and ``tests`` is used; the
+    package ``__init__`` re-exports through ``__all__``."""
+    unused = [
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, unused

@@ -14,6 +14,7 @@ from schubert_atlas.errors import (
 from helpers import (
     coroot_for,
     decompose_reference,
+    decompositions_reference,
     fraction_rank,
     hat_n_map,
     longest_element,
@@ -88,7 +89,7 @@ def test_decompose_g2_scaled_witness(datum):
     sets = schubert.cover_coroots(inp)
     elements = schubert._canonical_sorted(g2, sets.inv_ordered)
     assert set(elements) == {(0, 1), (1, 1), (3, 2)}
-    wit = sa.decompose((1, 1), elements)
+    wit = sa.decompose(g2, (1, 1), elements)
     assert wit is not None
     assert (wit.c, wit.mu, wit.mu_prime) == (3, (0, 1), (3, 2))
 
@@ -99,7 +100,7 @@ def test_decompose_simple_coroot_is_none(datum):
     elements = schubert._canonical_sorted(
         g2, schubert.cover_coroots(inp).inv_ordered
     )
-    assert sa.decompose((0, 1), elements) is None
+    assert sa.decompose(g2, (0, 1), elements) is None
 
 
 def test_decompose_d5_theta(datum):
@@ -113,18 +114,19 @@ def test_decompose_d5_theta(datum):
         d5, schubert.cover_coroots(inp).inv_ordered
     )
     theta = d5.highest_coroot
-    wit = sa.decompose(theta, elements)
+    wit = sa.decompose(d5, theta, elements)
     assert wit is not None and wit.c == 1
     assert tuple(a + b for a, b in zip(wit.mu, wit.mu_prime)) == theta
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_decompose_matches_pair_scan_everywhere(type_str, datum):
-    """On every Borel element, for both tie orders, the decomposition map
-    that ``cover_coroots`` carries holds first (last) the witness a plain pair scan finds first from the
-    front (back), ``decompose`` returns it, and the cover set is exactly
-    the inversion coroots the scan cannot decompose.  ``decompose`` builds
-    the whole map per call, so it is called once per element and order."""
+    """On every Borel element the decomposition map that ``cover_coroots``
+    carries equals the map of a plain pair scan, witness lists and their
+    order included (G2 has witnesses with c = 3).  For both tie orders it
+    holds first (last) the witness a search finds first from the front
+    (back), ``decompose`` returns it for every inversion coroot, and the
+    cover set is exactly the inversion coroots the scan cannot decompose."""
 
     def triple(wit):
         return (wit.c, wit.mu, wit.mu_prime)
@@ -135,6 +137,7 @@ def test_decompose_matches_pair_scan_everywhere(type_str, datum):
         sets = sa.cover_coroots(sa.SchubertInput(datum=d, parabolic=borel, w=w))
         elements = schubert._canonical_sorted(d, sets.inv_ordered)
         found = sets.decomposable
+        assert found == decompositions_reference(elements), (type_str, w)
         for reverse_ties in (False, True):
             indecomposable = []
             for eta in elements:
@@ -145,18 +148,15 @@ def test_decompose_matches_pair_scan_everywhere(type_str, datum):
                 else:
                     got = triple(found[eta][-1 if reverse_ties else 0])
                     assert got == expected, (type_str, w, eta, reverse_ties)
+                wit = sa.decompose(d, eta, elements, reverse_ties=reverse_ties)
+                assert (wit and triple(wit)) == expected, (type_str, w, eta)
             assert sets.cover_B == tuple(indecomposable), (type_str, w)
-            if elements:
-                top = elements[-1]
-                wit = sa.decompose(top, elements, reverse_ties=reverse_ties)
-                expected = decompose_reference(top, elements, reverse_ties)
-                assert (wit and triple(wit)) == expected, (type_str, w)
 
 
 def test_decompose_requires_membership(datum):
     g2 = datum("G2")
     with pytest.raises(NotInInversionSetError):
-        sa.decompose((1, 0), [(0, 1), (1, 1)])
+        sa.decompose(g2, (1, 0), [(0, 1), (1, 1)])
 
 
 # --- cover sets ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -365,11 +366,15 @@ def test_enumerate_ordered_and_unique(datum):
         ("E7", (1, 2, 3, 4, 5, 6)),
         ("E7", (2, 3, 4, 5, 6, 7)),
         ("E8", (1, 2, 3, 4, 5, 6, 7)),
+        ("C3", (3,)),
+        ("F4", (2, 3)),
+        ("D4", (1, 3, 4)),
     ],
 )
 def test_enumerate_matches_poincare_counts(type_str, inside, datum):
     d = datum(type_str)
     expected = coset_length_counts(d, inside)
+    assert weyl.coset_counts_by_length(d, sa.parabolic(d, inside)) == expected
     reps = list(sa.enumerate_coset_reps(d, sa.parabolic(d, inside), 99))
     by_len = {}
     for w in reps:
@@ -377,6 +382,25 @@ def test_enumerate_matches_poincare_counts(type_str, inside, datum):
     assert by_len == {
         length: count for length, count in enumerate(expected) if count
     }
+
+
+@pytest.mark.parametrize(
+    "type_str", ["A1", "A5", "B4", "C3", "D6", "E6", "E7", "E8", "F4", "G2"]
+)
+def test_coset_counts_match_degree_formula_on_every_parabolic(type_str, datum):
+    """The Levi degrees read off root heights give the same Poincare
+    quotient as the degree table of each component's type, on every
+    parabolic of up to three nodes, and on the full one."""
+    d = datum(type_str)
+    subsets = [
+        inside
+        for r in range(min(d.rank, 3) + 1)
+        for inside in itertools.combinations(range(1, d.rank + 1), r)
+    ]
+    for inside in subsets + [tuple(range(1, d.rank + 1))]:
+        assert weyl.coset_counts_by_length(d, sa.parabolic(d, inside)) == (
+            coset_length_counts(d, inside)
+        ), (type_str, inside)
 
 
 # --- reduced words --------------------------------------------------------------
@@ -414,6 +438,41 @@ def test_walks_match_word_carrying_references(type_str, datum):
                 assert sa.rightmost_distance(w, k, reverse_ties) == expected, (
                     type_str, sa.canonical_reduced_word(w), k, reverse_ties
                 )
+
+
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
+def test_canonical_record_matches_references(type_str, datum):
+    """On every Borel element the record is the inverse-based canonical word
+    with the inversion sequence of that word: built along the walk, and
+    again from a cold memo through ``element_from_word``, so that every
+    record extends a chain from the identity."""
+    d = datum(type_str)
+    cold = sa.build_root_datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
+        word = canonical_word_reference(w)
+        expected = (word, sa.inversion_sequence(d, word))
+        assert weyl.canonical_record(w) == expected, (type_str, word)
+        cold.memo.canonical_words.clear()
+        assert weyl.canonical_record(el(cold, word)) == expected, (type_str, word)
+
+
+def test_canonical_record_long_e8_elements_from_cold(datum):
+    """Seeded random reduced E8 words of length 100 to 120, each built into
+    an element of a fresh datum, so the miss path peels a long chain and
+    memoizes every ancestor on it."""
+    d = datum("E8")
+    rng = random.Random(8)
+    for length in (100, 104, 108, 112, 116, 120):
+        w, letters = weyl.identity_element(d), []
+        while w.length < length:
+            ascents = [i for i in range(1, 9) if not weyl.has_right_descent(w, i)]
+            letters.append(rng.choice(ascents))
+            w = weyl.right_mul_simple(w, letters[-1])
+        cold = sa.build_root_datum("E8")
+        word, seq = weyl.canonical_record(el(cold, letters))
+        assert word == canonical_word_reference(w), length
+        assert seq == sa.inversion_sequence(d, word), length
+        assert len(cold.memo.canonical_words) == length
 
 
 # --- Bruhat order ----------------------------------------------------------------
