@@ -10,12 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import oracle, schubert, weyl
@@ -33,8 +30,6 @@ from .schubert import (
 )
 from .weyl import (
     ParabolicSubset,
-    WeylElement,
-    canonical_reduced_word,
     coset_counts_by_length,
     element_from_word,
     enumerate_coset_reps,
@@ -47,7 +42,6 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_VALIDATION = 2
 EXIT_INCONCLUSIVE = 3
 
-JOBS_ENV_VAR = "SCHUBERT_ATLAS_JOBS"
 DEFAULT_MAX_ROWS = 200_000
 
 
@@ -62,7 +56,6 @@ class CliConfig:
     format: str = "table"
     coerce: bool = False
     which: str = "all"
-    jobs: int = 1
     cap: int = weyl.DEFAULT_WORD_CAP
     output: Optional[str] = None
 
@@ -94,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--format", choices=("json", "csv", "table"), default="table"
         )
         p.add_argument("--output", default=None, help="write here instead of stdout")
-        p.add_argument("--jobs", type=int, default=None,
-                       help=f"worker processes (default ${JOBS_ENV_VAR} or 1)")
 
     p_classify = sub.add_parser("classify", help="classify a single X_{w,P}")
     common(p_classify, with_word=True)
@@ -127,13 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    jobs = args.jobs
-    if jobs is None:
-        text = os.environ.get(JOBS_ENV_VAR, "1")
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise InvalidInputError(f"{JOBS_ENV_VAR}={text!r} is not an integer") from None
     max_length = getattr(args, "max_length", None)
     if max_length is not None and max_length < 0:
         raise InvalidInputError(f"--max-length must be at least 0, got {max_length}")
@@ -153,7 +137,6 @@ def _config_from_args(args: argparse.Namespace) -> CliConfig:
         format=args.format,
         coerce=getattr(args, "coerce", False),
         which=getattr(args, "which", "all"),
-        jobs=max(1, jobs),
         cap=cap,
         output=args.output,
     )
@@ -244,24 +227,6 @@ def run_classify(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-@lru_cache(maxsize=None)
-def _worker_datum(type_str: str):
-    return build_root_datum(type_str)
-
-
-def _survey_row(datum, p: ParabolicSubset, w: WeylElement) -> dict:
-    return csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w)))
-
-
-def _survey_worker(task: Tuple[str, Tuple[int, ...], Tuple[int, ...]]) -> dict:
-    """Classify one element in a pool worker.  A WeylElement holds its
-    datum, so tasks carry canonical words and the worker rebuilds them."""
-    type_str, inside, word = task
-    datum = _worker_datum(type_str)
-    p = ParabolicSubset(rank=datum.rank, inside=frozenset(inside))
-    return _survey_row(datum, p, element_from_word(datum, word))
-
-
 def run_survey(cfg: CliConfig) -> int:
     datum = build_root_datum(cfg.type)
     p = ParabolicSubset(rank=datum.rank, inside=frozenset(cfg.parabolic))
@@ -276,20 +241,10 @@ def run_survey(cfg: CliConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    elements = list(enumerate_coset_reps(datum, p, cap))
-    chunksize = 16
-    # the fork start method forks every worker up front, so never ask for
-    # more than there are cores or chunks
-    jobs = min(cfg.jobs, os.cpu_count() or 1, math.ceil(len(elements) / chunksize))
-    if jobs > 1:
-        tasks = [
-            (cfg.type, tuple(cfg.parabolic), canonical_reduced_word(w))
-            for w in elements
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_survey_worker, tasks, chunksize=chunksize))
-    else:
-        rows = [_survey_row(datum, p, w) for w in elements]
+    rows = [
+        csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w)))
+        for w in enumerate_coset_reps(datum, p, cap)
+    ]
     if cfg.format == "json":
         doc = {
             "cartan_type": cfg.type.upper(),

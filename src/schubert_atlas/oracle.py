@@ -35,18 +35,11 @@ def _length_drop_pairs(
     datum: RootDatum, w: WeylElement
 ) -> Tuple[Tuple[CorootVec, WeylElement, int], ...]:
     """(eta, w*s_eta, length drop) for every inversion coroot of w."""
-    cache = datum.memo.length_drops
-    hit = cache.get(w.matrix)
-    if hit is not None:
-        return hit
     out = []
     for eta in canonical_record(w)[1]:
-        refl = reflection_element(datum, eta)
-        u = multiply(w, refl)
+        u = multiply(w, reflection_element(datum, eta))
         out.append((eta, u, w.length - u.length))
-    result = tuple(out)
-    cache[w.matrix] = result
-    return result
+    return tuple(out)
 
 
 def cover_coroots_direct(inp: SchubertInput) -> FrozenSet[CorootVec]:

@@ -113,7 +113,7 @@ class RootCorootPair:
 
 @dataclass
 class Memo:
-    """The five memo tables a root datum owns; each lives as long as the
+    """The four memo tables a root datum owns; each lives as long as the
     datum.
 
     - ``canonical_words``: matrix -> (canonical reduced word, its inversion
@@ -123,12 +123,10 @@ class Memo:
     - ``rightmost``: (k, reverse_ties) -> {matrix: (distance, coroot)}, the
       output of ``rightmost_distance``;
     - ``reflections``: positive coroot -> its reflection;
-    - ``length_drops``: matrix -> (eta, w s_eta, length drop) per inversion
-      coroot eta;
     - ``splittings``: positive coroot eta -> every witness c * eta = mu + mu'
       over positive coroots with mu before mu' in canonical order, in
       lexicographic order of (mu, mu'); filled per eta by
-      ``schubert.decompositions``.
+      ``schubert._splittings``.
 
     The coroot record of an element is not memoized: ``classify`` builds it
     once with ``cover_coroots`` and drops it with the report.
@@ -137,7 +135,6 @@ class Memo:
     canonical_words: dict = field(default_factory=dict)
     rightmost: dict = field(default_factory=dict)
     reflections: dict = field(default_factory=dict)
-    length_drops: dict = field(default_factory=dict)
     splittings: dict = field(default_factory=dict)
 
 

@@ -394,9 +394,11 @@ def p_adapt(
 ) -> AdaptedBasis:
     """Push a Borel adapted basis into the parabolic cover set.
 
-    While some mu(k0) has s_{mu(k0)}(alpha_j^vee) still in the inversion set
-    for a j in I_P, replace mu(k0) by mu(k0) + alpha_j^vee; smallest k0 then
-    smallest j each round.  Heights strictly increase, so this terminates.
+    For each key k0 in increasing order: while s_{mu(k0)}(alpha_j^vee) is
+    still in the inversion set for some j in I_P, replace mu(k0) by it, which
+    must be mu(k0) + alpha_j^vee; smallest j first.  A step changes only
+    mu(k0), so no smaller key can move again.  Each step raises the height
+    inside the finite inversion set, so this terminates.
     """
     datum = inp.datum
     if not datum.simply_laced:
@@ -405,31 +407,25 @@ def p_adapt(
     inside = inp.parabolic.inside_sorted
     order = basis.keys
     current: Dict[int, CorootVec] = dict(basis.entries)
-    bound = len(current) * (height(datum.highest_coroot) + 1) + 1
-    for _ in range(bound):
-        pick = None
-        for k0 in sorted(current):
-            mu = current[k0]
-            for j in inside:
-                image = _reflection_image_of_simple(datum, mu, j)
-                if image in inv_set:
-                    pick = (k0, j, image)
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        k0, j, image = pick
-        expected = tuple(
-            current[k0][m] + (1 if m == j - 1 else 0) for m in range(datum.rank)
-        )
-        if image != expected:
-            raise InternalError(
-                f"parabolic adaptation step is not mu + alpha_{j}^vee: {image}"
+
+    def move(mu: CorootVec) -> Optional[Tuple[int, CorootVec]]:
+        for j in inside:
+            image = _reflection_image_of_simple(datum, mu, j)
+            if image in inv_set:
+                return j, image
+        return None
+
+    for k0 in sorted(current):
+        while (step := move(current[k0])) is not None:
+            j, image = step
+            expected = tuple(
+                current[k0][m] + (1 if m == j - 1 else 0) for m in range(datum.rank)
             )
-        current[k0] = image
-    else:  # pragma: no cover - loop bound is generous
-        raise InternalError("parabolic adaptation failed to terminate")
+            if image != expected:
+                raise InternalError(
+                    f"parabolic adaptation step is not mu + alpha_{j}^vee: {image}"
+                )
+            current[k0] = image
     adapted = AdaptedBasis(entries=tuple((k, current[k]) for k in order))
     cover_p = set(sets.cover_P)
     originals = dict(basis.entries)

@@ -320,11 +320,9 @@ def rightmost_distance(
             res = (1, datum.simple_coroot(k))
         else:
             best: Optional[Tuple[int, int, CorootVec]] = None
+            # supp(el) = supp(el s_i) + {i} and i != k, so k stays below el s_i
             for i in right_descents(el):
-                shorter = right_mul_simple(el, i)
-                if k not in support(shorter):
-                    continue
-                d_i, c = rec(shorter)
+                d_i, c = rec(right_mul_simple(el, i))
                 if best is None or d_i < best[0] or (d_i == best[0] and reverse_ties):
                     best = (d_i, i, c)
             assert best is not None  # k in support guarantees a branch

@@ -341,6 +341,42 @@ def rightmost_reference(w, k, reverse_ties=False):
     return rec(w)
 
 
+# --- round-restarting parabolic adaptation ---------------------------------
+
+
+def p_adapt_reference(inp, basis, sets):
+    """Parabolic adaptation by rounds: each round rescans the keys from the
+    smallest and moves the first mu(k0) with s_{mu(k0)}(alpha_j^vee) in the
+    inversion set for a j in I_P (smallest j), until no key moves."""
+    datum = inp.datum
+    inv_set = frozenset(sets.inv_ordered)
+    n = datum.rank
+    current = dict(basis.entries)
+
+    def image(mu, j):
+        root = datum.pair_for_coroot[mu].root
+        coef = sum(datum.cartan[j - 1][m] * root[m] for m in range(n))
+        return tuple((1 if m == j - 1 else 0) - coef * mu[m] for m in range(n))
+
+    bound = len(current) * (sa.height(datum.highest_coroot) + 1) + 1
+    for _ in range(bound):
+        pick = None
+        for k0 in sorted(current):
+            for j in inp.parabolic.inside_sorted:
+                img = image(current[k0], j)
+                if img in inv_set:
+                    pick = (k0, img)
+                    break
+            if pick:
+                break
+        if pick is None:
+            break
+        current[pick[0]] = pick[1]
+    else:
+        raise AssertionError("parabolic adaptation failed to terminate")
+    return sa.AdaptedBasis(entries=tuple((k, current[k]) for k in basis.keys))
+
+
 # --- pair-scan decomposition oracle ----------------------------------------
 
 

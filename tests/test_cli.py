@@ -2,7 +2,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -165,13 +169,6 @@ def test_malformed_numbers_are_validation_errors(args, capsys):
     assert err == "error: '1 x' is not a list of integers\n"
 
 
-def test_malformed_jobs_env_is_validation_error(capsys, monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "abc")
-    code, out, err = run(capsys, "survey", "--type", "A2")
-    assert code == 2 and out == ""
-    assert err == f"error: {cli.JOBS_ENV_VAR}='abc' is not an integer\n"
-
-
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -294,93 +291,20 @@ def test_survey_json_round_trip(capsys):
     assert schubert.canonical_json(json.loads(out)) + "\n" == out
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ("--type", "A3"),
-        ("--type", "B3"),
-        ("--type", "A4", "--parabolic", "2"),
-    ],
-    ids=["A3", "B3-borel", "A4-P2"],
-)
-def test_survey_jobs_deterministic(args, capsys, monkeypatch):
-    """The serial path classifies the enumerated elements; the pool path
-    rebuilds them from canonical words.  Both give the same bytes, in the
-    simply-laced and the q_factorial_general regime."""
-    code, seq_out, _ = run(capsys, "survey", *args, "--format", "csv")
-    assert code == 0
-    pools = []
-
-    class RecordingPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    code, par_out, _ = run(capsys, "survey", *args, "--format", "csv", "--jobs", "2")
-    assert code == 0
-    assert pools == [2]
-    assert seq_out == par_out
-
-
-@pytest.mark.parametrize(
-    "type_str,cpus,expected",
-    [("A4", 3, [3]), ("A4", 64, [8]), ("A2", 64, []), ("A4", None, [])],
-    ids=["cores", "chunks", "one-chunk", "no-core-count"],
-)
-def test_survey_jobs_capped(type_str, cpus, expected, capsys, monkeypatch):
-    """--jobs never asks for more workers than cores or 16-element chunks
-    (A4 has 120 elements, A2 has 6), and one worker means the serial path.
-    The pool is a fake, so no process is started."""
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    code, serial, _ = run(capsys, "survey", "--type", type_str, "--format", "csv")
-    assert code == 0 and pools == []
-    code, out, _ = run(
-        capsys, "survey", "--type", type_str, "--format", "csv",
-        "--jobs", str(10**6),
+def test_cli_import_loads_no_process_pool():
+    """Surveys run in one process, so importing the CLI in a fresh
+    interpreter loads no concurrent.futures or multiprocessing module."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import sys, schubert_atlas.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
-    assert code == 0
-    assert pools == expected
-    assert out == serial
-
-
-def test_jobs_env_fallback(capsys, monkeypatch):
-    """Without --jobs, the environment variable sets the worker count: an A3
-    Borel survey (24 rows, two 16-element chunks) reaches a pool of 2."""
-    code, serial, _ = run(capsys, "survey", "--type", "A3", "--format", "csv")
-    assert code == 0
-    assert len(list(csv.DictReader(io.StringIO(serial)))) == 24
-    pools = []
-
-    class RecordingPool(cli.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setenv(cli.JOBS_ENV_VAR, "2")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    code, out, _ = run(capsys, "survey", "--type", "A3", "--format", "csv")
-    assert code == 0
-    assert pools == [2]
-    assert out == serial
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout == "[]\n"
 
 
 # --- conjectures --------------------------------------------------------------

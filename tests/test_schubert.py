@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from helpers import (
     hat_n_map,
     longest_element,
     mat_mul,
+    p_adapt_reference,
     reorder_matrix,
     schubert_input,
 )
@@ -358,6 +360,34 @@ def test_p_adapt_d5_maximal_parabolic(datum):
     from schubert_atlas import oracle
 
     assert adapted.coroots[0] in oracle.cover_coroots_direct(inp)
+
+
+@pytest.mark.parametrize("reverse_ties", [False, True], ids=["ties", "reverse-ties"])
+@pytest.mark.parametrize(
+    "type_str,parabolics",
+    [
+        ("A4", [c for r in range(5) for c in itertools.combinations(range(1, 5), r)]),
+        ("D4", [(1, 3, 4), (2,)]),
+        ("E6", [(2, 3, 4, 5, 6)]),
+    ],
+    ids=["A4-all", "D4-P134-P2", "E6-P23456"],
+)
+def test_p_adapt_matches_round_scan(type_str, parabolics, reverse_ties, datum):
+    """The per-key adaptation makes the picks of the round-restarting scan
+    on every element of W^P, and some of those picks move a coroot."""
+    d = datum(type_str)
+    moved = 0
+    for inside in parabolics:
+        p = sa.parabolic(d, inside)
+        for w in sa.enumerate_coset_reps(d, p, len(d.positives)):
+            inp = sa.SchubertInput(datum=d, parabolic=p, w=w)
+            sets = sa.cover_coroots(inp)
+            borel = sa.build_B_wB(inp, sets, reverse_ties=reverse_ties)
+            start = schubert.restrict_basis(borel, sets.support_P)
+            adapted = sa.p_adapt(inp, start, sets)
+            assert adapted.entries == p_adapt_reference(inp, start, sets).entries
+            moved += adapted.entries != start.entries
+    assert moved > 0
 
 
 # --- full reports -------------------------------------------------------------------
