@@ -247,7 +247,7 @@ def run_survey(cfg: CliConfig) -> int:
     ]
     if cfg.format == "json":
         doc = {
-            "cartan_type": cfg.type.upper(),
+            "cartan_type": str(datum.cartan_type),
             "parabolic_inside": list(cfg.parabolic),
             "max_length": cap,
             "rows": rows,
@@ -292,6 +292,14 @@ def run_conjectures(cfg: CliConfig) -> int:
     if cap is None:
         cap = len(datum.positives)
     borel = ParabolicSubset(rank=datum.rank, inside=frozenset())
+    due = sum(coset_counts_by_length(datum, borel)[: cap + 1])
+    if due > cfg.max_rows:
+        print(
+            f"error: the scan has {due} elements, more than {cfg.max_rows}; "
+            "lower --max-length",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     elements = list(enumerate_coset_reps(datum, borel, cap))
     reports = []
     for c in which:

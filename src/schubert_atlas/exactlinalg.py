@@ -19,7 +19,7 @@ RatMatrix = Tuple[Tuple[Fraction, ...], ...]
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def det(m: Sequence[Sequence[int]]) -> int:

@@ -113,15 +113,13 @@ class RootCorootPair:
 
 @dataclass
 class Memo:
-    """The four memo tables a root datum owns; each lives as long as the
+    """The three memo tables a root datum owns; each lives as long as the
     datum.
 
     - ``canonical_words``: matrix -> (canonical reduced word, its inversion
       sequence), the output of ``canonical_record``; a miss extends the
       record of the nearest memoized ancestor and stores every record on
       the way;
-    - ``rightmost``: (k, reverse_ties) -> {matrix: (distance, coroot)}, the
-      output of ``rightmost_distance``;
     - ``reflections``: positive coroot -> its reflection;
     - ``splittings``: positive coroot eta -> every witness c * eta = mu + mu'
       over positive coroots with mu before mu' in canonical order, in
@@ -133,7 +131,6 @@ class Memo:
     """
 
     canonical_words: dict = field(default_factory=dict)
-    rightmost: dict = field(default_factory=dict)
     reflections: dict = field(default_factory=dict)
     splittings: dict = field(default_factory=dict)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -112,13 +112,14 @@ def _left_descents(datum: RootDatum, x: Sequence[int]) -> Iterator[int]:
             yield i
 
 
-def _mul_simple_right(datum: RootDatum, matrix: Matrix, i: int) -> Matrix:
-    # matrix . S_i in O(n^2): new_row[b] = row[b] - C[b][i] * row[i]
-    cartan = datum.cartan
+def _times_simple(cartan: Matrix, cols: Matrix, i: int) -> Matrix:
+    # x -> x s_i on the columns x(alpha_b^vee): column b loses
+    # <alpha_i, alpha_b^vee> x(alpha_i^vee), so only i and its neighbours move
     i0 = i - 1
-    n = datum.rank
+    ci = cols[i0]
     return tuple(
-        tuple(row[b] - cartan[b][i0] * row[i0] for b in range(n)) for row in matrix
+        tuple([u - row[i0] * v for u, v in zip(col, ci)]) if row[i0] else col
+        for col, row in zip(cols, cartan)
     )
 
 
@@ -147,10 +148,11 @@ def element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
     The word need not be reduced; the cached length comes from inversion
     counting and may be smaller than ``len(word)``.
     """
-    matrix = identity(datum.rank)
+    cols = identity(datum.rank)
     for i in word:
         _check_index(datum, i)
-        matrix = _mul_simple_right(datum, matrix, i)
+        cols = _times_simple(datum.cartan, cols, i)
+    matrix = tuple(zip(*cols))
     return WeylElement(datum, matrix, _count_inversions(datum, matrix))
 
 
@@ -182,14 +184,10 @@ def has_right_descent(w: WeylElement, i: int) -> bool:
     return _vec_is_negative(image_of_simple_coroot(w, i))
 
 
-def right_descents(w: WeylElement) -> Tuple[int, ...]:
-    return tuple(i for i in range(1, w.datum.rank + 1) if has_right_descent(w, i))
-
-
 def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
     _check_index(w.datum, i)
     delta = -1 if has_right_descent(w, i) else 1
-    matrix = _mul_simple_right(w.datum, w.matrix, i)
+    matrix = tuple(zip(*_times_simple(w.datum.cartan, tuple(zip(*w.matrix)), i)))
     return WeylElement(w.datum, matrix, w.length + delta)
 
 
@@ -282,14 +280,14 @@ def inversion_sequence(datum: RootDatum, word: Sequence[int]) -> Tuple[CorootVec
     """
     word = tuple(word)
     out: List[CorootVec] = []
-    suffix = identity(datum.rank)
+    suffix = identity(datum.rank)  # by columns
     for i in reversed(word):
         _check_index(datum, i)
-        c = tuple(row[i - 1] for row in suffix)
+        c = suffix[i - 1]
         if _vec_is_negative(c):
             raise NonReducedWordError(f"word {word} is not reduced")
         out.append(c)
-        suffix = _mul_simple_right(datum, suffix, i)
+        suffix = _times_simple(datum.cartan, suffix, i)
     return tuple(out)
 
 
@@ -300,38 +298,35 @@ def rightmost_distance(
     a reduced word of w, together with the inversion coroot that occurrence
     realizes: entry d of the inversion sequence of a witness word.
 
-    The end position has distance 1.  A descent s_i above the occurrence
-    carries the coroot through s_i.  Ties between descents are broken by the
-    smallest index, or the largest when ``reverse_ties`` is set.
+    The end position has distance 1.  The walk is breadth-first over the
+    products x of the d - 1 letters peeled from the end, each kept by its
+    columns: w x has right descent i exactly when x(alpha_i^vee) is an
+    inversion coroot of w (Bjorner-Brenti, 1.3), and then s_i is peeled
+    next.  It stops at the first x with x(alpha_k^vee) an inversion coroot,
+    which the occurrence of s_k realizes.  Each level is ordered by the
+    peeled letters, lexicographically, or in reverse with ``reverse_ties``,
+    so ties go to the smallest (largest) letter peeled first.
     """
     _check_index(w.datum, k)
     if k not in support(w):
         raise NotInSupportError(f"s_{k} is not below {w!r}")
-    datum = w.datum
-    memo: Dict[Matrix, Tuple[int, CorootVec]] = datum.memo.rightmost.setdefault(
-        (k, reverse_ties), {}
-    )
-
-    def rec(el: WeylElement) -> Tuple[int, CorootVec]:
-        hit = memo.get(el.matrix)
-        if hit is not None:
-            return hit
-        if has_right_descent(el, k):
-            res = (1, datum.simple_coroot(k))
-        else:
-            best: Optional[Tuple[int, int, CorootVec]] = None
-            # supp(el) = supp(el s_i) + {i} and i != k, so k stays below el s_i
-            for i in right_descents(el):
-                d_i, c = rec(right_mul_simple(el, i))
-                if best is None or d_i < best[0] or (d_i == best[0] and reverse_ties):
-                    best = (d_i, i, c)
-            assert best is not None  # k in support guarantees a branch
-            d_i, i, c = best
-            res = (1 + d_i, _reflect_coroot(datum.cartan, i - 1, c))
-        memo[el.matrix] = res
-        return res
-
-    return rec(w)
+    if has_right_descent(w, k):
+        return 1, w.datum.simple_coroot(k)
+    cartan = w.datum.cartan
+    inversions = frozenset(canonical_record(w)[1])
+    k0 = k - 1
+    order = range(w.datum.rank, 0, -1) if reverse_ties else range(1, w.datum.rank + 1)
+    level, d = [identity(w.datum.rank)], 1
+    while True:
+        d += 1
+        steps = [(cols, i) for cols in level for i in order if cols[i - 1] in inversions]
+        for cols, i in steps:
+            # the k-th column of x s_i, tested before any x s_i is built
+            a = cartan[k0][i - 1]
+            ck = tuple([u - a * v for u, v in zip(cols[k0], cols[i - 1])])
+            if ck in inversions:
+                return d, ck
+        level = list(dict.fromkeys(_times_simple(cartan, cols, i) for cols, i in steps))
 
 
 def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
@@ -409,22 +404,19 @@ def coset_counts_by_length(datum: RootDatum, p: ParabolicSubset) -> List[int]:
 def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, ...]]]:
     """All distinct reduced words of w, each with its inversion sequence, by
     right-descent recursion.  The product x of the letters peeled so far is
-    carried along: the letter peeled next as s_i realizes x(alpha_i^vee)."""
-    datum = w.datum
+    carried by its columns: w x has right descent i exactly when
+    x(alpha_i^vee) is an inversion coroot of w, which s_i then realizes."""
+    cartan = w.datum.cartan
+    inversions = frozenset(canonical_record(w)[1])
 
-    def walk(v: WeylElement, x: Matrix, word: Word, seq: Tuple[CorootVec, ...]):
-        if v.length == 0:
+    def walk(cols: Matrix, word: Word, seq: Tuple[CorootVec, ...]):
+        if len(word) == w.length:
             yield word, seq
-            return
-        for i in right_descents(v):
-            yield from walk(
-                right_mul_simple(v, i),
-                _mul_simple_right(datum, x, i),
-                (i,) + word,
-                seq + (tuple(row[i - 1] for row in x),),
-            )
+        for i, c in enumerate(cols, 1):
+            if c in inversions:
+                yield from walk(_times_simple(cartan, cols, i), (i,) + word, seq + (c,))
 
-    yield from walk(w, identity(datum.rank), (), ())
+    yield from walk(identity(w.datum.rank), (), ())
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -435,7 +427,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         return True
     if u.matrix == w.matrix:
         return True
-    i = right_descents(w)[0]
+    i = next(i for i in range(1, w.datum.rank + 1) if has_right_descent(w, i))
     w_short = right_mul_simple(w, i)
     if has_right_descent(u, i):
         return bruhat_leq(right_mul_simple(u, i), w_short)

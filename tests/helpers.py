@@ -3,6 +3,7 @@ the library code paths they check."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -298,47 +299,97 @@ def weight_coroot_pairing(w: WeightVec, c) -> Fraction:
 
 
 # --- word-carrying walks: references for the coroot-carrying ones -----------
+#
+# These step by matrix products with reflection matrices built here from the
+# Cartan matrix, and read right descents off column signs, so that they share
+# no stepping code with the library walks they check.
+
+
+def identity_matrix(n):
+    return tuple(tuple(int(r == j) for j in range(n)) for r in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def simple_reflection_matrices(cartan):
+    """{i: S_i} in the simple-coroot basis: column j of S_i is
+    e_j - C[j][i] e_i, the coordinates of s_i(alpha_j^vee)."""
+    n = len(cartan)
+    return {
+        i: tuple(
+            tuple(int(r == j) - (cartan[j][i - 1] if r == i - 1 else 0) for j in range(n))
+            for r in range(n)
+        )
+        for i in range(1, n + 1)
+    }
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def times_reflection(cartan, m, i):
+    """m S_i, by a matrix product."""
+    return mat_mul(m, simple_reflection_matrices(cartan)[i])
+
+
+def column_descents(m):
+    """The right descents of a Weyl element matrix m: the i whose column
+    m(alpha_i^vee) is a negative coroot."""
+    return [i for i in range(1, len(m) + 1) if any(row[i - 1] < 0 for row in m)]
+
+
+def inversion_sequence_reference(datum, word):
+    """Entry j is s_{i_r} ... s_{i_{r-j+2}}(alpha_{i_{r-j+1}}^vee), read off
+    as a column of the suffix product."""
+    suffix = identity_matrix(datum.rank)
+    out = []
+    for i in reversed(word):
+        out.append(tuple(row[i - 1] for row in suffix))
+        suffix = times_reflection(datum.cartan, suffix, i)
+    return tuple(out)
 
 
 def reduced_words_reference(w):
-    """All distinct reduced words of w by right-descent recursion, words only:
-    the order ``iter_reduced_words`` must keep."""
-    if w.length == 0:
-        yield ()
-        return
-    for i in weyl.right_descents(w):
-        for prefix in reduced_words_reference(weyl.right_mul_simple(w, i)):
-            yield prefix + (i,)
+    """All distinct reduced words of w with their inversion sequences, by
+    right-descent recursion over matrices: the order ``iter_reduced_words``
+    must keep.  The product x of the letters peeled so far gives the coroot
+    x(alpha_i^vee) that the next peeled letter i realizes."""
+    cartan = w.datum.cartan
+
+    def walk(v, x):
+        descents = column_descents(v)
+        if not descents:
+            yield (), ()
+        for i in descents:
+            c = tuple(row[i - 1] for row in x)
+            for word, seq in walk(times_reflection(cartan, v, i), times_reflection(cartan, x, i)):
+                yield word + (i,), (c,) + seq
+
+    yield from walk(w.matrix, identity_matrix(w.datum.rank))
 
 
 def rightmost_reference(w, k, reverse_ties=False):
-    """(d, witness word) by a DFS that carries whole words: d is the minimal
-    distance of the rightmost s_k from the end, ties between descents broken
-    by the smallest index, or the largest with ``reverse_ties``."""
+    """(d, suffix) by a DFS over matrices that carries words: d is the
+    minimal distance of the rightmost s_k from the end, and suffix is the
+    last d letters of a reduced word realizing it, ties between descents
+    broken by the smallest index, or the largest with ``reverse_ties``."""
+    cartan = w.datum.cartan
     memo = {}
 
-    def rec(el):
-        if el.matrix in memo:
-            return memo[el.matrix]
-        if weyl.has_right_descent(el, k):
-            res = (1, sa.canonical_reduced_word(weyl.right_mul_simple(el, k)) + (k,))
+    def rec(m):
+        if m in memo:
+            return memo[m]
+        descents = column_descents(m)
+        if k in descents:
+            res = (1, (k,))
         else:
             best = None
-            for i in weyl.right_descents(el):
-                shorter = weyl.right_mul_simple(el, i)
-                if k not in weyl.support(shorter):
-                    continue
-                d_i, wit = rec(shorter)
-                cand = (1 + d_i, wit + (i,))
-                if best is None or cand[0] < best[0] or (
-                    cand[0] == best[0] and reverse_ties
-                ):
-                    best = cand
+            for i in descents:
+                d_i, wit = rec(times_reflection(cartan, m, i))
+                if best is None or 1 + d_i < best[0] or (1 + d_i == best[0] and reverse_ties):
+                    best = (1 + d_i, wit + (i,))
             res = best
-        memo[el.matrix] = res
+        memo[m] = res
         return res
 
-    return rec(w)
+    return rec(w.matrix)
 
 
 # --- round-restarting parabolic adaptation ---------------------------------

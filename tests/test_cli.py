@@ -285,6 +285,16 @@ def test_survey_size_guard_admits_full_e6_borel(capsys, monkeypatch):
     assert out.splitlines() == [",".join(schubert.CSV_FIELDS)]
 
 
+def test_survey_json_header_names_parsed_type(capsys):
+    """The header names the parsed type, as the rows do, not the raw
+    --type text."""
+    code, out, _ = run(capsys, "survey", "--type", " a2", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["cartan_type"] == "A2"
+    assert {row["cartan_type"] for row in doc["rows"]} == {"A2"}
+
+
 def test_survey_json_round_trip(capsys):
     code, out, _ = run(capsys, "survey", "--type", "A2", "--format", "json")
     assert code == 0
@@ -362,6 +372,19 @@ def test_conjectures_truncation_exit_code(capsys):
     assert rep["truncated"] is True
 
 
+def test_conjectures_size_guard_refuses_before_enumerating(capsys, monkeypatch):
+    """All of E8 is 696,729,600 elements: refused by count, with the walk
+    never started and nothing on stdout."""
+    monkeypatch.setattr(cli, "enumerate_coset_reps", lambda *args: pytest.fail("walked"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "conjectures", "--type", "E8")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the scan has 696729600 elements, more than 200000; lower --max-length\n"
+    )
+
+
 def test_conjectures_table_format(capsys):
     code, out, _ = run(capsys, "conjectures", "--type", "A2", "--which", "all")
     assert code == 0
@@ -378,6 +401,9 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
     [
         (("conjectures", "--type", "A4", "--which", "all"), 0,
          "7779a2d8e3eba00fd7ab9a3f81273cbe7d54dc980996058f7c5894cc4d3b9945"),
+        # the same digest perfbench pins for conjectures-d4
+        (("conjectures", "--type", "D4", "--which", "all"), 0,
+         "a1412fe16220775daed28517a8c130f444a14c972d2e4a15c1c96421a31893c8"),
         (("conjectures", "--type", "D4", "--which", "3", "--cap", "3"), 3,
          "03c4257d9715367b3a866d746075aea7250ca7bf9c79aa48c9bb0abde64228e7"),
         (("conjectures", "--type", "B3", "--which", "2"), 1,
@@ -399,7 +425,7 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
         (("survey", "--type", "C3", "--parabolic", "3"), 0,
          "c66ecac7ac1f1ab530f95fc560724b40d8199eacd6b4b18b67fea0be1818a1a8"),
     ],
-    ids=["conj-A4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
+    ids=["conj-A4-all", "conj-D4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
          "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
          "survey-C3-P3"],
 )

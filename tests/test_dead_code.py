@@ -1,5 +1,5 @@
-"""Guard against code that nothing calls, and against imports that nothing
-uses.
+"""Guard against code that nothing calls, against imports that nothing
+uses, and against renaming a function the benchmark tracer wraps by name.
 
 Every module-level function and method in ``src/schubert_atlas`` must be
 referenced somewhere in the package other than its own definition, be
@@ -14,6 +14,8 @@ count through any attribute of their name.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import schubert_atlas
@@ -125,3 +127,27 @@ def test_no_unused_imports():
         for line, name in _unused_imports(path)
     ]
     assert not unused, unused
+
+
+def test_traced_names_are_module_functions():
+    """Each function ``perfbench/tracer.py`` names in ``NAMED`` is a
+    module-level function of its layer module, or ``--trace 1`` fails to
+    install.  ``NAMED`` is read from the source, without importing it."""
+    tree = ast.parse((TESTS.parent / "perfbench" / "tracer.py").read_text())
+    (named,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["NAMED"]
+    ]
+    missing = []
+    for layer, names in named.items():
+        module = importlib.import_module(f"schubert_atlas.{layer}")
+        for name in names:
+            fn = getattr(module, name, None)
+            if not (
+                isinstance(fn, types.FunctionType)
+                and fn.__module__ == module.__name__
+                and fn.__qualname__ == name
+            ):
+                missing.append(f"{layer}.{name}")
+    assert named and not missing, missing

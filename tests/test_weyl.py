@@ -23,6 +23,7 @@ from helpers import (
     coset_length_counts,
     enumerate_reference,
     inverse,
+    inversion_sequence_reference,
     longest_element,
     reduced_words_reference,
     rightmost_reference,
@@ -419,25 +420,58 @@ def test_all_reduced_words_examples(datum):
     assert all(sa.element_from_word(a3, word) == w0 for word in words)
 
 
-@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2"])
+def _assert_walks_match_references(w, with_words=True):
+    """The walks that carry coroots agree with the word-carrying references
+    over matrices: the same reduced words in the same order, each with its
+    own inversion sequence, and for every support letter and both tie
+    orders the distance of the reference witness with the coroot it
+    realizes there, which ``inversion_sequence`` of the witness suffix
+    ends with too."""
+    d = w.datum
+    if with_words:
+        pairs = list(weyl.iter_reduced_words(w))
+        assert pairs == list(reduced_words_reference(w)), sa.canonical_reduced_word(w)
+    for k in weyl.support(w):
+        for reverse_ties in (False, True):
+            dist, suffix = rightmost_reference(w, k, reverse_ties)
+            seq = inversion_sequence_reference(d, suffix)
+            assert sa.inversion_sequence(d, suffix) == seq, suffix
+            expected = (dist, seq[-1])
+            assert sa.rightmost_distance(w, k, reverse_ties) == expected, (
+                sa.canonical_reduced_word(w), k, reverse_ties
+            )
+
+
+def _random_reduced_element(d, rng, length):
+    """A reduced word of the given length, one random ascent at a time."""
+    w = weyl.identity_element(d)
+    while w.length < length:
+        ascents = [i for i in range(1, d.rank + 1) if not weyl.has_right_descent(w, i)]
+        w = weyl.right_mul_simple(w, rng.choice(ascents))
+    return w
+
+
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_walks_match_word_carrying_references(type_str, datum):
-    """The walks that carry coroots agree with the word-carrying ones: the
-    same reduced words in the same order, each with its own inversion
-    sequence, and for every support letter and both tie orders the distance
-    of the reference witness word with the coroot at that entry."""
+    """Every Borel element.  In F4 the reduced words are compared up to
+    length 10 only, to keep the time down."""
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
-        pairs = list(weyl.iter_reduced_words(w))
-        assert [word for word, _ in pairs] == list(reduced_words_reference(w))
-        for word, seq in pairs:
-            assert seq == sa.inversion_sequence(d, word), (type_str, word)
-        for k in weyl.support(w):
-            for reverse_ties in (False, True):
-                dist, witness = rightmost_reference(w, k, reverse_ties)
-                expected = (dist, sa.inversion_sequence(d, witness)[dist - 1])
-                assert sa.rightmost_distance(w, k, reverse_ties) == expected, (
-                    type_str, sa.canonical_reduced_word(w), k, reverse_ties
-                )
+        _assert_walks_match_references(w, with_words=type_str != "F4" or w.length <= 10)
+
+
+@pytest.mark.parametrize(
+    "type_str, count, length, with_words", [("E6", 20, 8, True), ("E7", 10, 16, False)]
+)
+def test_walks_match_word_carrying_references_on_random_words(
+    type_str, count, length, with_words, datum
+):
+    """Seeded random elements of E6 and E7.  E7 checks the rightmost walk
+    only: its length-16 elements have tens of thousands of reduced words."""
+    d = datum(type_str)
+    rng = random.Random(type_str)
+    for _ in range(count):
+        _assert_walks_match_references(_random_reduced_element(d, rng, length), with_words)
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
