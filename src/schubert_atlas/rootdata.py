@@ -63,6 +63,18 @@ class CartanType:
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
+    @property
+    def positive_root_count(self) -> int:
+        """|Phi+|, by the closed form of each family."""
+        n = self.rank
+        if self.family == "A":
+            return n * (n + 1) // 2
+        if self.family in "BC":
+            return n * n
+        if self.family == "D":
+            return n * (n - 1)
+        return {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}[str(self)]
+
 
 def _edges(ct: CartanType) -> List[Tuple[int, int]]:
     """Dynkin diagram edges as 0-based node pairs (without multiplicity)."""
@@ -113,24 +125,16 @@ class RootCorootPair:
 
 @dataclass
 class Memo:
-    """The three memo tables a root datum owns; each lives as long as the
-    datum.
+    """The two memo tables a root datum owns; each lives as long as the
+    datum and has at most one entry per positive coroot.
 
-    - ``canonical_words``: matrix -> (canonical reduced word, its inversion
-      sequence), the output of ``canonical_record``; a miss extends the
-      record of the nearest memoized ancestor and stores every record on
-      the way;
     - ``reflections``: positive coroot -> its reflection;
     - ``splittings``: positive coroot eta -> every witness c * eta = mu + mu'
       over positive coroots with mu before mu' in canonical order, in
       lexicographic order of (mu, mu'); filled per eta by
       ``schubert._splittings``.
-
-    The coroot record of an element is not memoized: ``classify`` builds it
-    once with ``cover_coroots`` and drops it with the report.
     """
 
-    canonical_words: dict = field(default_factory=dict)
     reflections: dict = field(default_factory=dict)
     splittings: dict = field(default_factory=dict)
 
@@ -199,6 +203,11 @@ def build_root_datum(ct: CartanType | str) -> RootDatum:
     which gives the pairings of r on the way."""
     if isinstance(ct, str):
         ct = CartanType.parse(ct)
+    if ct.positive_root_count > 120:  # E8's; the closure costs ~rank^4 in type A
+        raise InvalidTypeError(
+            f"{ct} has {ct.positive_root_count} positive roots; "
+            "types with more than 120 (as many as E8) are not supported"
+        )
     cartan = cartan_matrix(ct)
     n = ct.rank
     simples = []

@@ -266,7 +266,7 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
     R+_{w,B} consists of the indecomposable inversion coroots; R+_{w,P}
     keeps those whose reflection maps every alpha_j^vee (j in I_P) outside
     the inversion set.  The word and the inversion sequence come from the
-    memoized ``canonical_record`` of w, and the decompositions from the
+    ``canonical_record`` that w carries, and the decompositions from the
     splittings memoized per coroot, so no pair of inversion coroots is
     scanned here.
     """

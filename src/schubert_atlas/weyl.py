@@ -60,14 +60,16 @@ def parabolic(datum: RootDatum, indices: Sequence[int]) -> ParabolicSubset:
 
 
 class WeylElement:
-    """A Weyl group element with its action matrix and cached length."""
+    """A Weyl group element with its action matrix, cached length and, once
+    known, its canonical record (see ``canonical_record``)."""
 
-    __slots__ = ("datum", "matrix", "length")
+    __slots__ = ("datum", "matrix", "length", "record")
 
     def __init__(self, datum: RootDatum, matrix: Matrix, length: int):
         self.datum = datum
         self.matrix = matrix
         self.length = length
+        self.record = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -121,20 +123,6 @@ def _times_simple(cartan: Matrix, cols: Matrix, i: int) -> Matrix:
         tuple([u - row[i0] * v for u, v in zip(col, ci)]) if row[i0] else col
         for col, row in zip(cols, cartan)
     )
-
-
-def _mul_simple_left(datum: RootDatum, matrix: Matrix, i: int) -> Matrix:
-    # S_i . matrix: only row i changes
-    cartan = datum.cartan
-    i0 = i - 1
-    n = datum.rank
-    new_row = tuple(
-        matrix[i0][b] - sum(cartan[a][i0] * matrix[a][b] for a in range(n))
-        for b in range(n)
-    )
-    rows = list(matrix)
-    rows[i0] = new_row
-    return tuple(rows)
 
 
 def _check_index(datum: RootDatum, i: int) -> None:
@@ -192,51 +180,23 @@ def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
 
 
 def canonical_record(w: WeylElement) -> Tuple[Word, Tuple[CorootVec, ...]]:
-    """The canonical reduced word of w and its inversion sequence.
+    """The canonical reduced word of w and its inversion sequence, kept on w.
 
     The word peels the smallest left descent i, read off x = w(2 rho^vee),
-    which s_i w carries as s_i x: word(w) = (i,) + word(s_i w), and the
-    sequence of w is that of s_i w followed by (s_i w)^-1(alpha_i^vee)
-    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.3).  A miss peels
-    down to the nearest memoized ancestor, or the identity, then extends
-    the records back up, memoizing each.
+    which s_i w carries as s_i x: word(w) = (i,) + word(s_i w)
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.3).  Elements from
+    ``enumerate_coset_reps`` arrive with the record of their canonical
+    parent extended; any other element builds it here on first use.
     """
-    memo = w.datum.memo.canonical_words
-    hit = memo.get(w.matrix)
-    if hit is not None:
-        return hit
-    datum = w.datum
-    cartan = datum.cartan
-    matrix = w.matrix
-    x = _apply(matrix, datum.two_rho_coroot)
-    steps = []  # (matrix, i, pairings <beta, alpha_a^vee> of beta = (s_i w)^-1(alpha_i))
-    while True:
-        i = next(_left_descents(datum, x), None)
-        if i is None:
-            word, seq = (), ()
-            break
-        i0 = i - 1
-        # q_a = sum_b C[b][i] M[b][a] pairs w^-1(alpha_i) = -beta with alpha_a^vee;
-        # S_i M differs from M only in row i, by -q
-        q = [0] * len(x)
-        for row, c in zip(matrix, (r[i0] for r in cartan)):
-            if c:
-                q = [u + c * v for u, v in zip(q, row)]
-        steps.append((matrix, i, tuple(-v for v in q)))
-        matrix = (
-            matrix[:i0] + (tuple(u - v for u, v in zip(matrix[i0], q)),) + matrix[i0 + 1:]
-        )
-        x = _reflect_coroot(cartan, i0, x)
-        hit = memo.get(matrix)
-        if hit is not None:
-            word, seq = hit
-            break
-    coroot_by_pairings = datum.coroot_by_pairings
-    for m, i, pairings in reversed(steps):
-        word = (i,) + word
-        seq = seq + (coroot_by_pairings[pairings],)
-        memo[m] = (word, seq)
-    return word, seq
+    if w.record is None:
+        datum = w.datum
+        x = _apply(w.matrix, datum.two_rho_coroot)
+        word: List[int] = []
+        while (i := next(_left_descents(datum, x), None)) is not None:
+            word.append(i)
+            x = _reflect_coroot(datum.cartan, i - 1, x)
+        w.record = (tuple(word), inversion_sequence(datum, word))
+    return w.record
 
 
 def canonical_reduced_word(w: WeylElement) -> Word:
@@ -352,26 +312,53 @@ def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
     return el
 
 
+def _lift(datum: RootDatum, matrix: Matrix, i: int) -> Tuple[Matrix, CorootVec]:
+    """S_i . matrix, the matrix of s_i w, and w^-1(alpha_i^vee) for an ascent
+    i of w.  q_a = sum_b C[b][i] M[b][a] = <w^-1(alpha_i), alpha_a^vee>
+    names the coroot, and s_i w differs from w only in row i, by -q."""
+    i0 = i - 1
+    q = [0] * datum.rank
+    for row, c in zip(matrix, (r[i0] for r in datum.cartan)):
+        if c:
+            q = [u + c * v for u, v in zip(q, row)]
+    lifted = matrix[:i0] + (tuple(u - v for u, v in zip(matrix[i0], q)),) + matrix[i0 + 1:]
+    return lifted, datum.coroot_by_pairings[tuple(q)]
+
+
 def enumerate_coset_reps(
     datum: RootDatum, p: ParabolicSubset, max_len: int
 ) -> Iterator[WeylElement]:
     """All w in W^P with l(w) <= max_len, each once, in length-then-canonical-
-    word order.  W^P is a lower ideal of the left weak order, so a BFS by
-    s_i w over the left ascents i of w reaches all of it; such an s_i w is
-    w s_j, outside W^P, exactly when w(alpha_j^vee) = alpha_i^vee, j in I_P."""
-    level = [identity_element(datum)]
-    length = 0
-    while level and length <= max_len:
-        yield from level
-        length += 1
-        nxt = set()
-        for w in level:
-            descents = set(_left_descents(datum, _apply(w.matrix, datum.two_rho_coroot)))
-            blocked = {image_of_simple_coroot(w, j) for j in p.inside}
-            for i in range(1, datum.rank + 1):
-                if i not in descents and datum.simple_coroot(i) not in blocked:
-                    nxt.add(WeylElement(datum, _mul_simple_left(datum, w.matrix, i), length))
-        level = sorted(nxt, key=canonical_reduced_word)
+    word order, each carrying its canonical record.  W^P is a lower ideal of
+    the left weak order, so a BFS by s_i w over the left ascents i of w
+    reaches all of it; such an s_i w is w s_j, outside W^P, exactly when
+    w(alpha_j^vee) = alpha_i^vee, j in I_P.  s_i w is built only from its
+    canonical parent w, when i is its smallest left descent, read off the
+    pairings x_j = <alpha_j, w(2 rho^vee)> carried along; children come out
+    i-major in parent order, which is canonical-word order."""
+    n = datum.rank
+    cartan = datum.cartan
+    e = identity_element(datum)
+    e.record = ((), ())
+    level = [(e, (2,) * n)] if max_len >= 0 else []
+    while level:
+        yield from (w for w, _ in level)
+        if level[0][0].length == max_len:
+            return
+        blocked = [{image_of_simple_coroot(w, j) for j in p.inside} for w, _ in level]
+        nxt = []
+        for i in range(1, n + 1):
+            row, alpha = cartan[i - 1], datum.simple_coroot(i)
+            for (w, x), out in zip(level, blocked):
+                xi = x[i - 1]
+                if xi < 0 or alpha in out or any(x[j] < xi * row[j] for j in range(i - 1)):
+                    continue
+                matrix, coroot = _lift(datum, w.matrix, i)
+                child = WeylElement(datum, matrix, w.length + 1)
+                word, seq = w.record
+                child.record = ((i,) + word, seq + (coroot,))
+                nxt.append((child, tuple(u - xi * c for u, c in zip(x, row))))
+        level = nxt
 
 
 def coset_counts_by_length(datum: RootDatum, p: ParabolicSubset) -> List[int]:

@@ -106,6 +106,22 @@ def test_classify_invalid_type_is_validation_error(capsys):
     assert "error" in err
 
 
+def test_types_larger_than_e8_are_refused_before_building(capsys):
+    """A1000 has 500,500 positive roots: refused at once, with one error line
+    and nothing on stdout.  A15 has 120, as many as E8, and still builds."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "classify", "--type", "A1000", "--word", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: A1000 has 500500 positive roots; types with more than 120 "
+        "(as many as E8) are not supported\n"
+    )
+    code, out, err = run(capsys, "classify", "--type", "A15", "--word", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cartan_type"] == "A15"
+
+
 def test_classify_table_and_csv_formats(capsys):
     code, out, _ = run(capsys, "classify", "--type", "G2", "--word", "2 1")
     assert code == 0
@@ -283,6 +299,20 @@ def test_survey_size_guard_admits_full_e6_borel(capsys, monkeypatch):
     code, out, err = run(capsys, "survey", "--type", "E6", "--format", "csv")
     assert (code, err, len(walks)) == (0, "", 1)
     assert out.splitlines() == [",".join(schubert.CSV_FIELDS)]
+
+
+def test_survey_memo_tables_stay_within_the_positive_system(capsys, monkeypatch):
+    """A D5 Borel survey classifies 1,920 elements, yet no table of the
+    datum's memo grows past one entry per positive coroot: per-element
+    records live on the elements, not on the datum."""
+    build, built = cli.build_root_datum, []
+    monkeypatch.setattr(
+        cli, "build_root_datum", lambda ct: built.append(build(ct)) or built[-1]
+    )
+    assert len(_survey_rows(capsys, "--type", "D5")) == 1920
+    (d,) = built
+    sizes = {name: len(table) for name, table in vars(d.memo).items()}
+    assert sizes and all(size <= len(d.positives) for size in sizes.values()), sizes
 
 
 def test_survey_json_header_names_parsed_type(capsys):

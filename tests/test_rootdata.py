@@ -43,6 +43,7 @@ def test_positive_counts_match_closed_form(type_str, datum):
     d = datum(type_str)
     ct = d.cartan_type
     assert len(d.positives) == closed_form_count(ct.family, ct.rank)
+    assert ct.positive_root_count == len(d.positives)
 
 
 def test_parse_and_validity():

@@ -477,23 +477,54 @@ def test_walks_match_word_carrying_references_on_random_words(
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_canonical_record_matches_references(type_str, datum):
     """On every Borel element the record is the inverse-based canonical word
-    with the inversion sequence of that word: built along the walk, and
-    again from a cold memo through ``element_from_word``, so that every
-    record extends a chain from the identity."""
+    with the inversion sequence of that word: carried along the walk from
+    the canonical parent, and built again from cold on a fresh element of
+    a fresh datum through ``element_from_word``."""
     d = datum(type_str)
     cold = sa.build_root_datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
         word = canonical_word_reference(w)
         expected = (word, sa.inversion_sequence(d, word))
+        carried = w.record
         assert weyl.canonical_record(w) == expected, (type_str, word)
-        cold.memo.canonical_words.clear()
-        assert weyl.canonical_record(el(cold, word)) == expected, (type_str, word)
+        fresh = el(cold, word)
+        assert fresh.record is None
+        assert weyl.canonical_record(fresh) == expected, (type_str, word)
+        assert carried == fresh.record, (type_str, word)
+
+
+@pytest.mark.parametrize(
+    "type_str, inside, max_len",
+    [
+        ("E6", (1, 2, 3, 4, 5), 99),
+        ("E6", (2, 3, 4, 5, 6), 99),
+        ("E6", (), 8),
+        ("E7", (1, 2, 3, 4, 5, 6), 99),
+        ("E7", (2, 3, 4, 5, 6, 7), 99),
+        ("E8", (1, 2, 3, 4, 5, 6, 7), 99),
+    ],
+)
+def test_canonical_parent_walk_on_exceptional_parabolics(type_str, inside, max_len, datum):
+    """The walk from canonical parents emits W^P in (length, canonical word)
+    order, each element once and as many per length as the Poincare
+    quotient says, and each carries the record that a cold element built
+    from its word computes, with the inversion sequence of that word."""
+    d = datum(type_str)
+    p = sa.parabolic(d, inside)
+    reps = list(sa.enumerate_coset_reps(d, p, max_len))
+    keys = [(w.length, canonical_word_reference(w)) for w in reps]
+    assert keys == sorted(keys)
+    assert len({w.matrix for w in reps}) == len(reps)
+    counts = weyl.coset_counts_by_length(d, p)[: max_len + 1]
+    assert [sum(1 for w in reps if w.length == k) for k in range(len(counts))] == counts
+    for w, (_, word) in zip(reps, keys):
+        assert w.record == (word, sa.inversion_sequence(d, word)), word
+        assert weyl.canonical_record(el(d, word)) == w.record, word
 
 
 def test_canonical_record_long_e8_elements_from_cold(datum):
     """Seeded random reduced E8 words of length 100 to 120, each built into
-    an element of a fresh datum, so the miss path peels a long chain and
-    memoizes every ancestor on it."""
+    an element of a fresh datum, so the cold path peels a long chain."""
     d = datum("E8")
     rng = random.Random(8)
     for length in (100, 104, 108, 112, 116, 120):
@@ -506,7 +537,6 @@ def test_canonical_record_long_e8_elements_from_cold(datum):
         word, seq = weyl.canonical_record(el(cold, letters))
         assert word == canonical_word_reference(w), length
         assert seq == sa.inversion_sequence(d, word), length
-        assert len(cold.memo.canonical_words) == length
 
 
 # --- Bruhat order ----------------------------------------------------------------
