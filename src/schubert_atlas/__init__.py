@@ -8,14 +8,10 @@ from .rootdata import (
     RootDatum,
     build_root_datum,
     height,
-    pair_root_coroot,
 )
 from .weyl import (
     ParabolicSubset,
     WeylElement,
-    act_on_coroot,
-    bruhat_covers,
-    bruhat_leq,
     canonical_reduced_word,
     element_from_word,
     enumerate_coset_reps,
@@ -35,11 +31,9 @@ from .schubert import (
     build_B_wB,
     classify,
     cover_coroots,
-    decompose,
     gorenstein_fano_report,
     p_adapt,
     picard_matrix,
-    report_to_json,
 )
 
 __version__ = "0.1.0"
@@ -56,15 +50,11 @@ __all__ = [
     "SchubertInput",
     "Status",
     "WeylElement",
-    "act_on_coroot",
-    "bruhat_covers",
-    "bruhat_leq",
     "build_B_wB",
     "build_root_datum",
     "canonical_reduced_word",
     "classify",
     "cover_coroots",
-    "decompose",
     "element_from_word",
     "enumerate_coset_reps",
     "gorenstein_fano_report",
@@ -73,10 +63,8 @@ __all__ = [
     "is_min_coset_rep",
     "min_coset_rep",
     "p_adapt",
-    "pair_root_coroot",
     "parabolic",
     "picard_matrix",
     "reflection_element",
     "rightmost_distance",
-    "report_to_json",
 ]

@@ -29,11 +29,11 @@ from .schubert import (
     report_conventions,
 )
 from .weyl import (
-    ParabolicSubset,
     coset_counts_by_length,
     element_from_word,
     enumerate_coset_reps,
     min_coset_rep,
+    parabolic,
     parse_word,
 )
 
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_word: bool) -> None:
+    def common(p, with_word: bool, formats: Tuple[str, ...]) -> None:
         p.add_argument("--type", required=True, help="Cartan type, e.g. A4, G2, D5")
         p.add_argument(
             "--parabolic",
@@ -83,13 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="simple reflection word for w, applied left to right, "
                 "e.g. '3 4 1 2 3'",
             )
-        p.add_argument(
-            "--format", choices=("json", "csv", "table"), default="table"
-        )
+        p.add_argument("--format", choices=formats, default="table")
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
     p_classify = sub.add_parser("classify", help="classify a single X_{w,P}")
-    common(p_classify, with_word=True)
+    common(p_classify, with_word=True, formats=("json", "csv", "table"))
     p_classify.add_argument(
         "--coerce",
         action="store_true",
@@ -98,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_survey = sub.add_parser("survey", help="classify every w in W^P up to a length cap")
-    common(p_survey, with_word=False)
+    common(p_survey, with_word=False, formats=("json", "csv", "table"))
     p_survey.add_argument("--max-length", type=int, default=None)
     p_survey.add_argument(
         "--max-rows", type=int, default=DEFAULT_MAX_ROWS,
@@ -107,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_conj = sub.add_parser("conjectures", help="run reduced-word conjecture scans")
-    common(p_conj, with_word=False)
+    common(p_conj, with_word=False, formats=("json", "table"))
     p_conj.add_argument("--which", choices=("1", "2", "3", "all"), default="all")
     p_conj.add_argument("--max-length", type=int, default=None)
     p_conj.add_argument(
@@ -188,7 +186,7 @@ def _report_table(report: ClassificationReport) -> str:
 
 def run_classify(cfg: CliConfig) -> int:
     datum = build_root_datum(cfg.type)
-    p = ParabolicSubset(rank=datum.rank, inside=frozenset(cfg.parabolic))
+    p = parabolic(datum, cfg.parabolic)
     w = element_from_word(datum, cfg.word)
     if w.length != len(cfg.word):
         if not cfg.coerce:
@@ -229,7 +227,7 @@ def run_classify(cfg: CliConfig) -> int:
 
 def run_survey(cfg: CliConfig) -> int:
     datum = build_root_datum(cfg.type)
-    p = ParabolicSubset(rank=datum.rank, inside=frozenset(cfg.parabolic))
+    p = parabolic(datum, cfg.parabolic)
     cap = cfg.max_length
     if cap is None:
         cap = len(datum.positives)
@@ -291,7 +289,7 @@ def run_conjectures(cfg: CliConfig) -> int:
     cap = cfg.max_length
     if cap is None:
         cap = len(datum.positives)
-    borel = ParabolicSubset(rank=datum.rank, inside=frozenset())
+    borel = parabolic(datum, ())
     due = sum(coset_counts_by_length(datum, borel)[: cap + 1])
     if due > cfg.max_rows:
         print(

@@ -14,10 +14,6 @@ class InvalidInputError(SchubertAtlasError, ValueError):
     cannot be used."""
 
 
-class DimensionMismatchError(SchubertAtlasError):
-    """Vector or matrix dimensions do not match the ambient rank."""
-
-
 class IndexOutOfRangeError(SchubertAtlasError):
     """A simple-root index lies outside 1..rank."""
 
@@ -44,10 +40,6 @@ class NotMinimalCosetRepError(SchubertAtlasError):
     def __init__(self, message: str, violating_index: int | None = None):
         super().__init__(message)
         self.violating_index = violating_index
-
-
-class NotInInversionSetError(SchubertAtlasError):
-    """The coroot does not belong to the given inversion set."""
 
 
 class NotSimplyLacedError(SchubertAtlasError):

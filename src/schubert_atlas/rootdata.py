@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .errors import DimensionMismatchError, InvalidTypeError, NotACorootError
+from .errors import InvalidTypeError, NotACorootError
 
 RootVec = Tuple[int, ...]
 CorootVec = Tuple[int, ...]
@@ -241,17 +241,6 @@ def build_root_datum(ct: CartanType | str) -> RootDatum:
         simply_laced=ct.family in ("A", "D", "E"),
         coroot_by_pairings=coroot_by_pairings,
     )
-
-
-def pair_root_coroot(datum: RootDatum, r: RootVec, c: CorootVec) -> int:
-    """Bilinear pairing <r, c> extending <alpha_j, alpha_i^vee> = C[i][j]."""
-    n = datum.rank
-    if len(r) != n or len(c) != n:
-        raise DimensionMismatchError(
-            f"expected vectors of length {n}, got {len(r)} and {len(c)}"
-        )
-    cartan = datum.cartan
-    return sum(c[i] * cartan[i][j] * r[j] for i in range(n) for j in range(n) if c[i] and r[j])
 
 
 def pair_root_with_simple_coroot(datum: RootDatum, r: RootVec, j: int) -> int:

@@ -17,7 +17,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from . import exactlinalg
 from .errors import (
     InternalError,
-    NotInInversionSetError,
     NotMinimalCosetRepError,
     NotSimplyLacedError,
     SingularMatrixError,
@@ -186,16 +185,6 @@ def _splittings(datum: RootDatum, eta: CorootVec) -> Tuple[DecompositionWitness,
     return result
 
 
-def _witnesses(
-    datum: RootDatum, eta: CorootVec, members
-) -> List[DecompositionWitness]:
-    return [
-        wit
-        for wit in _splittings(datum, eta)
-        if wit.mu in members and wit.mu_prime in members
-    ]
-
-
 def decompositions(
     datum: RootDatum, elements: Sequence[CorootVec]
 ) -> Dict[CorootVec, List[DecompositionWitness]]:
@@ -209,39 +198,14 @@ def decompositions(
     members = frozenset(elements)
     found: Dict[CorootVec, List[DecompositionWitness]] = {}
     for eta in elements:
-        witnesses = _witnesses(datum, eta, members)
+        witnesses = [
+            wit
+            for wit in _splittings(datum, eta)
+            if wit.mu in members and wit.mu_prime in members
+        ]
         if witnesses:
             found[eta] = witnesses
     return found
-
-
-def _pick(
-    witnesses: List[DecompositionWitness], reverse_ties: bool
-) -> DecompositionWitness:
-    """The tie rule of ``decompose``: first pair, or last with
-    ``reverse_ties``."""
-    return witnesses[-1] if reverse_ties else witnesses[0]
-
-
-def decompose(
-    datum: RootDatum,
-    eta: CorootVec,
-    inv_elements: Sequence[CorootVec],
-    reverse_ties: bool = False,
-) -> Optional[DecompositionWitness]:
-    """A witness c * eta = mu + mu' over unordered pairs of distinct
-    inversion coroots.  The witness has mu of minimal canonical position,
-    ties by minimal mu'; ``reverse_ties`` takes the maximal pair instead.
-    Returns None exactly when eta is indecomposable.  It reads only the
-    memoized splittings of eta in ``datum``, so a lookup costs the same as
-    one entry of ``decompositions``.
-    """
-    eta = tuple(eta)
-    members = frozenset(inv_elements)
-    if eta not in members:
-        raise NotInInversionSetError(f"{eta} not in the inversion set")
-    witnesses = _witnesses(datum, eta, members)
-    return _pick(witnesses, reverse_ties) if witnesses else None
 
 
 def _canonical_sorted(datum: RootDatum, coroots) -> Tuple[CorootVec, ...]:
@@ -339,7 +303,8 @@ def build_B_wB(
 
     For each k in the support, take the coroot that the rightmost occurrence
     of s_k realizes (``rightmost_distance``) and, while it decomposes,
-    descend into the summand with unit k-th coefficient.
+    descend into the summand with unit k-th coefficient of its first
+    witness, or its last with ``reverse_ties``.
     Entries are ordered by ascending rightmost distance, ties by index.
     """
     datum = inp.datum
@@ -354,7 +319,7 @@ def build_B_wB(
                 f"rightmost coroot {current} lacks unit coefficient at {k}"
             )
         while current in decomposable:
-            wit = _pick(decomposable[current], reverse_ties)
+            wit = decomposable[current][-1 if reverse_ties else 0]
             if wit.c != 1:
                 raise InternalError(
                     f"decomposition scale {wit.c} != 1 in simply-laced type"
@@ -732,15 +697,6 @@ def canonical_json(obj: dict) -> str:
     """Canonical serialization: sorted keys, two-space indent.  Parsing and
     re-serializing a document produced here is byte-identical."""
     return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def report_to_json(
-    report: ClassificationReport, datum: Optional[RootDatum] = None
-) -> str:
-    doc = report_to_dict(report)
-    if datum is not None:
-        doc["conventions"] = report_conventions(datum)
-    return canonical_json(doc)
 
 
 def c1_pretty(report: ClassificationReport) -> str:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, Iterator, List, Sequence, Tuple
 
 from .errors import (
-    DimensionMismatchError,
     IndexOutOfRangeError,
     InvalidInputError,
     NonReducedWordError,
@@ -142,14 +141,6 @@ def element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
         cols = _times_simple(datum.cartan, cols, i)
     matrix = tuple(zip(*cols))
     return WeylElement(datum, matrix, _count_inversions(datum, matrix))
-
-
-def act_on_coroot(w: WeylElement, c: Sequence[int]) -> CorootVec:
-    if len(c) != w.datum.rank:
-        raise DimensionMismatchError(
-            f"coroot of length {len(c)} in rank {w.datum.rank}"
-        )
-    return _apply(w.matrix, c)
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -404,26 +395,6 @@ def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, 
                 yield from walk(_times_simple(cartan, cols, i), (i,) + word, seq + (c,))
 
     yield from walk(identity(w.datum.rank), (), ())
-
-
-def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order via the standard right-descent recursion."""
-    if u.length > w.length:
-        return False
-    if u.length == 0:
-        return True
-    if u.matrix == w.matrix:
-        return True
-    i = next(i for i in range(1, w.datum.rank + 1) if has_right_descent(w, i))
-    w_short = right_mul_simple(w, i)
-    if has_right_descent(u, i):
-        return bruhat_leq(right_mul_simple(u, i), w_short)
-    return bruhat_leq(u, w_short)
-
-
-def bruhat_covers(u: WeylElement, w: WeylElement) -> bool:
-    """w covers u: u < w with length difference exactly one."""
-    return u.length + 1 == w.length and bruhat_leq(u, w)
 
 
 def parse_word(text: str) -> Word:

@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import schubert_atlas as sa
 from schubert_atlas import weyl
-from schubert_atlas.errors import DimensionMismatchError, SingularMatrixError
+from schubert_atlas.errors import SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
 from schubert_atlas.schubert import DecompositionWitness
 
@@ -278,6 +278,40 @@ def coroot_for(basis, k):
     return dict(basis.entries)[k]
 
 
+def act(w, c):
+    """w(c) for a coroot c in the simple-coroot basis: the matrix of w
+    applied to c."""
+    return tuple(sum(x * y for x, y in zip(row, c)) for row in w.matrix)
+
+
+def pair_root_coroot(datum, r, c) -> int:
+    """Bilinear pairing <r, c> extending <alpha_j, alpha_i^vee> = C[i][j]."""
+    cartan = datum.cartan
+    return sum(ci * row[j] * r[j] for ci, row in zip(c, cartan) for j in range(len(r)))
+
+
+# --- Bruhat order by the right-descent recursion ---------------------------
+
+
+def bruhat_leq(u, w) -> bool:
+    """u <= w in the Bruhat order, by the standard right-descent recursion:
+    for a right descent s of w, u <= w iff min(u, us) <= ws."""
+    if u.length > w.length:
+        return False
+    if u.length == 0 or u.matrix == w.matrix:
+        return True
+    i = next(i for i in range(1, w.datum.rank + 1) if weyl.has_right_descent(w, i))
+    w_short = weyl.right_mul_simple(w, i)
+    if weyl.has_right_descent(u, i):
+        return bruhat_leq(weyl.right_mul_simple(u, i), w_short)
+    return bruhat_leq(u, w_short)
+
+
+def bruhat_covers(u, w) -> bool:
+    """w covers u: u < w with length difference exactly one."""
+    return u.length + 1 == w.length and bruhat_leq(u, w)
+
+
 # --- weights ----------------------------------------------------------------
 
 WeightVec = Tuple[Fraction, ...]
@@ -292,9 +326,7 @@ def weight_coroot_pairing(w: WeightVec, c) -> Fraction:
     """<sum w_i omega_i, c> = sum over i of w_i * (coefficient of
     alpha_i^vee in c)."""
     if len(w) != len(c):
-        raise DimensionMismatchError(
-            f"weight has length {len(w)}, coroot has length {len(c)}"
-        )
+        raise ValueError(f"weight has length {len(w)}, coroot has length {len(c)}")
     return sum((wi * ci for wi, ci in zip(w, c)), Fraction(0))
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 
@@ -19,11 +20,16 @@ import schubert_atlas as sa
 from schubert_atlas import cli, oracle, schubert, weyl
 
 from helpers import (
+    bruhat_leq,
+    column_descents,
     coset_length_counts,
     fraction_rank,
     hat_n_map,
+    identity_matrix,
+    pair_root_coroot,
     reorder_matrix,
     schubert_input,
+    times_reflection,
     valid_parabolics,
 )
 
@@ -324,8 +330,8 @@ def _check_simply_laced_lemma(d, inv_elements):
                     continue
                 assert c == 1, (eta, mu, mu2)
                 root = d.pair_for_coroot[eta].root
-                assert sa.pair_root_coroot(d, root, mu) == 1
-                assert sa.pair_root_coroot(d, root, mu2) == 1
+                assert pair_root_coroot(d, root, mu) == 1
+                assert pair_root_coroot(d, root, mu2) == 1
 
 
 def test_simply_laced_structure_suite(datum):
@@ -570,3 +576,103 @@ def test_betti_numbers_match_bruhat_order(datum):
             assert report.b2 == len(letters), (type_str, inside, word)
             checked += 1
     assert checked == 504
+
+
+# ---------------------------------------------------- literature oracles ---
+
+
+def _permutation(word, size):
+    """One-line notation of s_{i1} o ... o s_{ir} on {1, ..., size}, where
+    s_i swaps i and i + 1 and the last letter acts first."""
+    images = list(range(1, size + 1))
+    for i in reversed(word):
+        images = [i + 1 if x == i else i if x == i + 1 else x for x in images]
+    return tuple(images)
+
+
+def _forest_like(p):
+    """p avoids 1324 and the barred pattern 21 3-bar 54: every occurrence of
+    2143 at positions a < b < c < d has some b < e < c with
+    p[a] < p[e] < p[d]."""
+    for a, b, c, d in itertools.combinations(range(len(p)), 4):
+        if p[a] < p[c] < p[b] < p[d]:
+            return False
+        if p[b] < p[a] < p[d] < p[c] and not any(
+            p[a] < p[e] < p[d] for e in range(b + 1, c)
+        ):
+            return False
+    return True
+
+
+def test_factorial_in_type_a_is_forest_like(datum):
+    """Bousquet-Melou & Butler (Forest-like permutations, Ann. Comb. 11,
+    2007): in type A_n, X_w is factorial iff the one-line notation of
+    w o w0 avoids 1324 and 21 3-bar 54.  The permutation is built here from
+    the word, not by the library.  The factorial counts 22, 89 and 379 are
+    the forest-like permutations of S_4, S_5 and S_6."""
+    counts = {}
+    for type_str in ("A3", "A4", "A5"):
+        d = datum(type_str)
+        borel = sa.parabolic(d, ())
+        perms = set()
+        for w in sa.enumerate_coset_reps(d, borel, 99):
+            report = sa.classify(sa.SchubertInput(datum=d, parabolic=borel, w=w))
+            # (w o w0)(x) = w(n + 2 - x): the one-line notation of w reversed
+            perm = _permutation(report.word, d.rank + 1)[::-1]
+            assert report.factorial == _forest_like(perm), (type_str, report.word)
+            perms.add(perm)
+            counts[type_str] = counts.get(type_str, 0) + report.factorial
+        assert len(perms) == math.factorial(d.rank + 1)
+    assert counts == {"A3": 22, "A4": 89, "A5": 379}
+
+
+def _lower_interval(cartan, m, memo):
+    """The Bruhat interval [e, w] of the element with matrix m, as
+    {matrix: length}, by lifting: for a right descent s of w,
+    [e, w] = [e, ws] u [e, ws] s."""
+    if m not in memo:
+        descents = column_descents(m)
+        if not descents:
+            memo[m] = {m: 0}
+        else:
+            s = descents[0]
+            lower = _lower_interval(cartan, times_reflection(cartan, m, s), memo)
+            interval = dict(lower)
+            for x, length in lower.items():
+                step = -1 if s in column_descents(x) else 1
+                interval.setdefault(times_reflection(cartan, x, s), length + step)
+            memo[m] = interval
+    return memo[m]
+
+
+def test_smooth_schubert_varieties_are_factorial_and_gorenstein(datum):
+    """Carrell-Peterson (Billey & Lakshmibai, Singular Loci of Schubert
+    Varieties, 2000): in simply-laced types X_w is smooth iff the rank sizes
+    of [e, w] are palindromic, and a smooth X_w is factorial and Gorenstein.
+    The interval is built here by lifting, from matrices of the test's own;
+    on A3 it is checked against the Bruhat order of ``helpers.bruhat_leq``.
+    ADE only: in B3, 5 of the 34 elements with palindromic rank sizes are
+    not factorial (rationally smooth, not smooth)."""
+    smooth = {}
+    for type_str in ("A3", "A4", "D4"):
+        d = datum(type_str)
+        borel = sa.parabolic(d, ())
+        elements = list(sa.enumerate_coset_reps(d, borel, 99))
+        memo = {}
+        smooth[type_str] = 0
+        for w in elements:
+            report = sa.classify(sa.SchubertInput(datum=d, parabolic=borel, w=w))
+            m = identity_matrix(d.rank)
+            for i in report.word:
+                m = times_reflection(d.cartan, m, i)
+            assert m == w.matrix
+            interval = _lower_interval(d.cartan, m, memo)
+            if type_str == "A3":
+                assert {u.matrix for u in elements if bruhat_leq(u, w)} == set(interval)
+            sizes = [0] * (len(report.word) + 1)
+            for length in interval.values():
+                sizes[length] += 1
+            if sizes == sizes[::-1]:
+                smooth[type_str] += 1
+                assert report.factorial and report.gorenstein is Y, (type_str, report.word)
+    assert smooth == {"A3": 22, "A4": 88, "D4": 108}

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,10 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schubert_atlas import cli, schubert
 
@@ -419,6 +423,91 @@ def test_conjectures_table_format(capsys):
     code, out, _ = run(capsys, "conjectures", "--type", "A2", "--which", "all")
     assert code == 0
     assert "conjecture 1" in out and "verified" in out
+
+
+def test_conjectures_refuses_csv_format(capsys):
+    """``conjectures`` writes JSON or a table only: ``--format csv`` is an
+    argparse error, with one error line and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["conjectures", "--type", "A2", "--format", "csv"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    (line,) = [x for x in out.err.splitlines() if "error:" in x]
+    assert "--format" in line and "'csv'" in line
+
+
+# --- the whole CLI, fuzzed -----------------------------------------------------
+
+_FUZZ_TYPES = (
+    "A1", "A3", "b3", "C3", "D4", "G2", "F4", "E6",
+    "E9", "A0", "B1", "D3", "G3", "Q2", "A", "", "A1000",
+)
+_index = st.integers(-1, 9) | st.sampled_from([10**20])
+_index_text = st.one_of(
+    st.tuples(st.sampled_from((" ", ",")), st.lists(_index, max_size=8)).map(
+        lambda t: t[0].join(map(str, t[1]))
+    ),
+    st.sampled_from(("1 x", "\uff11 \uff12", " , ", "1,,2")),
+)
+
+
+@st.composite
+def _cli_call(draw):
+    """(argv, format, --output relative to a fresh directory or None)."""
+    sub = draw(st.sampled_from(("classify", "survey", "conjectures")))
+    fmt = draw(st.sampled_from(("json", "csv", "table")))
+    argv = [sub, "--type", draw(st.sampled_from(_FUZZ_TYPES)), "--format", fmt]
+    if draw(st.booleans()):
+        argv += ["--parabolic", draw(_index_text)]
+    if sub == "classify":
+        argv += ["--word", draw(_index_text)]
+        if draw(st.booleans()):
+            argv.append("--coerce")
+    else:
+        argv += ["--max-length", str(draw(st.integers(0, 3)))]
+    if sub == "survey" and draw(st.booleans()):
+        argv += ["--max-rows", draw(st.sampled_from(("0", "5", "200000")))]
+    if sub == "conjectures":
+        argv += ["--which", draw(st.sampled_from(("1", "2", "3", "all")))]
+        argv += ["--cap", draw(st.sampled_from(("0", "1", "50")))]
+    return argv, fmt, draw(st.sampled_from((None, "out", "missing/out", ".")))
+
+
+@settings(deadline=None, max_examples=150)
+@example((["conjectures", "--type", "A2", "--format", "csv", "--max-length", "1",
+           "--which", "all", "--cap", "50"], "csv", None))
+@given(_cli_call())
+def test_cli_contract_under_fuzzed_argv(call):
+    """Any argv from the grammar exits 0, 1, 2 or 3 (argparse's SystemExit(2)
+    counts as 2) and raises nothing else.  Exit 2 leaves stdout empty, writes
+    exactly one ``error:`` line and no file; any other exit writes its output
+    to stdout or --output alone, JSON that parses or CSV under the
+    ``CSV_FIELDS`` header."""
+    argv, fmt, target = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if target is not None:
+            target = os.path.join(tmp, target)
+            argv = argv + ["--output", target]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 2:
+            assert out == "", argv
+            assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+            assert os.listdir(tmp) == [], argv
+            return
+        if target is not None:
+            assert out == "", argv
+            out = Path(target).read_text()
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        assert out.splitlines()[0] == ",".join(schubert.CSV_FIELDS), (argv, out)
 
 
 # --- golden bytes ---------------------------------------------------------------

@@ -2,15 +2,17 @@
 uses, and against renaming a function the benchmark tracer wraps by name.
 
 Every module-level function and method in ``src/schubert_atlas`` must be
-referenced somewhere in the package other than its own definition, be
-exported through ``__all__``, or sit on the allowlist below with a reason.
+referenced somewhere in the package other than its own definition, or sit on
+the allowlist below with a reason.  An export is not a use: neither a listing
+in ``__all__`` nor a re-export in ``__init__`` keeps a function alive, so a
+function only the tests call belongs in ``tests/helpers.py``.
 
 A module-level function ``f`` of ``mod`` counts as referenced only through a
-bare ``f`` inside ``mod``, a ``from .mod import f`` in another module (the
-re-exports of ``__init__`` count only through ``__all__``) or an attribute
-``mod.f``.  An attribute of the same name on some other object does not count
-for it: ``RootDatum.rank`` says nothing about a function ``rank``.  Methods
-count through any attribute of their name.
+bare ``f`` inside ``mod``, a ``from .mod import f`` in a module other than
+``__init__``, or an attribute ``mod.f``.  An attribute of the same name on
+some other object does not count for it: ``RootDatum.rank`` says nothing
+about a function ``rank``.  Methods count through any attribute of their
+name.
 """
 
 import ast
@@ -70,18 +72,17 @@ def _module_references(trees):
 def test_every_function_is_referenced():
     trees = _trees()
     used, attrs = _module_references(trees)
-    exported = set(schubert_atlas.__all__)
     dead = [
         f"{module}.py:{line} {name}"
         for module, tree in trees.items()
         for name, line in _functions(tree)
-        if (module, name) not in used and name not in exported and name not in ALLOWED
+        if (module, name) not in used and name not in ALLOWED
     ]
     dead += [
         f"{module}.py:{line} {name}"
         for module, tree in trees.items()
         for name, line in _methods(tree)
-        if name not in attrs and name not in exported and name not in ALLOWED
+        if name not in attrs and name not in ALLOWED
     ]
     assert not dead, dead
 

@@ -6,11 +6,7 @@ import pytest
 
 import schubert_atlas as sa
 from schubert_atlas import oracle, schubert, weyl
-from schubert_atlas.errors import (
-    NotInInversionSetError,
-    NotMinimalCosetRepError,
-    NotSimplyLacedError,
-)
+from schubert_atlas.errors import NotMinimalCosetRepError, NotSimplyLacedError
 
 from helpers import (
     coroot_for,
@@ -82,7 +78,7 @@ def test_inversion_set_a4_example(datum):
     }
 
 
-# --- decompose -------------------------------------------------------------------
+# --- decompositions --------------------------------------------------------------
 
 
 def test_decompose_g2_scaled_witness(datum):
@@ -91,18 +87,16 @@ def test_decompose_g2_scaled_witness(datum):
     sets = schubert.cover_coroots(inp)
     elements = schubert._canonical_sorted(g2, sets.inv_ordered)
     assert set(elements) == {(0, 1), (1, 1), (3, 2)}
-    wit = sa.decompose(g2, (1, 1), elements)
-    assert wit is not None
+    wit = sets.decomposable[(1, 1)][0]
     assert (wit.c, wit.mu, wit.mu_prime) == (3, (0, 1), (3, 2))
 
 
 def test_decompose_simple_coroot_is_none(datum):
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
-    elements = schubert._canonical_sorted(
-        g2, schubert.cover_coroots(inp).inv_ordered
-    )
-    assert sa.decompose(g2, (0, 1), elements) is None
+    sets = schubert.cover_coroots(inp)
+    assert (0, 1) in sets.inv_ordered
+    assert (0, 1) not in sets.decomposable
 
 
 def test_decompose_d5_theta(datum):
@@ -112,12 +106,11 @@ def test_decompose_d5_theta(datum):
     inp = sa.SchubertInput(
         datum=d5, parabolic=sa.parabolic(d5, [1, 3, 4, 5]), w=rep
     )
-    elements = schubert._canonical_sorted(
-        d5, schubert.cover_coroots(inp).inv_ordered
-    )
+    sets = schubert.cover_coroots(inp)
     theta = d5.highest_coroot
-    wit = sa.decompose(d5, theta, elements)
-    assert wit is not None and wit.c == 1
+    assert theta in sets.inv_ordered
+    wit = sets.decomposable[theta][0]
+    assert wit.c == 1
     assert tuple(a + b for a, b in zip(wit.mu, wit.mu_prime)) == theta
 
 
@@ -127,8 +120,8 @@ def test_decompose_matches_pair_scan_everywhere(type_str, datum):
     carries equals the map of a plain pair scan, witness lists and their
     order included (G2 has witnesses with c = 3).  For both tie orders it
     holds first (last) the witness a search finds first from the front
-    (back), ``decompose`` returns it for every inversion coroot, and the
-    cover set is exactly the inversion coroots the scan cannot decompose."""
+    (back), and the cover set is exactly the inversion coroots the scan
+    cannot decompose."""
 
     def triple(wit):
         return (wit.c, wit.mu, wit.mu_prime)
@@ -150,15 +143,7 @@ def test_decompose_matches_pair_scan_everywhere(type_str, datum):
                 else:
                     got = triple(found[eta][-1 if reverse_ties else 0])
                     assert got == expected, (type_str, w, eta, reverse_ties)
-                wit = sa.decompose(d, eta, elements, reverse_ties=reverse_ties)
-                assert (wit and triple(wit)) == expected, (type_str, w, eta)
             assert sets.cover_B == tuple(indecomposable), (type_str, w)
-
-
-def test_decompose_requires_membership(datum):
-    g2 = datum("G2")
-    with pytest.raises(NotInInversionSetError):
-        sa.decompose(g2, (1, 0), [(0, 1), (1, 1)])
 
 
 # --- cover sets ------------------------------------------------------------------
@@ -633,7 +618,9 @@ def test_anticanonical_weil_recomputation(datum):
 
 def test_json_round_trip_byte_identical(datum):
     report = sa.classify(schubert_input(datum("G2"), (), (2, 1, 2)))
-    text = sa.report_to_json(report, datum("G2"))
+    doc = schubert.report_to_dict(report)
+    doc["conventions"] = schubert.report_conventions(datum("G2"))
+    text = schubert.canonical_json(doc)
     assert schubert.canonical_json(json.loads(text)) == text
     doc = json.loads(text)
     assert doc["hat_n"] == {"1": "2/3", "2": "2"}
