@@ -180,14 +180,6 @@ class RootDatum:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
 
-def _reflect_root(cartan: IntMatrix, i: int, r: RootVec) -> RootVec:
-    # s_i(r) = r - <r, alpha_i^vee> alpha_i, only coordinate i changes
-    coef = sum(cartan[i][j] * r[j] for j in range(len(r)))
-    out = list(r)
-    out[i] -= coef
-    return tuple(out)
-
-
 def _reflect_coroot(cartan: IntMatrix, i: int, c: CorootVec) -> CorootVec:
     # s_i(c) = c - <alpha_i, c> alpha_i^vee
     coef = sum(cartan[j][i] * c[j] for j in range(len(c)))
@@ -197,49 +189,50 @@ def _reflect_coroot(cartan: IntMatrix, i: int, c: CorootVec) -> CorootVec:
 
 
 def build_root_datum(ct: CartanType | str) -> RootDatum:
-    """Generate the full positive system by closing the simple pairs under
-    parallel simple reflections (root and coroot components together).
-    Reflecting r in alpha_i lowers its coordinate i by <r, alpha_i^vee>,
-    which gives the pairings of r on the way."""
+    """Generate the full positive system from the simple pairs by raising
+    reflections only.  For a root r with p_i = <r, alpha_i^vee> < 0,
+    s_i(r) = r - p_i alpha_i is a higher positive root whose coroot is s_i
+    of r's coroot; only coordinate i changes in either, and the pairings of
+    s_i(r) are r's plus -p_i times column i of the Cartan matrix.  Each
+    non-simple positive root r has an i with <r, alpha_i^vee> > 0, and s_i(r)
+    is a lower positive root (Humphreys, Introduction to Lie Algebras and
+    Representation Theory, 10.2), so raising alone reaches every root and
+    the lowering reflections are skipped."""
     if isinstance(ct, str):
         ct = CartanType.parse(ct)
-    if ct.positive_root_count > 120:  # E8's; the closure costs ~rank^4 in type A
+    if ct.positive_root_count > 120:  # E8's; the closure costs ~rank^3 in type A
         raise InvalidTypeError(
             f"{ct} has {ct.positive_root_count} positive roots; "
             "types with more than 120 (as many as E8) are not supported"
         )
     cartan = cartan_matrix(ct)
     n = ct.rank
-    simples = []
-    for i in range(n):
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        simples.append((unit, unit))
-    seen = set(simples)
-    frontier = list(simples)
-    coroot_by_pairings = {}
-    while frontier:
-        nxt = []
-        for root, coroot in frontier:
-            pairings = []
-            for i in range(n):
-                r2 = _reflect_root(cartan, i, root)
-                pairings.append(root[i] - r2[i])
-                if any(x < 0 for x in r2):
-                    continue
-                c2 = _reflect_coroot(cartan, i, coroot)
-                if (r2, c2) not in seen:
-                    seen.add((r2, c2))
-                    nxt.append((r2, c2))
-            coroot_by_pairings[tuple(pairings)] = coroot
-        frontier = nxt
-    ordered = sorted(seen, key=lambda rc: (sum(rc[1]), rc[1], rc[0]))
-    positives = tuple(RootCorootPair(root=r, coroot=c) for r, c in ordered)
+    # the nonzero C[j][i] of each column i, for <alpha_i, c> and the pairings
+    cols = [[(j, a) for j, a in enumerate(col) if a] for col in zip(*cartan)]
+    walk = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    # root -> (coroot, pairings (<r, alpha_1^vee>, ..., <r, alpha_n^vee>))
+    found = {r: (r, col) for r, col in zip(walk, zip(*cartan))}
+    for root in walk:  # grows as it is walked
+        coroot, pairings = found[root]
+        for i, p in enumerate(pairings):
+            if p < 0:
+                r2 = root[:i] + (root[i] - p,) + root[i + 1:]
+                if r2 not in found:
+                    q = sum(a * coroot[j] for j, a in cols[i])
+                    p2 = list(pairings)
+                    for j, a in cols[i]:
+                        p2[j] -= p * a
+                    c2 = coroot[:i] + (coroot[i] - q,) + coroot[i + 1:]
+                    found[r2] = (c2, tuple(p2))
+                    walk.append(r2)
+    ordered = sorted((sum(c), c, r) for r, (c, _) in found.items())
+    positives = tuple(RootCorootPair(root=r, coroot=c) for _, c, r in ordered)
     return RootDatum(
         cartan_type=ct,
         cartan=cartan,
         positives=positives,
         simply_laced=ct.family in ("A", "D", "E"),
-        coroot_by_pairings=coroot_by_pairings,
+        coroot_by_pairings={p: c for c, p in found.values()},
     )
 
 

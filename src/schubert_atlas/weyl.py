@@ -132,15 +132,19 @@ def _check_index(datum: RootDatum, i: int) -> None:
 def element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
     """Product of simple reflections, applied left to right.
 
-    The word need not be reduced; the cached length comes from inversion
-    counting and may be smaller than ``len(word)``.
+    The word need not be reduced.  The cached length is counted as the word
+    is read: l(x s_i) = l(x) + 1 when x(alpha_i^vee), column i of the
+    running product x, is positive, and l(x) - 1 otherwise (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, ch. 4), so it may be smaller than
+    ``len(word)``.
     """
     cols = identity(datum.rank)
+    length = 0
     for i in word:
         _check_index(datum, i)
+        length += -1 if _vec_is_negative(cols[i - 1]) else 1
         cols = _times_simple(datum.cartan, cols, i)
-    matrix = tuple(zip(*cols))
-    return WeylElement(datum, matrix, _count_inversions(datum, matrix))
+    return WeylElement(datum, tuple(zip(*cols)), length)
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:

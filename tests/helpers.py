@@ -13,6 +13,7 @@ import schubert_atlas as sa
 from schubert_atlas import weyl
 from schubert_atlas.errors import SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
+from schubert_atlas.rootdata import RootCorootPair, _reflect_coroot
 from schubert_atlas.schubert import DecompositionWitness
 
 
@@ -95,6 +96,52 @@ def gauss_jordan_inverse(m):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+# --- root system closure reference ------------------------------------------
+
+
+def reflect_root(cartan, i, r):
+    # s_i(r) = r - <r, alpha_i^vee> alpha_i, only coordinate i changes
+    coef = sum(cartan[i][j] * r[j] for j in range(len(r)))
+    out = list(r)
+    out[i] -= coef
+    return tuple(out)
+
+
+def parallel_reflection_closure(cartan):
+    """(positives, coroot_by_pairings) by closing the simple pairs under
+    every simple reflection, root and coroot components together, level by
+    level and dropping the images with a negative coordinate: the reference
+    for the raise-only walk of ``build_root_datum``.  Reflecting r in
+    alpha_i lowers its coordinate i by <r, alpha_i^vee>, which gives the
+    pairings of r on the way."""
+    n = len(cartan)
+    simples = []
+    for i in range(n):
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        simples.append((unit, unit))
+    seen = set(simples)
+    frontier = list(simples)
+    coroot_by_pairings = {}
+    while frontier:
+        nxt = []
+        for root, coroot in frontier:
+            pairings = []
+            for i in range(n):
+                r2 = reflect_root(cartan, i, root)
+                pairings.append(root[i] - r2[i])
+                if any(x < 0 for x in r2):
+                    continue
+                c2 = _reflect_coroot(cartan, i, coroot)
+                if (r2, c2) not in seen:
+                    seen.add((r2, c2))
+                    nxt.append((r2, c2))
+            coroot_by_pairings[tuple(pairings)] = coroot
+        frontier = nxt
+    ordered = sorted(seen, key=lambda rc: (sum(rc[1]), rc[1], rc[0]))
+    positives = tuple(RootCorootPair(root=r, coroot=c) for r, c in ordered)
+    return positives, coroot_by_pairings
 
 
 # --- Poincare-polynomial row-count oracle ---------------------------------

@@ -676,3 +676,64 @@ def test_smooth_schubert_varieties_are_factorial_and_gorenstein(datum):
                 smooth[type_str] += 1
                 assert report.factorial and report.gorenstein is Y, (type_str, report.word)
     assert smooth == {"A3": 22, "A4": 88, "D4": 108}
+
+
+def _grassmannian_permutations(size, k):
+    """The permutations of {1, ..., size} whose only descent is at k, as
+    one-line notations: w(1) < ... < w(k) and w(k + 1) < ... < w(size)."""
+    for first in itertools.combinations(range(1, size + 1), k):
+        rest = [x for x in range(1, size + 1) if x not in first]
+        yield first + tuple(rest)
+
+
+def _reduced_word(perm):
+    """A reduced word of perm by bubble sort, each swap removing one
+    inversion: perm s_{a1} ... s_{am} = e for the positions a swapped, so
+    perm = s_{am} ... s_{a1}."""
+    images, swaps = list(perm), []
+    for _ in images:
+        for a in range(1, len(images)):
+            if images[a - 1] > images[a]:
+                images[a - 1], images[a] = images[a], images[a - 1]
+                swaps.append(a)
+    return tuple(reversed(swaps))
+
+
+def _corners_on_one_antidiagonal(lam):
+    """The removable corners (i, lam_i) of the partition lam, rows from 1,
+    all have the same i + lam_i."""
+    parts = list(lam) + [0]
+    rows = range(1, len(lam) + 1)
+    return len({i + parts[i - 1] for i in rows if parts[i - 1] > parts[i]}) <= 1
+
+
+# (type, k): 6 + 10 + 15 + 20 + 35 + 56 + 70 = 212 Grassmannian permutations
+WOO_YONG_GRASSMANNIANS = (
+    ("A3", 2), ("A4", 2), ("A5", 2), ("A5", 3), ("A6", 3), ("A7", 3), ("A7", 4),
+)
+
+
+def test_gorenstein_on_grassmannians_woo_yong(datum):
+    """Woo & Yong (When is a Schubert variety Gorenstein?, Adv. Math. 207,
+    2006): with I_P = S minus {k}, X_lambda for the Grassmannian permutation
+    w is Gorenstein iff all removable corners of lambda lie on one
+    antidiagonal, where lambda_i = w(k + 1 - i) - (k + 1 - i).  The
+    permutations, their words and lambda are built here, not by the
+    library."""
+    checked = gorenstein = 0
+    for type_str, k in WOO_YONG_GRASSMANNIANS:
+        d = datum(type_str)
+        p = sa.parabolic(d, [j for j in range(1, d.rank + 1) if j != k])
+        for perm in _grassmannian_permutations(d.rank + 1, k):
+            word = _reduced_word(perm)
+            assert _permutation(word, d.rank + 1) == perm
+            lam = tuple(perm[k - i] - (k + 1 - i) for i in range(1, k + 1))
+            w = sa.element_from_word(d, word)
+            assert w.length == len(word) == sum(lam)
+            report = sa.classify(sa.SchubertInput(datum=d, parabolic=p, w=w))
+            expected = _corners_on_one_antidiagonal(lam)
+            assert report.gorenstein is (Y if expected else N), (type_str, k, lam)
+            checked += 1
+            gorenstein += expected
+    assert checked == 212
+    assert 0 < gorenstein < checked

@@ -76,6 +76,21 @@ def test_classify_rejects_non_reduced_word(capsys):
     assert "word not reduced" in err
 
 
+def test_classify_rejects_non_reduced_words_by_length(capsys):
+    """Without --coerce, a word whose length counted on reading falls short
+    of its letter count exits 2 and names both."""
+    cases = [
+        ("E7", "1 3 1 3", 2),
+        ("B3", "3 2 3 2 3", 3),
+        ("G2", "1 2 1 2 1 2 1", 5),
+        ("D5", "2 3 2 4 4", 3),
+    ]
+    for type_str, word, length in cases:
+        code, out, err = run(capsys, "classify", "--type", type_str, "--word", word)
+        assert (code, out) == (2, ""), (type_str, word)
+        assert f"length {length} != {len(word.split())} letters" in err
+
+
 def test_classify_rejects_non_minimal_rep_naming_index(capsys):
     code, _, err = run(
         capsys, "classify", "--type", "A2", "--parabolic", "2", "--word", "1 2 1"

@@ -3,9 +3,20 @@ from fractions import Fraction
 
 import schubert_atlas as sa
 from schubert_atlas.errors import InvalidTypeError, NotACorootError
-from schubert_atlas.rootdata import CartanType, cartan_matrix, require_positive_coroot
+from schubert_atlas.rootdata import (
+    CartanType,
+    _reflect_coroot,
+    cartan_matrix,
+    require_positive_coroot,
+)
 
-from helpers import fundamental_weight, pair_root_coroot, weight_coroot_pairing
+from helpers import (
+    fundamental_weight,
+    pair_root_coroot,
+    parallel_reflection_closure,
+    reflect_root,
+    weight_coroot_pairing,
+)
 
 
 def closed_form_count(family, n):
@@ -118,16 +129,24 @@ def test_parallel_reflection_closure(type_str, datum):
     system up to a global sign."""
     d = datum(type_str)
     pairs = {(p.root, p.coroot) for p in d.positives}
-    from schubert_atlas.rootdata import _reflect_coroot, _reflect_root
-
     for p in d.positives:
         for i in range(d.rank):
-            r2 = _reflect_root(d.cartan, i, p.root)
+            r2 = reflect_root(d.cartan, i, p.root)
             c2 = _reflect_coroot(d.cartan, i, p.coroot)
             if any(x < 0 for x in r2):
                 r2 = tuple(-x for x in r2)
                 c2 = tuple(-x for x in c2)
             assert (r2, c2) in pairs
+
+
+@pytest.mark.parametrize("type_str", ALL_TYPES)
+def test_raise_only_closure_matches_parallel_reflection_closure(type_str, datum):
+    """The raise-only walk builds the positive system, in canonical order,
+    and the pairings map that the full parallel closure builds."""
+    d = datum(type_str)
+    positives, coroot_by_pairings = parallel_reflection_closure(d.cartan)
+    assert d.positives == positives
+    assert d.coroot_by_pairings == coroot_by_pairings
 
 
 @pytest.mark.parametrize("type_str", ["A4", "D4", "D5", "E6"])

@@ -50,6 +50,29 @@ def test_element_from_word_lengths(datum):
     assert el(datum("G2"), (2, 1, 2, 1)).length == 4
 
 
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D5", "E6", "E7", "F4", "G2"])
+def test_element_from_word_length_on_unreduced_words(type_str, datum):
+    """The length counted while the word is read is the number of positive
+    coroots the product sends negative, on seeded words of 0-30 letters that
+    repeat letters and need not be reduced."""
+    d = datum(type_str)
+    rng = random.Random(f"unreduced-{type_str}")
+    words = [()]
+    for _ in range(40):
+        word = [rng.randint(1, d.rank) for _ in range(rng.randint(0, 30))]
+        if word and rng.random() < 0.5:  # a letter twice in a row
+            k = rng.randrange(len(word))
+            word.insert(k, word[k])
+        words.append(tuple(word[:30]))
+    unreduced = 0
+    for word in words:
+        w = el(d, word)
+        inversions = sum(any(x < 0 for x in act(w, c)) for c in d.positive_coroots)
+        assert w.length == inversions, word
+        unreduced += w.length < len(word)
+    assert unreduced >= 20
+
+
 def test_element_from_word_rejects_bad_index(datum):
     with pytest.raises(IndexOutOfRangeError):
         el(datum("A2"), (1, 3))
