@@ -2,22 +2,23 @@
 variety, or run conjecture scans.
 
 Exit codes: 0 ok, 1 counterexample found, 2 validation error, 3 truncated or
-otherwise inconclusive scan.
+otherwise inconclusive scan, or stdout closed by its reader.  Every input is
+checked before the first byte is written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import os
 import sys
-from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import oracle, schubert, weyl
 from .errors import InvalidInputError, NotMinimalCosetRepError, SchubertAtlasError
-from .rootdata import build_root_datum
+from .rootdata import RootDatum, build_root_datum
 from .schubert import (
     CSV_FIELDS,
     ClassificationReport,
@@ -29,6 +30,7 @@ from .schubert import (
     report_conventions,
 )
 from .weyl import (
+    ParabolicSubset,
     coset_counts_by_length,
     element_from_word,
     enumerate_coset_reps,
@@ -45,21 +47,6 @@ EXIT_INCONCLUSIVE = 3
 DEFAULT_MAX_ROWS = 200_000
 
 
-@dataclass
-class CliConfig:
-    subcommand: str
-    type: str
-    parabolic: Tuple[int, ...] = ()
-    word: Tuple[int, ...] = ()
-    max_length: Optional[int] = None
-    max_rows: int = DEFAULT_MAX_ROWS
-    format: str = "table"
-    coerce: bool = False
-    which: str = "all"
-    cap: int = weyl.DEFAULT_WORD_CAP
-    output: Optional[str] = None
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schubert-atlas",
@@ -68,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, with_word: bool, formats: Tuple[str, ...]) -> None:
+    def common(p, run, with_word: bool, formats: Tuple[str, ...]) -> None:
+        p.set_defaults(run=run)
         p.add_argument("--type", required=True, help="Cartan type, e.g. A4, G2, D5")
         p.add_argument(
             "--parabolic",
@@ -87,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
     p_classify = sub.add_parser("classify", help="classify a single X_{w,P}")
-    common(p_classify, with_word=True, formats=("json", "csv", "table"))
+    common(p_classify, run_classify, with_word=True, formats=("json", "csv", "table"))
     p_classify.add_argument(
         "--coerce",
         action="store_true",
@@ -96,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_survey = sub.add_parser("survey", help="classify every w in W^P up to a length cap")
-    common(p_survey, with_word=False, formats=("json", "csv", "table"))
+    common(p_survey, run_survey, with_word=False, formats=("json", "csv", "table"))
     p_survey.add_argument("--max-length", type=int, default=None)
     p_survey.add_argument(
         "--max-rows", type=int, default=DEFAULT_MAX_ROWS,
@@ -105,7 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_conj = sub.add_parser("conjectures", help="run reduced-word conjecture scans")
-    common(p_conj, with_word=False, formats=("json", "table"))
+    common(p_conj, run_conjectures, with_word=False, formats=("json", "table"))
+    p_conj.set_defaults(max_rows=DEFAULT_MAX_ROWS)
     p_conj.add_argument("--which", choices=("1", "2", "3", "all"), default="all")
     p_conj.add_argument("--max-length", type=int, default=None)
     p_conj.add_argument(
@@ -115,48 +104,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    max_length = getattr(args, "max_length", None)
-    if max_length is not None and max_length < 0:
-        raise InvalidInputError(f"--max-length must be at least 0, got {max_length}")
-    cap = getattr(args, "cap", weyl.DEFAULT_WORD_CAP)
-    if cap < 1:
-        raise InvalidInputError(f"--cap must be at least 1, got {cap}")
-    max_rows = getattr(args, "max_rows", DEFAULT_MAX_ROWS)
-    if max_rows < 1:
-        raise InvalidInputError(f"--max-rows must be at least 1, got {max_rows}")
-    return CliConfig(
-        subcommand=args.subcommand,
-        type=args.type,
-        parabolic=tuple(sorted(set(parse_word(args.parabolic)))),
-        word=parse_word(getattr(args, "word", "") or ""),
-        max_length=max_length,
-        max_rows=max_rows,
-        format=args.format,
-        coerce=getattr(args, "coerce", False),
-        which=getattr(args, "which", "all"),
-        cap=cap,
-        output=args.output,
-    )
-
-
-def _emit(cfg: CliConfig, text: str) -> None:
-    """Write to stdout, or to --output through a temp file beside it that
-    replaces it in one step, so a reader never sees a partial file."""
-    if not text.endswith("\n"):
-        text += "\n"
-    if not cfg.output:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _sink(path: Optional[str]) -> Iterator[TextIO]:
+    """Yield stdout, or a temp file beside ``path`` that replaces it in one
+    step on success and is removed on any exception, so a reader never sees
+    a partial file."""
+    if not path:
+        yield sys.stdout
+        sys.stdout.flush()  # a closed pipe raises here, inside main
         return
-    tmp = f"{cfg.output}.{os.getpid()}.tmp"
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, cfg.output)
+            yield fh
+        os.replace(tmp, path)
     except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-        raise InvalidInputError(f"cannot write {cfg.output}: {exc.strerror}") from None
+
+
+def _coset_walk(
+    datum: RootDatum, p: ParabolicSubset, args: argparse.Namespace, refusal: str
+) -> Tuple[int, Iterator[weyl.WeylElement]]:
+    """The length cap and the walk of W^P up to it.  A walk of more than
+    --max-rows elements, counted from the Poincare quotient before any is
+    built, is refused with ``refusal`` formatted with the count and bound."""
+    cap = len(datum.positives) if args.max_length is None else args.max_length
+    due = sum(coset_counts_by_length(datum, p)[: cap + 1])
+    if due > args.max_rows:
+        raise InvalidInputError(refusal.format(due, args.max_rows))
+    return cap, enumerate_coset_reps(datum, p, cap)
 
 
 def _report_table(report: ClassificationReport) -> str:
@@ -184,87 +163,67 @@ def _report_table(report: ClassificationReport) -> str:
     return "\n".join(lines)
 
 
-def run_classify(cfg: CliConfig) -> int:
-    datum = build_root_datum(cfg.type)
-    p = parabolic(datum, cfg.parabolic)
-    w = element_from_word(datum, cfg.word)
-    if w.length != len(cfg.word):
-        if not cfg.coerce:
-            print(
-                f"error: word not reduced (length {w.length} != {len(cfg.word)} "
-                "letters); pass --coerce to use the canonical reduced word",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
-    if cfg.coerce:
+def run_classify(args: argparse.Namespace, datum: RootDatum) -> int:
+    p = parabolic(datum, args.parabolic)
+    w = element_from_word(datum, args.word)
+    if w.length != len(args.word) and not args.coerce:
+        raise InvalidInputError(
+            f"word not reduced (length {w.length} != {len(args.word)} letters); "
+            "pass --coerce to use the canonical reduced word"
+        )
+    if args.coerce:
         w = min_coset_rep(w, p)
     try:
         inp = SchubertInput(datum=datum, parabolic=p, w=w)
     except NotMinimalCosetRepError as exc:
-        print(
-            f"error: w is not a minimal coset representative: alpha_{exc.violating_index} "
+        raise InvalidInputError(
+            f"w is not a minimal coset representative: alpha_{exc.violating_index} "
             f"(j={exc.violating_index} in I_P) is sent negative; pass --coerce "
-            "to project to W^P",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
+            "to project to W^P"
+        ) from None
     report = classify(inp)
-    if cfg.format == "json":
-        doc = report_to_dict(report)
-        doc["input_word"] = list(cfg.word)
-        doc["conventions"] = report_conventions(datum)
-        _emit(cfg, canonical_json(doc))
-    elif cfg.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        writer.writerow(csv_row(report))
-        _emit(cfg, buf.getvalue())
-    else:
-        _emit(cfg, _report_table(report))
+    with _sink(args.output) as out:
+        if args.format == "json":
+            doc = report_to_dict(report)
+            doc["input_word"] = list(args.word)
+            doc["conventions"] = report_conventions(datum)
+            out.write(canonical_json(doc) + "\n")
+        elif args.format == "csv":
+            writer = csv.DictWriter(out, fieldnames=CSV_FIELDS)
+            writer.writeheader()
+            writer.writerow(csv_row(report))
+        else:
+            out.write(_report_table(report) + "\n")
     return EXIT_OK
 
 
-def run_survey(cfg: CliConfig) -> int:
-    datum = build_root_datum(cfg.type)
-    p = parabolic(datum, cfg.parabolic)
-    cap = cfg.max_length
-    if cap is None:
-        cap = len(datum.positives)
-    rows_due = sum(coset_counts_by_length(datum, p)[: cap + 1])
-    if rows_due > cfg.max_rows:
-        print(
-            f"error: the survey has {rows_due} rows, more than --max-rows "
-            f"{cfg.max_rows}; lower --max-length or raise --max-rows",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
-    rows = [
-        csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w)))
-        for w in enumerate_coset_reps(datum, p, cap)
-    ]
-    if cfg.format == "json":
-        doc = {
-            "cartan_type": str(datum.cartan_type),
-            "parabolic_inside": list(cfg.parabolic),
-            "max_length": cap,
-            "rows": rows,
-            "conventions": report_conventions(datum),
-        }
-        _emit(cfg, canonical_json(doc))
-    elif cfg.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(cfg, buf.getvalue())
-    else:
-        header = ("word", "length", "b2", "b_top", "q_factorial", "factorial",
-                  "gorenstein", "fano", "c1")
-        lines = ["\t".join(header)]
-        for row in rows:
-            lines.append("\t".join(str(row[h]) for h in header))
-        _emit(cfg, "\n".join(lines))
+def run_survey(args: argparse.Namespace, datum: RootDatum) -> int:
+    p = parabolic(datum, args.parabolic)
+    cap, walk = _coset_walk(
+        datum, p, args, "the survey has {} rows, more than --max-rows {}; "
+        "lower --max-length or raise --max-rows",
+    )
+    rows = (csv_row(classify(SchubertInput(datum=datum, parabolic=p, w=w))) for w in walk)
+    with _sink(args.output) as out:
+        if args.format == "json":
+            doc = {
+                "cartan_type": str(datum.cartan_type),
+                "parabolic_inside": list(args.parabolic),
+                "max_length": cap,
+                "rows": list(rows),
+                "conventions": report_conventions(datum),
+            }
+            out.write(canonical_json(doc) + "\n")
+        elif args.format == "csv":
+            writer = csv.DictWriter(out, fieldnames=CSV_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
+        else:
+            header = ("word", "length", "b2", "b_top", "q_factorial", "factorial",
+                      "gorenstein", "fano", "c1")
+            out.write("\t".join(header) + "\n")
+            for row in rows:
+                out.write("\t".join(str(row[h]) for h in header) + "\n")
     return EXIT_OK
 
 
@@ -276,29 +235,16 @@ _CHECKERS = {
 _SIMPLY_LACED_ONLY = {1, 3}
 
 
-def run_conjectures(cfg: CliConfig) -> int:
-    datum = build_root_datum(cfg.type)
-    which = (1, 2, 3) if cfg.which == "all" else (int(cfg.which),)
+def run_conjectures(args: argparse.Namespace, datum: RootDatum) -> int:
+    which = (1, 2, 3) if args.which == "all" else (int(args.which),)
     for c in which:
         if c in _SIMPLY_LACED_ONLY and not datum.simply_laced:
-            print(
-                f"error: conjecture {c} is stated for simply-laced types only",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
-    cap = cfg.max_length
-    if cap is None:
-        cap = len(datum.positives)
-    borel = parabolic(datum, ())
-    due = sum(coset_counts_by_length(datum, borel)[: cap + 1])
-    if due > cfg.max_rows:
-        print(
-            f"error: the scan has {due} elements, more than {cfg.max_rows}; "
-            "lower --max-length",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
-    elements = list(enumerate_coset_reps(datum, borel, cap))
+            raise InvalidInputError(f"conjecture {c} is stated for simply-laced types only")
+    _, walk = _coset_walk(
+        datum, parabolic(datum, ()), args,
+        "the scan has {} elements, more than {}; lower --max-length",
+    )
+    elements = list(walk)
     reports = []
     for c in which:
         checker = _CHECKERS[c]
@@ -307,7 +253,7 @@ def run_conjectures(cfg: CliConfig) -> int:
         truncated = False
         verified = 0
         for w in elements:
-            frag = checker(w, cfg.cap)
+            frag = checker(w, args.cap)
             if frag.verified:
                 verified += 1
             counter.extend(
@@ -323,8 +269,8 @@ def run_conjectures(cfg: CliConfig) -> int:
             oracle.ConjectureReport(
                 conjecture=c,
                 cartan_type=str(datum.cartan_type),
-                length_cap=cfg.max_length,
-                word_cap=cfg.cap,
+                length_cap=args.max_length,
+                word_cap=args.cap,
                 elements_scanned=len(elements),
                 verified_count=verified,
                 counterexamples=tuple(counter),
@@ -332,21 +278,20 @@ def run_conjectures(cfg: CliConfig) -> int:
                 truncated=truncated,
             )
         )
-    if cfg.format == "json":
-        _emit(cfg, canonical_json({"reports": [asdict(r) for r in reports]}))
-    else:
-        lines = []
-        for r in reports:
-            status = "verified"
-            if r.counterexamples:
-                status = f"COUNTEREXAMPLES: {len(r.counterexamples)}"
-            elif r.truncated:
-                status = "inconclusive (truncated)"
-            lines.append(
-                f"conjecture {r.conjecture} on {r.cartan_type}: "
-                f"{r.verified_count}/{r.elements_scanned} elements, {status}"
-            )
-        _emit(cfg, "\n".join(lines))
+    with _sink(args.output) as out:
+        if args.format == "json":
+            out.write(canonical_json({"reports": [asdict(r) for r in reports]}) + "\n")
+        else:
+            for r in reports:
+                status = "verified"
+                if r.counterexamples:
+                    status = f"COUNTEREXAMPLES: {len(r.counterexamples)}"
+                elif r.truncated:
+                    status = "inconclusive (truncated)"
+                out.write(
+                    f"conjecture {r.conjecture} on {r.cartan_type}: "
+                    f"{r.verified_count}/{r.elements_scanned} elements, {status}\n"
+                )
     if any(r.counterexamples for r in reports):
         return EXIT_COUNTEREXAMPLE
     if any(r.truncated or r.manual_review for r in reports):
@@ -355,18 +300,25 @@ def run_conjectures(cfg: CliConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.subcommand == "classify":
-            return run_classify(cfg)
-        if cfg.subcommand == "survey":
-            return run_survey(cfg)
-        return run_conjectures(cfg)
+        for flag, low in (("max_length", 0), ("cap", 1), ("max_rows", 1)):
+            value = getattr(args, flag, None)
+            if value is not None and value < low:
+                raise InvalidInputError(
+                    f"--{flag.replace('_', '-')} must be at least {low}, got {value}"
+                )
+        args.parabolic = tuple(sorted(set(parse_word(args.parabolic))))
+        args.word = parse_word(getattr(args, "word", ""))
+        return args.run(args, build_root_datum(args.type))
     except SchubertAtlasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # The reader closed stdout: point fd 1 at devnull so that the flush
+        # at exit cannot fail again (the SIGPIPE recipe of the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INCONCLUSIVE
 
 
 if __name__ == "__main__":

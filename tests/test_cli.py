@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schubert_atlas import cli, schubert
+from schubert_atlas.errors import InternalError
 
 from helpers import coset_length_counts
 
@@ -188,6 +189,68 @@ def test_output_leaves_no_temp_file(tmp_path, capsys):
     )
     assert code == 2 and err.startswith("error:")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "taken"]
+
+
+@pytest.mark.parametrize("exc", [InternalError("boom"), KeyboardInterrupt()],
+                         ids=["internal-error", "keyboard-interrupt"])
+def test_failure_mid_survey_leaves_no_file(exc, tmp_path, capsys, monkeypatch):
+    """A survey to --output that fails on its 5th row leaves neither the
+    target nor the temp file: a SchubertAtlasError exits 2 with one error
+    line, and anything else propagates."""
+    calls = []
+
+    def classify(inp):
+        calls.append(inp)
+        if len(calls) == 5:
+            raise exc
+        return schubert.classify(inp)
+
+    monkeypatch.setattr(cli, "classify", classify)
+    argv = ("survey", "--type", "A3", "--format", "csv", "--output", str(tmp_path / "out"))
+    if isinstance(exc, InternalError):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: boom\n"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(list(argv))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_survey_rows_stream_as_they_are_classified(monkeypatch):
+    """Survey CSV rows reach stdout while later elements are still being
+    classified, not after the last one."""
+    out, written = io.StringIO(), []
+
+    def classify(inp):
+        written.append(out.tell())
+        return schubert.classify(inp)
+
+    monkeypatch.setattr(cli, "classify", classify)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["survey", "--type", "A3", "--format", "csv"]) == 0
+    assert len(written) == 24
+    header = len(",".join(schubert.CSV_FIELDS)) + 2
+    assert written[0] == header and written[-1] > header, written
+
+
+def test_closed_stdout_pipe_exits_inconclusive():
+    """A reader that closes the pipe after one line ends the survey with exit
+    3 and no traceback, long before the D5 survey would finish."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    with subprocess.Popen(
+        [sys.executable, "-m", "schubert_atlas.cli", "survey", "--type", "D5",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        assert proc.stdout.readline().decode().rstrip() == ",".join(schubert.CSV_FIELDS)
+        proc.stdout.close()
+        assert proc.wait(timeout=10) == 3
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err, err
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize(
@@ -558,10 +621,23 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
          "ff6005c117bce86bb815adad9e1bdb7f16f5a2b727646c47cce4c1d7fff40c80"),
         (("survey", "--type", "C3", "--parabolic", "3"), 0,
          "c66ecac7ac1f1ab530f95fc560724b40d8199eacd6b4b18b67fea0be1818a1a8"),
+        (("classify", "--type", "E7", "--parabolic", "7", "--word", _E7_WORD,
+          "--coerce", "--format", "table"), 0,
+         "6964026b59d9277c24d622125d28e431c0c4e4c73bafcde8460cf7ff9336debc"),
+        (("classify", "--type", "E7", "--parabolic", "7", "--word", _E7_WORD,
+          "--coerce", "--format", "csv"), 0,
+         "2278dfe2e823989f11bd3f26f4a652cc3a7ff6af288e7c9da3a5a9aa8b555aa0"),
+        (("survey", "--type", "C3", "--parabolic", "3", "--format", "table"), 0,
+         "ddf921153f8b6e5af845574ad36cd02826233ea0b101146cc37d56cd98b9b994"),
+        (("survey", "--type", "D4", "--format", "csv"), 0,
+         "6b24b35a60c6381fc7bc403b6a7959e77b9457bd7bfc9b373c64682b7201153e"),
+        (("conjectures", "--type", "B3", "--which", "2", "--format", "table"), 1,
+         "48d5f23243bc2b12c2828fc5db779e2758001f84daabc7be00129662586bb180"),
     ],
     ids=["conj-A4-all", "conj-D4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
          "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
-         "survey-C3-P3"],
+         "survey-C3-P3", "classify-E7-coerce-table", "classify-E7-coerce-csv",
+         "survey-C3-P3-table", "survey-D4-csv", "conj-B3-2-table"],
 )
 def test_golden_output_bytes(args, code, digest, capsys):
     """Exit code and sha256 of the output, JSON unless the case names its
