@@ -236,6 +236,10 @@ _SIMPLY_LACED_ONLY = {1, 3}
 
 
 def run_conjectures(args: argparse.Namespace, datum: RootDatum) -> int:
+    if args.parabolic:
+        raise InvalidInputError(
+            "conjectures scans all of W and takes no --parabolic; leave it empty"
+        )
     which = (1, 2, 3) if args.which == "all" else (int(args.which),)
     for c in which:
         if c in _SIMPLY_LACED_ONLY and not datum.simply_laced:

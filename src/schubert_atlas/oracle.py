@@ -3,8 +3,11 @@ desk-scale scanners for three reduced-word conjectures.
 
 Everything here recomputes from raw definitions: lengths are inversion
 counts of freshly multiplied matrices, cover membership is a literal
-length-drop test, and reduced words are enumerated rather than reasoned
-about.  Slow on purpose.
+length-drop test, and reduced words are enumerated one by one rather than
+reasoned about.  Nothing here uses the indecomposability logic of
+``schubert.cover_coroots``.  The definitions stay raw, but nothing is slow
+on purpose: the reduced-word walk builds each step once per element, and
+each recount stops at the first nonzero coordinate of an image.
 """
 
 from __future__ import annotations

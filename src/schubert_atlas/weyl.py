@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Sequence, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRangeError,
@@ -103,7 +104,16 @@ def _apply(matrix: Matrix, v: Sequence[int]) -> CorootVec:
 
 
 def _count_inversions(datum: RootDatum, matrix: Matrix) -> int:
-    return sum(_vec_is_negative(_apply(matrix, c)) for c in datum.positive_coroots)
+    # the positive coroots c with M c negative; the image is +-(a positive
+    # coroot), so its first nonzero coordinate decides and the rest is skipped
+    count = 0
+    for c in datum.positive_coroots:
+        for row in matrix:
+            x = sum(map(mul, row, c))
+            if x:
+                count += x < 0
+                break
+    return count
 
 
 def _left_descents(datum: RootDatum, x: Sequence[int]) -> Iterator[int]:
@@ -148,12 +158,8 @@ def element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    n = a.datum.rank
-    bm = b.matrix
-    matrix = tuple(
-        tuple(sum(row[k] * bm[k][j] for k in range(n)) for j in range(n))
-        for row in a.matrix
-    )
+    cols = tuple(zip(*b.matrix))
+    matrix = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.matrix)
     return WeylElement(a.datum, matrix, _count_inversions(a.datum, matrix))
 
 
@@ -387,18 +393,52 @@ def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, 
     """All distinct reduced words of w, each with its inversion sequence, by
     right-descent recursion.  The product x of the letters peeled so far is
     carried by its columns: w x has right descent i exactly when
-    x(alpha_i^vee) is an inversion coroot of w, which s_i then realizes."""
+    x(alpha_i^vee) is an inversion coroot of w, which s_i then realizes.
+
+    The words come lazily, in the order of the plain recursion: depth
+    first, the peeled letters ascending at each step.  The walk keeps one
+    stack of step iterators and the letters and coroots peeled so far, and
+    builds a word's tuples only at its leaf.  The steps (i, x(alpha_i^vee),
+    x s_i) out of each x are built once per call and kept in a dict local
+    to it; the x are elements of the right weak-order interval below w^-1,
+    and the dict holds only those the walk has reached, at most l(w) per
+    word yielded, so a caller that stops after a capped number of words
+    also caps its memory."""
     cartan = w.datum.cartan
     inversions = frozenset(canonical_record(w)[1])
+    memo: Dict[Matrix, tuple] = {}
 
-    def walk(cols: Matrix, word: Word, seq: Tuple[CorootVec, ...]):
-        if len(word) == w.length:
-            yield word, seq
-        for i, c in enumerate(cols, 1):
-            if c in inversions:
-                yield from walk(_times_simple(cartan, cols, i), (i,) + word, seq + (c,))
+    def steps(cols: Matrix) -> Tuple[Tuple[int, CorootVec, Matrix], ...]:
+        return tuple(
+            (i, c, _times_simple(cartan, cols, i))
+            for i, c in enumerate(cols, 1)
+            if c in inversions
+        )
 
-    yield from walk(identity(w.datum.rank), (), ())
+    if w.length == 0:
+        yield (), ()
+        return
+    letters: List[int] = []
+    coroots: List[CorootVec] = []
+    stack = [iter(steps(identity(w.datum.rank)))]
+    while stack:
+        for i, c, cols in stack[-1]:
+            letters.append(i)
+            coroots.append(c)
+            if len(letters) < w.length:
+                nxt = memo.get(cols)
+                if nxt is None:
+                    nxt = memo[cols] = steps(cols)
+                stack.append(iter(nxt))
+                break
+            yield tuple(reversed(letters)), tuple(coroots)
+            letters.pop()
+            coroots.pop()
+        else:
+            stack.pop()
+            if letters:
+                letters.pop()
+                coroots.pop()
 
 
 def parse_word(text: str) -> Word:

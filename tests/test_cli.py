@@ -514,6 +514,25 @@ def test_conjectures_refuses_csv_format(capsys):
     assert "--format" in line and "'csv'" in line
 
 
+@pytest.mark.parametrize("inside", ["9", "1", "1 3"])
+def test_conjectures_refuses_parabolic(inside, tmp_path, capsys, monkeypatch):
+    """The scans walk all of W, so a non-empty --parabolic, in range or
+    not, is refused before anything is enumerated: exit 2, one error line,
+    nothing on stdout and no --output file.  An empty one is the Borel."""
+    monkeypatch.setattr(cli, "enumerate_coset_reps", lambda *args: pytest.fail("walked"))
+    for output in ((), ("--output", str(tmp_path / "out"))):
+        code, out, err = run(
+            capsys, "conjectures", "--type", "A3", "--parabolic", inside, "--which", "2",
+            *output,
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error:") and "--parabolic" in line
+    assert os.listdir(tmp_path) == []
+    monkeypatch.undo()
+    assert run(capsys, "conjectures", "--type", "A3", "--parabolic", " ", "--which", "2")[0] == 0
+
+
 # --- the whole CLI, fuzzed -----------------------------------------------------
 
 _FUZZ_TYPES = (

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,35 @@ def test_reflection_element_matches_conjugation(datum):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("type_str", ["B3", "C3", "G2", "F4", "E6", "E8"])
+def test_multiply_and_reflection_lengths_match_inversion_count(type_str):
+    """The lengths that ``multiply`` and ``reflection_element`` count from a
+    fresh product matrix are the number of positive coroots it sends
+    negative, counted here from whole images: on 20 seeded pairs of words
+    that need not be reduced, whose product is also read as one word, and
+    on the reflection of every positive coroot of a fresh datum, whose
+    entries go above 1 in each of these types."""
+    d = sa.build_root_datum(type_str)
+    rng = random.Random(f"multiply-{type_str}")
+
+    def inversions(w):
+        return sum(any(x < 0 for x in act(w, c)) for c in d.positive_coroots)
+
+    def word():
+        return tuple(rng.randint(1, d.rank) for _ in range(rng.randint(0, len(d.positives))))
+
+    for _ in range(20):
+        left, right = word(), word()
+        product = weyl.multiply(el(d, left), el(d, right))
+        assert product.length == inversions(product), (left, right)
+        assert product == el(d, left + right), (left, right)
+        assert product.length == el(d, left + right).length, (left, right)
+    assert any(max(c) > 1 for c in d.positive_coroots)
+    for c in d.positive_coroots:
+        r = sa.reflection_element(d, c)
+        assert r.length == inversions(r), c
+
+
 # --- enumeration ---------------------------------------------------------------
 
 
@@ -495,6 +525,29 @@ def test_walks_match_word_carrying_references_on_random_words(
     rng = random.Random(type_str)
     for _ in range(count):
         _assert_walks_match_references(_random_reduced_element(d, rng, length), with_words)
+
+
+def test_reduced_words_come_lazily_in_reference_order_on_e7_and_e8(datum):
+    """On the seeded length-16 E7 elements above, the first 2,000 pairs of
+    (reduced word, inversion sequence) are the reference recursion's first
+    2,000, in its order.  The first word of the E8 longest element, one of
+    an astronomical number of 120-letter words, comes back at once and is
+    the reference's first, so the walk yields before it has seen them all."""
+    d = datum("E7")
+    rng = random.Random("E7")
+    for _ in range(10):
+        w = _random_reduced_element(d, rng, 16)
+        head = list(itertools.islice(weyl.iter_reduced_words(w), 2000))
+        assert len(head) == 2000
+        assert head == list(itertools.islice(reduced_words_reference(w), 2000)), (
+            sa.canonical_reduced_word(w)
+        )
+    w0 = longest_element(datum("E8"))
+    start = time.perf_counter()
+    first = next(weyl.iter_reduced_words(w0))
+    assert time.perf_counter() - start < 0.5
+    assert len(first[0]) == 120
+    assert first == next(reduced_words_reference(w0))
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
