@@ -188,7 +188,9 @@ def check_rightmost_indecomposable(
 ) -> ConjectureFragment:
     """Conjecture 3: for every support letter k and *every* reduced word
     realizing the minimal rightmost distance, the suffix-transported coroot
-    is indecomposable.  Simply-laced only."""
+    is indecomposable.  Simply-laced only, where the height argument of
+    ``schubert.build_B_wB`` proves it (the letters after the rightmost s_k
+    avoid k on every such word); this scan stays as the brute-force check."""
     datum = w.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError("rightmost scan needs a simply-laced type")

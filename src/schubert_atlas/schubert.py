@@ -137,6 +137,7 @@ class ClassificationReport:
     picard_matrix: Optional[LabeledMatrix] = None
     q_factorial: bool = True
     factorial: bool = True
+    # the determinant; ``report_to_dict`` adds the invariant factors
     factorial_evidence: Mapping[str, object] = field(default_factory=dict)
     basis: Optional[AdaptedBasis] = None
     m_matrix: Optional[LabeledMatrix] = None
@@ -276,11 +277,10 @@ def classify_factorial(
     """(Q-factorial, factorial, evidence) from the Picard matrix of ``inp``.
 
     Q-factorial iff the cover set is square against I^P_w; factorial
-    additionally needs determinant +-1.  In simply-laced types the two must
-    agree, and a violation is a hard internal error.
+    additionally needs determinant +-1, the evidence.  In simply-laced types
+    the two must agree, and a violation is a hard internal error.
     """
     evidence: Dict[str, object] = {}
-    evidence["invariant_factors"] = exactlinalg.smith_normal_form(pic.entries)
     q_fact = len(pic.row_labels) == len(pic.col_labels)
     factorial = False
     if q_fact:
@@ -298,40 +298,40 @@ def classify_factorial(
 def build_B_wB(
     inp: SchubertInput, sets: CorootSets, reverse_ties: bool = False
 ) -> AdaptedBasis:
-    """The adapted coroot basis of the Borel-case cover set (simply-laced),
-    read off the coroot record ``sets`` of ``inp``.
+    """The adapted coroot basis over the Cartier indices I^P_w (the support
+    when P = B) of a simply-laced ``inp``, read off its coroot record.
 
-    For each k in the support, take the coroot that the rightmost occurrence
-    of s_k realizes (``rightmost_distance``) and, while it decomposes,
-    descend into the summand with unit k-th coefficient of its first
-    witness, or its last with ``reverse_ties``.
-    Entries are ordered by ascending rightmost distance, ties by index.
+    mu(k) is the coroot that the rightmost s_k realizes
+    (``rightmost_distance``); entries go by ascending distance d, ties by
+    index, descending with ``reverse_ties``.  mu(k) is an indecomposable
+    inversion coroot with mu(k)_k = 1, so no descent through decompositions
+    is needed.  Proof: let N(w) be the inversion coroots and h the least
+    height of a gamma in N(w) with gamma_k = 1.
+    - mu(k) = x(alpha_k^vee), x the d - 1 peeled letters, none of them k
+      (the walk stops before s_k is peeled).  s_j, j != k, keeps the k-th
+      coefficient at 1, so it moves the height by -<alpha_j, .> in {-1, 0, 1}
+      (simply laced): mu(k)_k = 1 and h <= ht mu(k) <= d.
+    - d <= h, by induction on h; h = 1 makes k a right descent.  If h > 1
+      and gamma reaches it, 2 = <gamma, gamma> = sum_j gamma_j <alpha_j,
+      gamma> with <alpha_k, gamma> <= 1 gives j != k, <alpha_j, gamma> = 1.
+      gamma - alpha_j^vee is too low to be in N(w), which is co-closed, so
+      alpha_j^vee is: j is a right descent.  N(w s_j) = s_j(N(w) - alpha_j^vee)
+      has least height h - 1, at s_j(gamma); a reduced word of w s_j with
+      its rightmost s_k at distance <= h - 1, then s_j, is one of w.
+    So ht mu(k) = h, and a split mu(k) = mu + mu' in N(w) would leave one
+    summand with unit k-th coefficient below height h.  Both are re-checked.
     """
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
-    decomposable = sets.decomposable
     entries: List[Tuple[int, int, CorootVec]] = []  # (d, k, coroot)
-    for k in sets.support_B:
-        d, current = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
-        if current[k - 1] != 1:
+    for k in sets.support_P:
+        d, mu = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
+        if mu[k - 1] != 1 or mu in sets.decomposable:
             raise InternalError(
-                f"rightmost coroot {current} lacks unit coefficient at {k}"
+                f"rightmost coroot {mu} at {k} is decomposable or not unit there"
             )
-        while current in decomposable:
-            wit = decomposable[current][-1 if reverse_ties else 0]
-            if wit.c != 1:
-                raise InternalError(
-                    f"decomposition scale {wit.c} != 1 in simply-laced type"
-                )
-            unit = [m for m in (wit.mu, wit.mu_prime) if m[k - 1] == 1]
-            if len(unit) != 1:
-                raise InternalError(
-                    f"summand with unit coefficient at {k} is not unique "
-                    f"for {current}: {wit}"
-                )
-            current = unit[0]
-        entries.append((d, k, current))
+        entries.append((d, k, mu))
     entries.sort(key=lambda t: (t[0], -t[1]) if reverse_ties else (t[0], t[1]))
     basis = AdaptedBasis(entries=tuple((k, c) for _, k, c in entries))
     _assert_unipotent_lower(basis)
@@ -347,11 +347,6 @@ def _assert_unipotent_lower(basis: AdaptedBasis) -> None:
                 raise InternalError(f"diagonal entry {val} != 1 in adapted basis")
             if c > r and val != 0:
                 raise InternalError("adapted basis matrix is not lower-triangular")
-
-
-def restrict_basis(basis: AdaptedBasis, keys: Sequence[int]) -> AdaptedBasis:
-    keep = set(keys)
-    return AdaptedBasis(entries=tuple((k, c) for k, c in basis.entries if k in keep))
 
 
 def p_adapt(
@@ -595,8 +590,7 @@ def classify(inp: SchubertInput, reverse_ties: bool = False) -> ClassificationRe
     sets = cover_coroots(inp)
     basis = None
     if inp.datum.simply_laced:
-        borel = build_B_wB(inp, sets, reverse_ties=reverse_ties)
-        basis = p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
+        basis = p_adapt(inp, build_B_wB(inp, sets, reverse_ties=reverse_ties), sets)
     return gorenstein_fano_report(inp, sets, basis)
 
 
@@ -635,7 +629,9 @@ def _matrix_dict(m: Optional[LabeledMatrix], rational: bool) -> Optional[dict]:
 
 
 def report_to_dict(report: ClassificationReport) -> dict:
-    """Canonical JSON-ready form of a report; rationals become "p/q" strings."""
+    """Canonical JSON-ready form of a report; rationals become "p/q" strings.
+    The Picard invariant factors are computed here: no verdict reads them."""
+    factors = exactlinalg.smith_normal_form(report.picard_matrix.entries)
     hat = None
     if report.hat_n is not None:
         hat = {
@@ -658,8 +654,7 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "q_factorial": report.q_factorial,
         "factorial": report.factorial,
         "factorial_evidence": {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in report.factorial_evidence.items()
+            "invariant_factors": list(factors), **report.factorial_evidence
         },
         "basis": None
         if report.basis is None

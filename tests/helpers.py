@@ -474,6 +474,12 @@ def rightmost_reference(w, k, reverse_ties=False):
 # --- round-restarting parabolic adaptation ---------------------------------
 
 
+def restrict_basis(basis, keys):
+    """The entries of ``basis`` whose key is among ``keys``, in order."""
+    keep = set(keys)
+    return sa.AdaptedBasis(entries=tuple((k, c) for k, c in basis.entries if k in keep))
+
+
 def p_adapt_reference(inp, basis, sets):
     """Parabolic adaptation by rounds: each round rescans the keys from the
     smallest and moves the first mu(k0) with s_{mu(k0)}(alpha_j^vee) in the

@@ -352,7 +352,8 @@ def test_simply_laced_structure_suite(datum):
                 )
                 report = sa.classify(inp)
                 # saturation: all invariant factors are 1
-                factors = report.factorial_evidence["invariant_factors"]
+                evidence = schubert.report_to_dict(report)["factorial_evidence"]
+                factors = evidence["invariant_factors"]
                 assert set(factors) <= {1}, (type_str, w, inside)
                 assert report.q_factorial == report.factorial
                 if w.is_identity:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_atlas import cli, schubert
+from schubert_atlas import cli, exactlinalg, schubert
 from schubert_atlas.errors import InternalError
 
 from helpers import coset_length_counts
@@ -232,6 +232,31 @@ def test_survey_rows_stream_as_they_are_classified(monkeypatch):
     assert len(written) == 24
     header = len(",".join(schubert.CSV_FIELDS)) + 2
     assert written[0] == header and written[-1] > header, written
+
+
+def test_survey_rows_do_no_work_they_do_not_read(capsys, monkeypatch):
+    """Survey rows are CSV rows in every format: they hold no invariant
+    factors and no adapted basis over letters of I_P, so no Smith normal
+    form and no rightmost walk for such a letter runs, and the bytes are
+    those of an unpatched run."""
+    argv = ("survey", "--type", "E6", "--parabolic", "1 2 3 4 5", "--format")
+    formats = ("csv", "json", "table")
+    expected = {fmt: run(capsys, *argv, fmt) for fmt in formats}
+
+    def refuse(m):
+        raise AssertionError("a survey row ran the Smith normal form")
+
+    walk, letters = schubert.rightmost_distance, set()
+
+    def record(w, k, *args, **kwargs):
+        letters.add(k)
+        return walk(w, k, *args, **kwargs)
+
+    monkeypatch.setattr(exactlinalg, "smith_normal_form", refuse)
+    monkeypatch.setattr(schubert, "rightmost_distance", record)
+    for fmt in formats:
+        assert run(capsys, *argv, fmt) == expected[fmt], fmt
+    assert letters == {6}
 
 
 def test_closed_stdout_pipe_exits_inconclusive():
@@ -652,11 +677,20 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
          "6b24b35a60c6381fc7bc403b6a7959e77b9457bd7bfc9b373c64682b7201153e"),
         (("conjectures", "--type", "B3", "--which", "2", "--format", "table"), 1,
          "48d5f23243bc2b12c2828fc5db779e2758001f84daabc7be00129662586bb180"),
+        # invariant factors (1, 3), (1, 2, 2), and a non-square Picard matrix
+        (("classify", "--type", "G2", "--word", "2 1 2"), 0,
+         "421c30716bcbfab13b6f8e7b179eb4e8f7f58ad56055c08e3e415f1c3e71d39e"),
+        (("classify", "--type", "B3", "--word", "3 2 1 3 2 3"), 0,
+         "e6ac865b28a9a106f687b599aca8a182ffb2a5f9ed3ade6d35e687a7dee40d80"),
+        (("classify", "--type", "D5", "--parabolic", "1 2", "--word",
+          "1 2 3 4 5 3 2 1", "--coerce"), 0,
+         "bc7947ab2087985c73e1a384c6742cd1bb565ac37d5686fcd14031581e615cdf"),
     ],
     ids=["conj-A4-all", "conj-D4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
          "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
          "survey-C3-P3", "classify-E7-coerce-table", "classify-E7-coerce-csv",
-         "survey-C3-P3-table", "survey-D4-csv", "conj-B3-2-table"],
+         "survey-C3-P3-table", "survey-D4-csv", "conj-B3-2-table", "classify-G2",
+         "classify-B3", "classify-D5-P12-coerce"],
 )
 def test_golden_output_bytes(args, code, digest, capsys):
     """Exit code and sha256 of the output, JSON unless the case names its

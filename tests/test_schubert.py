@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from helpers import (
     mat_mul,
     p_adapt_reference,
     reorder_matrix,
+    restrict_basis,
+    rightmost_reference,
     schubert_input,
 )
 
@@ -304,6 +307,47 @@ def test_build_B_wB_d4_example(datum):
     }
 
 
+def _assert_rightmost_coroot_is_least_unit_height(w):
+    """The height theorem behind ``build_B_wB``: for every support letter k
+    the rightmost distance is the least height h of an inversion coroot
+    with unit k-th coefficient, and under both tie orders the walk's coroot
+    has height h and is indecomposable."""
+    d = w.datum
+    inv = weyl.canonical_record(w)[1]
+    inp = sa.SchubertInput(datum=d, parabolic=sa.parabolic(d, ()), w=w)
+    decomposable = sa.cover_coroots(inp).decomposable
+    for k in weyl.support(w):
+        h = min(sa.height(g) for g in inv if g[k - 1] == 1)
+        where = (sa.canonical_reduced_word(w), k)
+        assert rightmost_reference(w, k)[0] == h, where
+        for reverse_ties in (False, True):
+            dist, mu = sa.rightmost_distance(w, k, reverse_ties)
+            assert (dist, sa.height(mu)) == (h, h), (where, reverse_ties)
+            assert mu not in decomposable, (where, reverse_ties)
+
+
+@pytest.mark.parametrize("type_str", ["A4", "D4", "D5"])
+def test_rightmost_coroot_is_least_unit_height_on_borel(type_str, datum):
+    d = datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, ()), len(d.positives)):
+        _assert_rightmost_coroot_is_least_unit_height(w)
+
+
+@pytest.mark.parametrize("type_str", ["E6", "E7", "E8"])
+def test_rightmost_coroot_is_least_unit_height_on_random_words(type_str, datum):
+    """Seeded walks up the right weak order (up to 40 letters drawn,
+    descents skipped)."""
+    d = datum(type_str)
+    rng = random.Random(f"height-{type_str}")
+    for _ in range(20):
+        w = weyl.identity_element(d)
+        for _ in range(rng.randint(1, 40)):
+            i = rng.randint(1, d.rank)
+            if not weyl.has_right_descent(w, i):
+                w = weyl.right_mul_simple(w, i)
+        _assert_rightmost_coroot_is_least_unit_height(w)
+
+
 def test_build_B_wB_rejects_non_simply_laced(datum):
     inp = schubert_input(datum("G2"), (), (1, 2))
     with pytest.raises(NotSimplyLacedError):
@@ -316,7 +360,7 @@ def test_p_adapt_a4_example(datum):
     borel = sa.build_B_wB(inp_b, sa.cover_coroots(inp_b))
     inp = schubert_input(a4, (4,), (3, 4, 1, 2, 3))
     sets = sa.cover_coroots(inp)
-    adapted = sa.p_adapt(inp, schubert.restrict_basis(borel, sets.support_P), sets)
+    adapted = sa.p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
     assert dict(adapted.entries) == {
         3: (0, 0, 1, 1),
         2: (0, 1, 1, 1),
@@ -340,7 +384,7 @@ def test_p_adapt_d5_maximal_parabolic(datum):
     sets = sa.cover_coroots(inp)
     inp_b = schubert_input(d5, (), (2, 3, 1, 2, 3, 4, 5, 3))
     borel = sa.build_B_wB(inp_b, sa.cover_coroots(inp_b))
-    adapted = sa.p_adapt(inp, schubert.restrict_basis(borel, sets.support_P), sets)
+    adapted = sa.p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
     assert adapted.keys == (3,)
     from schubert_atlas import oracle
 
@@ -359,7 +403,8 @@ def test_p_adapt_d5_maximal_parabolic(datum):
 )
 def test_p_adapt_matches_round_scan(type_str, parabolics, reverse_ties, datum):
     """The per-key adaptation makes the picks of the round-restarting scan
-    on every element of W^P, and some of those picks move a coroot."""
+    on every element of W^P, and some of those picks move a coroot.  The
+    basis it starts from is the Borel basis of w restricted to I^P_w."""
     d = datum(type_str)
     moved = 0
     for inside in parabolics:
@@ -367,8 +412,10 @@ def test_p_adapt_matches_round_scan(type_str, parabolics, reverse_ties, datum):
         for w in sa.enumerate_coset_reps(d, p, len(d.positives)):
             inp = sa.SchubertInput(datum=d, parabolic=p, w=w)
             sets = sa.cover_coroots(inp)
-            borel = sa.build_B_wB(inp, sets, reverse_ties=reverse_ties)
-            start = schubert.restrict_basis(borel, sets.support_P)
+            start = sa.build_B_wB(inp, sets, reverse_ties=reverse_ties)
+            inp_b = sa.SchubertInput(datum=d, parabolic=sa.parabolic(d, ()), w=w)
+            borel = sa.build_B_wB(inp_b, sa.cover_coroots(inp_b), reverse_ties)
+            assert start == restrict_basis(borel, sets.support_P)
             adapted = sa.p_adapt(inp, start, sets)
             assert adapted.entries == p_adapt_reference(inp, start, sets).entries
             moved += adapted.entries != start.entries
