@@ -139,7 +139,7 @@ def _coset_walk(
 
 
 def _report_table(report: ClassificationReport) -> str:
-    doc = report_to_dict(report)
+    doc = schubert.report_fields(report)
     lines = []
     order = (
         "cartan_type", "parabolic_inside", "word", "length", "regime",

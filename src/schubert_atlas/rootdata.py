@@ -80,9 +80,7 @@ def _edges(ct: CartanType) -> List[Tuple[int, int]]:
     """Dynkin diagram edges as 0-based node pairs (without multiplicity)."""
     n = ct.rank
     chain = [(i, i + 1) for i in range(n - 1)]
-    if ct.family in ("A", "B", "C", "G"):
-        return chain
-    if ct.family == "F":
+    if ct.family in ("A", "B", "C", "F", "G"):
         return chain
     if ct.family == "D":
         return [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]

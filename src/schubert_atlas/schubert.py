@@ -401,24 +401,34 @@ def p_adapt(
     return adapted
 
 
-def _ht_plus_one(coroots: Sequence[CorootVec]) -> Tuple[int, ...]:
-    return tuple(height(c) + 1 for c in coroots)
-
-
-def _anticanonical(
-    datum: RootDatum,
-    n_entries: Sequence[Sequence[int | Fraction]],
-    keys: Sequence[int],
-    coroots: Sequence[CorootVec],
-) -> Tuple[Tuple[int | Fraction, ...], Tuple[int | Fraction, ...]]:
-    """(hat-n, c1) from N = M^-1: hat-n = N (ht + 1) over the coroots that
-    label the columns of N, and c1 = sum of hat-n_k omega_k over the keys.
-    An integer N gives integers, a rational N gives Fractions."""
-    h1 = _ht_plus_one(coroots)
-    hat = tuple(sum(x * y for x, y in zip(row, h1)) for row in n_entries)
-    hat_by_key = dict(zip(keys, hat))
-    c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
-    return hat, c1
+_PROVENANCE: Dict[str, Dict[str, str]] = {
+    "point": {
+        "gorenstein": "point: every status trivially affirmative",
+        "fano": "point: every status trivially affirmative",
+    },
+    "simply_laced": {
+        "gorenstein": "unit defect of hat-n pairing on every cover coroot "
+        "outside the adapted basis (simply-laced criterion)",
+        "q_gorenstein": "equivalent to Gorenstein in simply-laced types",
+        "fano": "Gorenstein with strictly positive hat-n vector",
+        "q_gorenstein_fano": "equivalent to Fano in simply-laced types",
+    },
+    "q_factorial_general": {
+        "gorenstein": "integrality of the rational hat-n vector "
+        "(Q-factorial criterion)",
+        "q_gorenstein": "Q-factorial varieties are Q-Gorenstein",
+        "fano": "Gorenstein with strictly positive hat-n vector",
+        "q_gorenstein_fano": "strictly positive rational hat-n vector",
+    },
+    "general_undetermined": {
+        "gorenstein": "no criterion covers non-simply-laced, non-Q-factorial "
+        "inputs; reported as undetermined",
+        "q_gorenstein": "no criterion covers non-simply-laced, non-Q-factorial "
+        "inputs; reported as undetermined",
+        "fano": "undetermined without a Gorenstein determination",
+        "q_gorenstein_fano": "undetermined without a Q-Gorenstein determination",
+    },
+}
 
 
 def gorenstein_fano_report(
@@ -428,9 +438,18 @@ def gorenstein_fano_report(
 ) -> ClassificationReport:
     """Complete the classification: statuses, hat-n vector, anticanonical class.
 
-    Three regimes: simply-laced (adapted-basis matrix, integral), general
-    Q-factorial (full cover matrix, rational), and general non-Q-factorial
-    (statuses undetermined; no criterion is pinned there).
+    One criterion (Chevalley formula; Brion-Kumar 2005): -K = sum (ht eta
+    + 1) D_eta over R+_{w,P} is Cartier iff P c = (ht + 1) has an integer
+    solution c, and then c1 = sum c_k omega_k.  The rows of the solve are
+    the adapted basis (simply-laced) or all of R+_{w,P} (Q-factorial), so M
+    is square and hat-n = M^-1 (ht + 1) solves them.  Q-Gorenstein iff
+    every cover coroot outside the rows has defect <hat-n, eta> - ht eta =
+    1; Gorenstein iff also hat-n is integral; Fano iff also hat-n > 0;
+    Q-Gorenstein-Fano iff Q-Gorenstein and hat-n > 0; c1 is reported iff
+    Q-Gorenstein.  Each old criterion is a special case: a simply-laced M is
+    unimodular, so the unit defect decides alone; a Q-factorial solve leaves
+    no coroot outside the rows, so the integrality of hat-n decides.
+    Non-simply-laced, non-Q-factorial inputs are undetermined.
     """
     datum = inp.datum
     if (basis is not None) != datum.simply_laced:
@@ -440,16 +459,18 @@ def gorenstein_fano_report(
     pic = picard_matrix(inp, sets)
     q_fact, factorial, evidence = classify_factorial(inp, pic)
     ks = sets.support_P
-    weil = _ht_plus_one(sets.cover_P)
-    prov: Dict[str, str] = {
-        "q_factorial": "cover-set size equals Cartier index count (b_top == b2)",
-        "factorial": "square divisor pairing matrix with determinant +-1",
-    }
+    if inp.w.is_identity:
+        regime = "point"
+    elif datum.simply_laced:
+        regime = "simply_laced"
+    else:
+        regime = "q_factorial_general" if q_fact else "general_undetermined"
     common = dict(
         cartan_type=str(datum.cartan_type),
         parabolic_inside=inp.parabolic.inside_sorted,
         word=canonical_reduced_word(inp.w),
         length=inp.w.length,
+        regime=regime,
         b2=len(ks),
         b_top=len(sets.cover_P),
         support=sets.support_B,
@@ -460,122 +481,58 @@ def gorenstein_fano_report(
         q_factorial=q_fact,
         factorial=factorial,
         factorial_evidence=evidence,
-        anticanonical_weil=weil,
+        basis=basis,
+        anticanonical_weil=tuple(height(c) + 1 for c in sets.cover_P),
+        provenance={
+            "q_factorial": "cover-set size equals Cartier index count (b_top == b2)",
+            "factorial": "square divisor pairing matrix with determinant +-1",
+            **_PROVENANCE[regime],
+        },
     )
-
-    if inp.w.is_identity:
-        prov.update(
-            gorenstein="point: every status trivially affirmative",
-            fano="point: every status trivially affirmative",
-        )
+    if regime == "point":
+        return ClassificationReport(hat_n_keys=(), hat_n=(), c1=(0,) * datum.rank, **common)
+    if regime == "general_undetermined":
+        und = Status.UNDETERMINED
         return ClassificationReport(
-            regime="point",
-            basis=basis,
-            hat_n_keys=(),
-            hat_n=(),
-            c1=(0,) * datum.rank,
-            provenance=prov,
-            **common,
+            gorenstein=und, q_gorenstein=und, fano=und, q_gorenstein_fano=und,
+            nef_anticanonical=None, c1=None, **common,
         )
 
-    if datum.simply_laced:
-        assert basis is not None
-        keys = basis.keys
-        m_entries = tuple(
-            tuple(coroot[i - 1] for i in keys) for _, coroot in basis.entries
-        )
-        m = LabeledMatrix(row_labels=basis.entries, col_labels=keys, entries=m_entries)
+    if basis is None:  # Q-factorial: every cover coroot is a row, M = P
+        labels, keys, rows, m_entries = sets.cover_P, ks, sets.cover_P, pic.entries
+        n_entries = exactlinalg.inverse_rational(m_entries)
+    else:
+        labels, keys, rows = basis.entries, basis.keys, basis.coroots
+        m_entries = tuple(tuple(c[k - 1] for k in keys) for c in rows)
         try:
             n_entries = exactlinalg.invert_unimodular(m_entries)
         except SingularMatrixError:
             raise InternalError("adapted-basis matrix is not unimodular") from None
-        hat, c1 = _anticanonical(datum, n_entries, keys, basis.coroots)
-        n = LabeledMatrix(row_labels=keys, col_labels=basis.entries, entries=n_entries)
-        basis_set = set(basis.coroots)
-        failures = []
-        for eta in sets.cover_P:
-            if eta in basis_set:
-                continue
-            defect = sum(c1[k - 1] * eta[k - 1] for k in keys) - height(eta)
-            if defect != 1:
-                failures.append((eta, defect))
-        gor = _status(not failures)
-        fano_flag = not failures and all(x > 0 for x in hat)
-        prov.update(
-            gorenstein="unit defect of hat-n pairing on every cover coroot "
-            "outside the adapted basis (simply-laced criterion)",
-            q_gorenstein="equivalent to Gorenstein in simply-laced types",
-            fano="Gorenstein with strictly positive hat-n vector",
-            q_gorenstein_fano="equivalent to Fano in simply-laced types",
-        )
-        return ClassificationReport(
-            regime="simply_laced",
-            basis=basis,
-            m_matrix=m,
-            n_matrix=n,
-            hat_n_keys=keys,
-            hat_n=hat,
-            gorenstein=gor,
-            q_gorenstein=gor,
-            fano=_status(fano_flag),
-            q_gorenstein_fano=_status(fano_flag),
-            gorenstein_failures=tuple(failures),
-            nef_anticanonical=all(x >= 0 for x in hat),
-            c1=None if failures else c1,
-            provenance=prov,
-            **common,
-        )
-
-    if q_fact:
-        m_entries = pic.entries
-        m = LabeledMatrix(row_labels=sets.cover_P, col_labels=ks, entries=m_entries)
-        n_entries = exactlinalg.inverse_rational(m_entries)
-        hat, c1 = _anticanonical(datum, n_entries, ks, sets.cover_P)
-        n = LabeledMatrix(row_labels=ks, col_labels=sets.cover_P, entries=n_entries)
-        integral = all(x.denominator == 1 for x in hat)
-        positive = all(x > 0 for x in hat)
-        prov.update(
-            gorenstein="integrality of the rational hat-n vector "
-            "(Q-factorial criterion)",
-            q_gorenstein="Q-factorial varieties are Q-Gorenstein",
-            fano="Gorenstein with strictly positive hat-n vector",
-            q_gorenstein_fano="strictly positive rational hat-n vector",
-        )
-        return ClassificationReport(
-            regime="q_factorial_general",
-            basis=None,
-            m_matrix=m,
-            n_matrix=n,
-            hat_n_keys=ks,
-            hat_n=hat,
-            gorenstein=_status(integral),
-            q_gorenstein=Status.YES,
-            fano=_status(integral and positive),
-            q_gorenstein_fano=_status(positive),
-            nef_anticanonical=all(x >= 0 for x in hat),
-            c1=c1,
-            provenance=prov,
-            **common,
-        )
-
-    prov.update(
-        gorenstein="no criterion covers non-simply-laced, non-Q-factorial "
-        "inputs; reported as undetermined",
-        q_gorenstein="no criterion covers non-simply-laced, non-Q-factorial "
-        "inputs; reported as undetermined",
-        fano="undetermined without a Gorenstein determination",
-        q_gorenstein_fano="undetermined without a Q-Gorenstein determination",
+    h1 = tuple(height(c) + 1 for c in rows)
+    hat = tuple(sum(x * y for x, y in zip(row, h1)) for row in n_entries)
+    hat_by_key = dict(zip(keys, hat))
+    c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
+    in_rows = set(rows)
+    defects = (
+        (eta, sum(c1[k - 1] * eta[k - 1] for k in keys) - height(eta))
+        for eta in sets.cover_P if eta not in in_rows
     )
+    failures = tuple((eta, d) for eta, d in defects if d != 1)
+    q_gor = not failures
+    gor = q_gor and all(x.denominator == 1 for x in hat)
+    positive = all(x > 0 for x in hat)
     return ClassificationReport(
-        regime="general_undetermined",
-        basis=None,
-        gorenstein=Status.UNDETERMINED,
-        q_gorenstein=Status.UNDETERMINED,
-        fano=Status.UNDETERMINED,
-        q_gorenstein_fano=Status.UNDETERMINED,
-        nef_anticanonical=None,
-        c1=None,
-        provenance=prov,
+        m_matrix=LabeledMatrix(row_labels=labels, col_labels=keys, entries=m_entries),
+        n_matrix=LabeledMatrix(row_labels=keys, col_labels=labels, entries=n_entries),
+        hat_n_keys=keys,
+        hat_n=hat,
+        gorenstein=_status(gor),
+        q_gorenstein=_status(q_gor),
+        fano=_status(gor and positive),
+        q_gorenstein_fano=_status(q_gor and positive),
+        gorenstein_failures=failures,
+        nef_anticanonical=all(x >= 0 for x in hat),
+        c1=c1 if q_gor else None,
         **common,
     )
 
@@ -628,10 +585,8 @@ def _matrix_dict(m: Optional[LabeledMatrix], rational: bool) -> Optional[dict]:
     }
 
 
-def report_to_dict(report: ClassificationReport) -> dict:
-    """Canonical JSON-ready form of a report; rationals become "p/q" strings.
-    The Picard invariant factors are computed here: no verdict reads them."""
-    factors = exactlinalg.smith_normal_form(report.picard_matrix.entries)
+def report_fields(report: ClassificationReport) -> dict:
+    """``report_to_dict`` without the Picard invariant factors."""
     hat = None
     if report.hat_n is not None:
         hat = {
@@ -653,9 +608,7 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "picard_matrix": _matrix_dict(report.picard_matrix, rational=False),
         "q_factorial": report.q_factorial,
         "factorial": report.factorial,
-        "factorial_evidence": {
-            "invariant_factors": list(factors), **report.factorial_evidence
-        },
+        "factorial_evidence": dict(report.factorial_evidence),
         "basis": None
         if report.basis is None
         else [{"k": k, "coroot": list(c)} for k, c in report.basis.entries],
@@ -675,6 +628,15 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "anticanonical_weil": list(report.anticanonical_weil),
         "provenance": dict(sorted(report.provenance.items())),
     }
+
+
+def report_to_dict(report: ClassificationReport) -> dict:
+    """Canonical JSON-ready form of a report; rationals become "p/q" strings.
+    The Picard invariant factors are computed here: no verdict reads them."""
+    doc = report_fields(report)
+    factors = exactlinalg.smith_normal_form(report.picard_matrix.entries)
+    doc["factorial_evidence"]["invariant_factors"] = list(factors)
+    return doc
 
 
 def report_conventions(datum: RootDatum) -> dict:

@@ -738,3 +738,142 @@ def test_gorenstein_on_grassmannians_woo_yong(datum):
             gorenstein += expected
     assert checked == 212
     assert 0 < gorenstein < checked
+
+
+# (type, I_P, length cap): 6,722 simply-laced, 346 Q-factorial and 13 point
+# elements, and 956 undetermined ones that are skipped.  The E6 legs are
+# capped to keep the test to a few seconds, most of it in ``classify``; all
+# of E6/P{6} (25,920 elements) would take about 15 s.
+CHEVALLEY_CASES = (
+    ("A4", (), None), ("D4", (), None), ("D5", (), None), ("B3", (), None),
+    ("C3", (), None), ("G2", (), None), ("F4", (), None), ("E6", (), 9),
+    ("A4", (2,), None), ("D5", (1,), None), ("E6", (6,), 6), ("C3", (3,), None),
+    ("B3", (1,), None),
+)
+
+
+def _positive_pairs(cartan):
+    """[(coroot, root)] over the positive roots, by closing the simple pairs
+    under s_j: beta - <beta, alpha_j^vee> alpha_j on roots and
+    x - <alpha_j, x> alpha_j^vee on coroots, with C[i][j] = <alpha_j,
+    alpha_i^vee>."""
+    n = len(cartan)
+    simple = [tuple(int(r == i) for r in range(n)) for i in range(n)]
+    pairs = dict(zip(simple, simple))
+    frontier = list(pairs.items())
+    while frontier:
+        coroot, root = frontier.pop()
+        for j in range(n):
+            a = sum(cartan[j][c] * root[c] for c in range(n))
+            b = sum(coroot[c] * cartan[c][j] for c in range(n))
+            image = tuple(x - b * (r == j) for r, x in enumerate(coroot))
+            if min(image) >= 0 and image not in pairs:
+                pairs[image] = tuple(x - a * (r == j) for r, x in enumerate(root))
+                frontier.append((image, pairs[image]))
+    return sorted(pairs.items())
+
+
+def _reflection_table(datum):
+    """(coroots, table): table[a][b] = (sign, c) with s_{eta_a}(eta_b) =
+    sign * eta_c, s_beta(x) = x - <beta, x> beta^vee."""
+    pairs = _positive_pairs(datum.cartan)
+    coroots = [c for c, _ in pairs]
+    index = {c: i for i, c in enumerate(coroots)}
+    table = []
+    for eta, beta in pairs:
+        row = []
+        for gamma in coroots:
+            k = pair_root_coroot(datum, beta, gamma)
+            image = tuple(g - k * e for g, e in zip(gamma, eta))
+            sign = 1 if min(image) >= 0 else -1
+            row.append((sign, index[tuple(sign * x for x in image)]))
+        table.append(row)
+    return coroots, table
+
+
+def _solve_exactly(rows, rhs):
+    """The unique rational c with rows * c = rhs, or None if there is none:
+    fraction-free Gauss-Jordan on [rows | rhs], each step row <- p * row -
+    f * pivot_row, then c_i = rhs_i / p_i.  The columns must be independent."""
+    ncols = len(rows[0]) if rows else 0
+    a = [list(row) + [y] for row, y in zip(rows, rhs)]
+    for col in range(ncols):
+        pivot = next(r for r in range(col, len(a)) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col][col]
+        for r in range(len(a)):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [p * x - f * y for x, y in zip(a[r], a[col])]
+    if any(row[-1] for row in a[ncols:]):
+        return None
+    return tuple(Fraction(a[i][-1], a[i][i]) for i in range(ncols))
+
+
+def test_gorenstein_fano_match_chevalley_formula(datum):
+    """The class group of X_{w,P} is free on the Schubert divisors D_eta,
+    eta in R+_{w,P}; L(omega_k) restricts to sum_eta <omega_k, eta> D_eta
+    (Chevalley formula), and -K = sum (ht eta + 1) D_eta (omega_X =
+    O(-boundary) (x) L(-rho), Brion & Kumar, Frobenius Splitting Methods,
+    2005).  So X is Gorenstein iff P c = (ht eta + 1)_eta has an integer
+    solution, P = (eta_k) over k in I^P_w; c is unique, c1 = sum c_k
+    omega_k, and X is Fano iff also c > 0.  R+_{w,P} is built here by its
+    length-drop definition: the inversion coroots eta with l(w s_eta) =
+    l(w) - 1 = |N(w) xor N(s_eta)| and w s_eta in W^P.  Only the verdicts,
+    c1 and the regime are read from ``classify``; the undetermined regime
+    is skipped."""
+    counts = {}
+    for type_str, inside, cap in CHEVALLEY_CASES:
+        d = datum(type_str)
+        coroots, table = _reflection_table(d)
+        simple = [coroots.index(tuple(int(r == i) for r in range(d.rank)))
+                  for i in range(d.rank)]
+        images = {i + 1: [c for _, c in table[a]] for i, a in enumerate(simple)}
+        neg = [sum(1 << a for a, (sign, _) in enumerate(row) if sign < 0) for row in table]
+        p = sa.parabolic(d, inside)
+        for w in sa.enumerate_coset_reps(d, p, cap or len(coroots)):
+            report = sa.classify(sa.SchubertInput(datum=d, parabolic=p, w=w))
+            key = (report.regime, report.gorenstein.value)
+            counts[key] = counts.get(key, 0) + 1
+            if report.regime == "general_undetermined":
+                continue
+            word = sa.canonical_reduced_word(w)
+            inv = set()  # N(w s_i) = s_i N(w) + {alpha_i^vee}, left to right
+            for i in word:
+                inv = {images[i][c] for c in inv}
+                inv.add(simple[i - 1])
+            assert len(inv) == len(word)
+            mask = sum(1 << a for a in inv)
+
+            def in_w_p(a):  # no alpha_j^vee, j in I_P, in N(w s_eta)
+                return all(
+                    (sign > 0) != (c in inv)
+                    for sign, c in (table[a][simple[j - 1]] for j in inside)
+                )
+
+            covers = [
+                coroots[a] for a in sorted(inv)
+                if (mask ^ neg[a]).bit_count() == len(word) - 1 and in_w_p(a)
+            ]
+            keys = sorted(set(word) - set(inside))
+            c = _solve_exactly(
+                [[eta[k - 1] for k in keys] for eta in covers],
+                [sum(eta) + 1 for eta in covers],
+            )
+            integral = c is not None and all(x.denominator == 1 for x in c)
+            where = (type_str, inside, word)
+            assert report.gorenstein is (Y if integral else N), where
+            assert report.q_gorenstein is (N if c is None else Y), where
+            assert (report.c1 is None) == (c is None), where
+            if c is not None:
+                full = dict(zip(keys, c))
+                assert report.c1 == tuple(full.get(k, 0) for k in range(1, d.rank + 1)), where
+            assert report.fano is (Y if integral and all(x > 0 for x in c) else N), where
+    assert counts == {
+        ("point", "yes"): 13,
+        ("simply_laced", "yes"): 5268,
+        ("simply_laced", "no"): 1454,
+        ("q_factorial_general", "yes"): 334,
+        ("q_factorial_general", "no"): 12,
+        ("general_undetermined", "undetermined"): 956,
+    }

@@ -259,6 +259,20 @@ def test_survey_rows_do_no_work_they_do_not_read(capsys, monkeypatch):
     assert letters == {6}
 
 
+def test_classify_table_runs_no_smith_normal_form(capsys, monkeypatch):
+    """The classify table prints no invariant factors, so it computes none:
+    its bytes are those of an unpatched run with the Smith normal form
+    refused."""
+    argv = ("classify", "--type", "A4", "--word", "3 4 1 2 3", "--format", "table")
+    expected = run(capsys, *argv)
+
+    def refuse(m):
+        raise AssertionError("the classify table ran the Smith normal form")
+
+    monkeypatch.setattr(exactlinalg, "smith_normal_form", refuse)
+    assert run(capsys, *argv) == expected
+
+
 def test_closed_stdout_pipe_exits_inconclusive():
     """A reader that closes the pipe after one line ends the survey with exit
     3 and no traceback, long before the D5 survey would finish."""
@@ -685,12 +699,21 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
         (("classify", "--type", "D5", "--parabolic", "1 2", "--word",
           "1 2 3 4 5 3 2 1", "--coerce"), 0,
          "bc7947ab2087985c73e1a384c6742cd1bb565ac37d5686fcd14031581e615cdf"),
+        # one full report per regime: point, general_undetermined, and a
+        # q_factorial_general table with a rational N
+        (("classify", "--type", "G2", "--word", ""), 0,
+         "574c1bfd268f51ecb69a037bb6b855823f65ee1ed9ad13cbc37f14b21137986e"),
+        (("classify", "--type", "B3", "--word", "2 1 3 2"), 0,
+         "870fa5748b07a61346092a9e1a0e452d35f19c40e4c44ebb5ce3794b3bf104a5"),
+        (("classify", "--type", "G2", "--word", "2 1 2", "--format", "table"), 0,
+         "89328a902dbafec0257ae3f817ce1b7a08f94869e099dfc217e8d16fcac87a69"),
     ],
     ids=["conj-A4-all", "conj-D4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
          "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
          "survey-C3-P3", "classify-E7-coerce-table", "classify-E7-coerce-csv",
          "survey-C3-P3-table", "survey-D4-csv", "conj-B3-2-table", "classify-G2",
-         "classify-B3", "classify-D5-P12-coerce"],
+         "classify-B3", "classify-D5-P12-coerce", "classify-G2-point",
+         "classify-B3-undetermined", "classify-G2-table"],
 )
 def test_golden_output_bytes(args, code, digest, capsys):
     """Exit code and sha256 of the output, JSON unless the case names its
