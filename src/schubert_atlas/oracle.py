@@ -5,9 +5,11 @@ Everything here recomputes from raw definitions: lengths are inversion
 counts of freshly multiplied matrices, cover membership is a literal
 length-drop test, and reduced words are enumerated one by one rather than
 reasoned about.  Nothing here uses the indecomposability logic of
-``schubert.cover_coroots``.  The definitions stay raw, but nothing is slow
-on purpose: the reduced-word walk builds each step once per element, and
-each recount stops at the first nonzero coordinate of an image.
+``schubert.cover_coroots``.  One input is not raw: the Conjecture 3 scan
+takes its distances from ``weyl.rightmost_distance`` and checks each
+against the words it scans.  Nothing is slow on purpose: the reduced-word
+walk builds each step once per element, and each recount stops at the
+first nonzero coordinate of an image.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .errors import NotSimplyLacedError
+from .errors import InternalError, NotSimplyLacedError
 from .rootdata import CorootVec, RootDatum
 from .schubert import SchubertInput, decompositions
 from .weyl import (
@@ -189,8 +191,8 @@ def check_rightmost_indecomposable(
     """Conjecture 3: for every support letter k and *every* reduced word
     realizing the minimal rightmost distance, the suffix-transported coroot
     is indecomposable.  Simply-laced only, where the height argument of
-    ``schubert.build_B_wB`` proves it (the letters after the rightmost s_k
-    avoid k on every such word); this scan stays as the brute-force check."""
+    ``weyl.rightmost_distance`` proves it; this scan stays as the brute-force
+    check, and checks those distances against the words too."""
     datum = w.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError("rightmost scan needs a simply-laced type")
@@ -200,6 +202,7 @@ def check_rightmost_indecomposable(
     decomposable = decompositions(datum, seq)
     distances = {k: rightmost_distance(w, k)[0] for k in support(w)}
     counter: List[object] = []
+    seen: Set[int] = set()
     scanned = 0
     truncated = False
     for word, seq in iter_reduced_words(w):
@@ -213,8 +216,14 @@ def check_rightmost_indecomposable(
             if word[pos] not in rightmost:
                 rightmost[word[pos]] = r - pos
         for k, d in distances.items():
-            if rightmost.get(k) == d and seq[d - 1] in decomposable:
-                counter.append((k, word, seq[d - 1]))
+            if rightmost[k] <= d:
+                if rightmost[k] < d:
+                    raise InternalError(f"{word} has its rightmost s_{k} closer than {d}")
+                seen.add(k)
+                if seq[d - 1] in decomposable:
+                    counter.append((k, word, seq[d - 1]))
+    if not truncated and len(seen) < len(distances):
+        raise InternalError(f"no reduced word of {canon} reaches {distances}")
     return ConjectureFragment(
         word=canon,
         verified=not counter and not truncated,

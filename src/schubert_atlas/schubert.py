@@ -303,23 +303,10 @@ def build_B_wB(
 
     mu(k) is the coroot that the rightmost s_k realizes
     (``rightmost_distance``); entries go by ascending distance d, ties by
-    index, descending with ``reverse_ties``.  mu(k) is an indecomposable
-    inversion coroot with mu(k)_k = 1, so no descent through decompositions
-    is needed.  Proof: let N(w) be the inversion coroots and h the least
-    height of a gamma in N(w) with gamma_k = 1.
-    - mu(k) = x(alpha_k^vee), x the d - 1 peeled letters, none of them k
-      (the walk stops before s_k is peeled).  s_j, j != k, keeps the k-th
-      coefficient at 1, so it moves the height by -<alpha_j, .> in {-1, 0, 1}
-      (simply laced): mu(k)_k = 1 and h <= ht mu(k) <= d.
-    - d <= h, by induction on h; h = 1 makes k a right descent.  If h > 1
-      and gamma reaches it, 2 = <gamma, gamma> = sum_j gamma_j <alpha_j,
-      gamma> with <alpha_k, gamma> <= 1 gives j != k, <alpha_j, gamma> = 1.
-      gamma - alpha_j^vee is too low to be in N(w), which is co-closed, so
-      alpha_j^vee is: j is a right descent.  N(w s_j) = s_j(N(w) - alpha_j^vee)
-      has least height h - 1, at s_j(gamma); a reduced word of w s_j with
-      its rightmost s_k at distance <= h - 1, then s_j, is one of w.
-    So ht mu(k) = h, and a split mu(k) = mu + mu' in N(w) would leave one
-    summand with unit k-th coefficient below height h.  Both are re-checked.
+    index, descending with ``reverse_ties``.  mu(k) has the least height of
+    an inversion coroot with unit k-th coefficient (proof in
+    ``rightmost_distance``), so no split mu(k) = mu + mu' in N(w) exists: one
+    summand would have that coefficient and less height.  Both are re-checked.
     """
     datum = inp.datum
     if not datum.simply_laced:

@@ -267,15 +267,40 @@ def rightmost_distance(
     which the occurrence of s_k realizes.  Each level is ordered by the
     peeled letters, lexicographically, or in reverse with ``reverse_ties``,
     so ties go to the smallest (largest) letter peeled first.
+
+    Simply-laced types walk only on ties.  With N(w) the inversion coroots
+    and h the least height of a gamma in N(w) with gamma_k = 1, d = h and
+    the walk's coroot is gamma if it alone has height h; no gamma exists iff
+    k is outside the support, whose coroots span N(w).  Proof:
+    - The walk's coroot is x(alpha_k^vee), x the d - 1 peeled letters, none
+      of them k.  s_j, j != k, keeps the k-th coefficient at 1, so it moves
+      the height by -<alpha_j, .> in {-1, 0, 1} (simply laced): h <= ht <= d.
+    - d <= h, by induction on h; h = 1 makes k a right descent.  If h > 1
+      and gamma reaches it, 2 = <gamma, gamma> = sum_j gamma_j <alpha_j,
+      gamma> with <alpha_k, gamma> <= 1 gives j != k, <alpha_j, gamma> = 1.
+      gamma - alpha_j^vee is too low to be in the co-closed N(w), so
+      alpha_j^vee is: j is a right descent, and N(w s_j) = s_j(N(w) -
+      alpha_j^vee) has least height h - 1, at s_j(gamma).  A reduced word of
+      w s_j with its rightmost s_k at distance <= h - 1, then s_j, is one of w.
     """
     _check_index(w.datum, k)
-    if k not in support(w):
+    k0 = k - 1
+    if w.datum.simply_laced:
+        # h starts above every height; a tie is a second gamma at the least
+        h, best, tie = sum(w.datum.highest_coroot) + 1, None, False
+        for g in canonical_record(w)[1]:
+            if g[k0] == 1 and (ht := sum(g)) <= h:
+                h, best, tie = ht, g, ht == h
+        if best is None:
+            raise NotInSupportError(f"s_{k} is not below {w!r}")
+        if not tie:
+            return h, best
+    elif k not in support(w):
         raise NotInSupportError(f"s_{k} is not below {w!r}")
     if has_right_descent(w, k):
         return 1, w.datum.simple_coroot(k)
     cartan = w.datum.cartan
     inversions = frozenset(canonical_record(w)[1])
-    k0 = k - 1
     order = range(w.datum.rank, 0, -1) if reverse_ties else range(1, w.datum.rank + 1)
     level, d = [identity(w.datum.rank)], 1
     while True:

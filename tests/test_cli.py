@@ -707,13 +707,16 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
          "870fa5748b07a61346092a9e1a0e452d35f19c40e4c44ebb5ce3794b3bf104a5"),
         (("classify", "--type", "G2", "--word", "2 1 2", "--format", "table"), 0,
          "89328a902dbafec0257ae3f817ce1b7a08f94869e099dfc217e8d16fcac87a69"),
+        # 53142: the m_matrix row of k = 3 is the walk's tie choice (1, 1, 1, 0)
+        (("classify", "--type", "A4", "--word", "2 1 3 4 3 2 1", "--format", "json"), 0,
+         "cf0615b488460e945f8dfdcbea5bdef66bae34d074e19d56a0c98749625089fd"),
     ],
     ids=["conj-A4-all", "conj-D4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
          "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
          "survey-C3-P3", "classify-E7-coerce-table", "classify-E7-coerce-csv",
          "survey-C3-P3-table", "survey-D4-csv", "conj-B3-2-table", "classify-G2",
          "classify-B3", "classify-D5-P12-coerce", "classify-G2-point",
-         "classify-B3-undetermined", "classify-G2-table"],
+         "classify-B3-undetermined", "classify-G2-table", "classify-A4-tie"],
 )
 def test_golden_output_bytes(args, code, digest, capsys):
     """Exit code and sha256 of the output, JSON unless the case names its

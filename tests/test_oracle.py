@@ -4,7 +4,7 @@ import pytest
 
 import schubert_atlas as sa
 from schubert_atlas import oracle, weyl
-from schubert_atlas.errors import NotSimplyLacedError
+from schubert_atlas.errors import InternalError, NotSimplyLacedError
 
 from helpers import longest_element, schubert_input, valid_parabolics
 
@@ -213,6 +213,23 @@ def test_rightmost_indecomposable_requires_simply_laced(datum):
         oracle.check_rightmost_indecomposable(
             sa.element_from_word(datum("G2"), (1, 2))
         )
+
+
+@pytest.mark.parametrize("shift, match", [(1, "closer than"), (-1, "reaches")])
+def test_rightmost_scan_checks_distances_against_its_words(shift, match, datum, monkeypatch):
+    """The scan takes its distances from ``rightmost_distance`` and tests
+    them against the words: a distance one too large meets a word whose
+    rightmost s_k sits closer, and one too small is reached by no word."""
+    d4 = datum("D4")
+    w = sa.element_from_word(d4, (2, 1, 3, 4, 2, 1, 3))
+    assert w.length == 7
+    assert oracle.check_rightmost_indecomposable(w).verified
+    real = oracle.rightmost_distance
+    monkeypatch.setattr(
+        oracle, "rightmost_distance", lambda w, k: (real(w, k)[0] + shift, None)
+    )
+    with pytest.raises(InternalError, match=match):
+        oracle.check_rightmost_indecomposable(w)
 
 
 # --- determinism ----------------------------------------------------------------

@@ -319,6 +319,61 @@ def test_rightmost_distance_vs_all_words(type_str, datum):
                 assert coroot in realized
 
 
+def test_rightmost_distance_walks_only_on_ties(datum, monkeypatch):
+    """D5 Borel: where one inversion coroot alone has the least height among
+    those with unit k-th coefficient, the distance is read off the record
+    and no x s_i is built; the 512 ties run the walk.  A tie found at
+    distance 2 builds no level, so only the ties together must build one."""
+    d5 = datum("D5")
+    elements = list(sa.enumerate_coset_reps(d5, sa.parabolic(d5, ()), 99))
+    records = [weyl.canonical_record(w)[1] for w in elements]
+    calls = []
+    real = weyl._times_simple
+    monkeypatch.setattr(
+        weyl, "_times_simple", lambda *args: calls.append(None) or real(*args)
+    )
+    ties, tie_calls = 0, 0
+    for w, inv in zip(elements, records):
+        for k in weyl.support(w):
+            heights = [sum(g) for g in inv if g[k - 1] == 1]
+            tie = heights.count(min(heights)) > 1
+            ties += tie
+            for reverse_ties in (False, True):
+                calls.clear()
+                weyl.rightmost_distance(w, k, reverse_ties)
+                if tie:
+                    tie_calls += len(calls)
+                else:
+                    assert not calls, (sa.canonical_reduced_word(w), k, reverse_ties)
+    assert ties == 512
+    assert tie_calls > 0
+
+
+@pytest.mark.parametrize("type_str", ["A4", "D4", "D5"])
+def test_support_is_where_an_inversion_coroot_has_unit_coefficient(type_str, datum):
+    """In simply-laced types k is in the support of w exactly when some
+    inversion coroot has k-th coefficient 1, which the closed form of
+    ``rightmost_distance`` reads instead of calling ``support``."""
+    d = datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, ()), 99):
+        inv = weyl.canonical_record(w)[1]
+        units = {k for k in range(1, d.rank + 1) if any(g[k - 1] == 1 for g in inv)}
+        assert weyl.support(w) == units, sa.canonical_reduced_word(w)
+
+
+def test_rightmost_distance_simply_laced_calls_no_support(datum, monkeypatch):
+    a4 = datum("A4")
+    w = el(a4, (1, 2))
+
+    def refuse(_):
+        raise AssertionError("support called")
+
+    monkeypatch.setattr(weyl, "support", refuse)
+    with pytest.raises(NotInSupportError):
+        sa.rightmost_distance(w, 4)
+    assert sa.rightmost_distance(w, 1) == (2, (1, 1, 0, 0))
+
+
 # --- reflections ---------------------------------------------------------------
 
 
