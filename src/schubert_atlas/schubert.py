@@ -140,8 +140,9 @@ class ClassificationReport:
     # the determinant; ``report_to_dict`` adds the invariant factors
     factorial_evidence: Mapping[str, object] = field(default_factory=dict)
     basis: Optional[AdaptedBasis] = None
+    # the solve's matrix; hat-n is solved for its one right-hand side, and
+    # N = M^-1 is built by ``n_matrix`` only when a report is written
     m_matrix: Optional[LabeledMatrix] = None
-    n_matrix: Optional[LabeledMatrix] = None
     hat_n_keys: Optional[Tuple[int, ...]] = None
     hat_n: Optional[Tuple[int | Fraction, ...]] = None
     gorenstein: Status = Status.YES
@@ -153,6 +154,25 @@ class ClassificationReport:
     c1: Optional[Tuple[int | Fraction, ...]] = None
     anticanonical_weil: Tuple[int, ...] = ()
     provenance: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def n_matrix(self) -> Optional[LabeledMatrix]:
+        """N = M^-1, rows over the Cartier keys and columns over the rows of
+        M: integer in the simply-laced regime, rational in the Q-factorial
+        one.  Built on every read; ``report_fields`` reads it once."""
+        m = self.m_matrix
+        if m is None:
+            return None
+        if self.regime == "simply_laced":
+            try:
+                entries = exactlinalg.invert_unimodular(m.entries)
+            except SingularMatrixError:
+                raise InternalError("adapted-basis matrix is not unimodular") from None
+        else:
+            entries = exactlinalg.inverse_rational(m.entries)
+        return LabeledMatrix(
+            row_labels=m.col_labels, col_labels=m.row_labels, entries=entries
+        )
 
 
 def _splittings(datum: RootDatum, eta: CorootVec) -> Tuple[DecompositionWitness, ...]:
@@ -429,13 +449,18 @@ def gorenstein_fano_report(
     + 1) D_eta over R+_{w,P} is Cartier iff P c = (ht + 1) has an integer
     solution c, and then c1 = sum c_k omega_k.  The rows of the solve are
     the adapted basis (simply-laced) or all of R+_{w,P} (Q-factorial), so M
-    is square and hat-n = M^-1 (ht + 1) solves them.  Q-Gorenstein iff
-    every cover coroot outside the rows has defect <hat-n, eta> - ht eta =
-    1; Gorenstein iff also hat-n is integral; Fano iff also hat-n > 0;
-    Q-Gorenstein-Fano iff Q-Gorenstein and hat-n > 0; c1 is reported iff
-    Q-Gorenstein.  Each old criterion is a special case: a simply-laced M is
-    unimodular, so the unit defect decides alone; a Q-factorial solve leaves
-    no coroot outside the rows, so the integrality of hat-n decides.
+    is square and hat-n = M^-1 (ht + 1) solves them.  Only that one
+    right-hand side is solved: by forward substitution in integers over the
+    unipotent lower-triangular adapted-basis M, or as adj(P) (ht + 1) / det P
+    with det P checked against ``classify_factorial``'s.  N = M^-1 itself is
+    built only when a report is written (``ClassificationReport.n_matrix``).
+    Q-Gorenstein iff every cover coroot outside the rows has defect <hat-n,
+    eta> - ht eta = 1; Gorenstein iff also hat-n is integral; Fano iff also
+    hat-n > 0; Q-Gorenstein-Fano iff Q-Gorenstein and hat-n > 0; c1 is
+    reported iff Q-Gorenstein.  Each old criterion is a special case: a
+    simply-laced M is unimodular, so the unit defect decides alone; a
+    Q-factorial solve leaves no coroot outside the rows, so the integrality
+    of hat-n decides.
     Non-simply-laced, non-Q-factorial inputs are undetermined.
     """
     datum = inp.datum
@@ -446,6 +471,7 @@ def gorenstein_fano_report(
     pic = picard_matrix(inp, sets)
     q_fact, factorial, evidence = classify_factorial(inp, pic)
     ks = sets.support_P
+    weil = tuple(height(c) + 1 for c in sets.cover_P)
     if inp.w.is_identity:
         regime = "point"
     elif datum.simply_laced:
@@ -469,7 +495,7 @@ def gorenstein_fano_report(
         factorial=factorial,
         factorial_evidence=evidence,
         basis=basis,
-        anticanonical_weil=tuple(height(c) + 1 for c in sets.cover_P),
+        anticanonical_weil=weil,
         provenance={
             "q_factorial": "cover-set size equals Cartier index count (b_top == b2)",
             "factorial": "square divisor pairing matrix with determinant +-1",
@@ -487,16 +513,23 @@ def gorenstein_fano_report(
 
     if basis is None:  # Q-factorial: every cover coroot is a row, M = P
         labels, keys, rows, m_entries = sets.cover_P, ks, sets.cover_P, pic.entries
-        n_entries = exactlinalg.inverse_rational(m_entries)
-    else:
+        adj, d = exactlinalg.adjugate(m_entries)  # hat-n = adj(P) weil / det P
+        if d != evidence["determinant"]:
+            raise InternalError(
+                f"adjugate determinant {d} != Picard determinant "
+                f"{evidence['determinant']} for {inp.w!r}"
+            )
+        hat = tuple(Fraction(sum(map(operator.mul, row, weil)), d) for row in adj)
+    else:  # M unipotent lower-triangular: forward substitution in integers
         labels, keys, rows = basis.entries, basis.keys, basis.coroots
         m_entries = tuple(tuple(c[k - 1] for k in keys) for c in rows)
-        try:
-            n_entries = exactlinalg.invert_unimodular(m_entries)
-        except SingularMatrixError:
-            raise InternalError("adapted-basis matrix is not unimodular") from None
-    h1 = tuple(height(c) + 1 for c in rows)
-    hat = tuple(sum(x * y for x, y in zip(row, h1)) for row in n_entries)
+        hat = ()
+        for r, (row, c) in enumerate(zip(m_entries, rows)):
+            if row[r] != 1 or any(row[r + 1:]):
+                raise InternalError(
+                    "adapted-basis matrix is not unipotent lower-triangular"
+                )
+            hat += (height(c) + 1 - sum(map(operator.mul, row, hat)),)
     hat_by_key = dict(zip(keys, hat))
     c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
     in_rows = set(rows)
@@ -510,7 +543,6 @@ def gorenstein_fano_report(
     positive = all(x > 0 for x in hat)
     return ClassificationReport(
         m_matrix=LabeledMatrix(row_labels=labels, col_labels=keys, entries=m_entries),
-        n_matrix=LabeledMatrix(row_labels=keys, col_labels=labels, entries=n_entries),
         hat_n_keys=keys,
         hat_n=hat,
         gorenstein=_status(gor),

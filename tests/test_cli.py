@@ -273,6 +273,48 @@ def test_classify_table_runs_no_smith_normal_form(capsys, monkeypatch):
     assert run(capsys, *argv) == expected
 
 
+def test_survey_rows_build_no_inverse(capsys, monkeypatch):
+    """Survey rows hold no N = M^-1, so hat-n is solved without one: with
+    both inverses refused, simply-laced surveys in every format and a
+    Q-factorial one write the bytes of an unpatched run."""
+    cases = [("survey", "--type", "D4", "--format", f) for f in ("json", "csv", "table")]
+    cases.append(("survey", "--type", "F4", "--format", "csv"))
+    expected = [run(capsys, *argv) for argv in cases]
+
+    def refuse(m):
+        raise AssertionError("a survey row built N = M^-1")
+
+    monkeypatch.setattr(exactlinalg, "invert_unimodular", refuse)
+    monkeypatch.setattr(exactlinalg, "inverse_rational", refuse)
+    assert [run(capsys, *argv) for argv in cases] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, inverses",
+    [
+        (("--type", "A4", "--word", "3 4 1 2 3"), ["invert_unimodular"]),
+        (("--type", "G2", "--word", "2 1 2"), ["inverse_rational"]),
+        (("--type", "G2", "--word", ""), []),
+    ],
+    ids=["simply-laced", "q-factorial", "point"],
+)
+def test_classify_json_builds_n_once(argv, inverses, capsys, monkeypatch):
+    """A written report builds N once, by the inverse of its regime; the
+    point report has no M and builds none."""
+    argv = ("classify", *argv, "--format", "json")
+    expected = run(capsys, *argv)
+    calls = []
+    for name in ("invert_unimodular", "inverse_rational"):
+
+        def counted(m, name=name, inverse=getattr(exactlinalg, name)):
+            calls.append(name)
+            return inverse(m)
+
+        monkeypatch.setattr(exactlinalg, name, counted)
+    assert run(capsys, *argv) == expected
+    assert calls == inverses
+
+
 def test_closed_stdout_pipe_exits_inconclusive():
     """A reader that closes the pipe after one line ends the survey with exit
     3 and no traceback, long before the D5 survey would finish."""
@@ -677,6 +719,9 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
         # the same digest perfbench pins for its F4 call
         (("survey", "--type", "F4", "--format", "csv"), 0,
          "ff6005c117bce86bb815adad9e1bdb7f16f5a2b727646c47cce4c1d7fff40c80"),
+        # the same digest perfbench pins for its D5 call
+        (("survey", "--type", "D5", "--format", "csv"), 0,
+         "19d694ae50342577e776d00a45bc416a220cc528d89f0191ba563b2fe822d7d8"),
         (("survey", "--type", "C3", "--parabolic", "3"), 0,
          "c66ecac7ac1f1ab530f95fc560724b40d8199eacd6b4b18b67fea0be1818a1a8"),
         (("classify", "--type", "E7", "--parabolic", "7", "--word", _E7_WORD,
@@ -713,6 +758,7 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
     ],
     ids=["conj-A4-all", "conj-D4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
          "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
+         "survey-D5-csv",
          "survey-C3-P3", "classify-E7-coerce-table", "classify-E7-coerce-csv",
          "survey-C3-P3-table", "survey-D4-csv", "conj-B3-2-table", "classify-G2",
          "classify-B3", "classify-D5-P12-coerce", "classify-G2-point",

@@ -6,8 +6,12 @@ from fractions import Fraction
 import pytest
 
 import schubert_atlas as sa
-from schubert_atlas import oracle, schubert, weyl
-from schubert_atlas.errors import NotMinimalCosetRepError, NotSimplyLacedError
+from schubert_atlas import exactlinalg, oracle, schubert, weyl
+from schubert_atlas.errors import (
+    InternalError,
+    NotMinimalCosetRepError,
+    NotSimplyLacedError,
+)
 
 from helpers import (
     coroot_for,
@@ -637,21 +641,66 @@ def test_simply_laced_anticanonical_data_are_integers(type_str, inside, datum):
         assert all(type(x) is int for x in values), (type_str, w)
 
 
-@pytest.mark.parametrize("type_str", ["B3", "F4"])
-def test_q_factorial_general_n_inverts_m(type_str, datum):
+@pytest.mark.parametrize(
+    "type_str,inside",
+    [("B3", ()), ("F4", ()), ("A4", (1,)), ("D4", (1,)), ("D5", (1,)),
+     ("E6", (2, 3, 4, 5, 6))],
+    ids=["B3", "F4", "A4-IP1", "D4-IP1", "D5-IP1", "E6-IP23456"],
+)
+def test_q_factorial_general_n_inverts_m(type_str, inside, datum):
+    """In both determined regimes the N that a written report derives
+    inverts M, and hat-n, solved for its one right-hand side, is N (ht + 1)
+    over the rows of M."""
     d = datum(type_str)
-    borel = sa.parabolic(d, ())
-    seen = 0
-    for w in sa.enumerate_coset_reps(d, borel, 99):
-        rep = sa.classify(sa.SchubertInput(datum=d, parabolic=borel, w=w))
-        if rep.regime != "q_factorial_general":
+    p = sa.parabolic(d, inside)
+    regimes = set()
+    for w in sa.enumerate_coset_reps(d, p, 99):
+        rep = sa.classify(sa.SchubertInput(datum=d, parabolic=p, w=w))
+        if rep.m_matrix is None:
             continue
-        seen += 1
+        regimes.add(rep.regime)
+        n = rep.n_matrix.entries
         size = len(rep.hat_n_keys)
-        assert mat_mul(rep.m_matrix.entries, rep.n_matrix.entries) == tuple(
+        assert mat_mul(rep.m_matrix.entries, n) == tuple(
             tuple(int(i == j) for j in range(size)) for i in range(size)
         ), (type_str, w)
-    assert seen
+        rows = rep.m_matrix.row_labels
+        if rep.regime == "simply_laced":
+            rows = [coroot for _, coroot in rows]
+        h1 = [sa.height(c) + 1 for c in rows]
+        assert rep.hat_n == tuple(
+            sum(x * h for x, h in zip(row, h1)) for row in n
+        ), (type_str, w)
+    assert regimes == {"simply_laced" if d.simply_laced else "q_factorial_general"}
+
+
+def test_q_factorial_solve_checks_its_determinant(datum, monkeypatch):
+    """The adjugate's determinant and the Picard determinant of
+    ``classify_factorial`` come from two eliminations of P: a mismatch is an
+    internal error, not a report."""
+    inp = schubert_input(datum("G2"), (), (2, 1, 2))
+    assert sa.classify(inp).regime == "q_factorial_general"
+    det = exactlinalg.det
+    monkeypatch.setattr(exactlinalg, "det", lambda m: det(m) + 1)
+    with pytest.raises(InternalError, match="adjugate determinant"):
+        sa.classify(inp)
+
+
+def test_simply_laced_solve_needs_a_unipotent_lower_basis(datum):
+    """Forward substitution is exact only over a unipotent lower-triangular
+    M: the 53142 basis in reverse order is refused, and so is the inverse of
+    a simply-laced M with determinant 2."""
+    inp = schubert_input(datum("A4"), (), (2, 1, 3, 4, 3, 2, 1))
+    sets = sa.cover_coroots(inp)
+    basis = sa.build_B_wB(inp, sets)
+    flipped = schubert.AdaptedBasis(entries=basis.entries[::-1])
+    with pytest.raises(InternalError, match="unipotent lower-triangular"):
+        sa.gorenstein_fano_report(inp, sets, flipped)
+    m = schubert.LabeledMatrix(row_labels=(1, 2), col_labels=(1, 2),
+                               entries=((1, 1), (-1, 1)))
+    rep = schubert.ClassificationReport("A2", (), regime="simply_laced", m_matrix=m)
+    with pytest.raises(InternalError, match="not unimodular"):
+        rep.n_matrix
 
 
 def test_anticanonical_weil_recomputation(datum):
