@@ -12,7 +12,8 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from . import exactlinalg
 from .errors import (
@@ -102,14 +103,14 @@ class AdaptedBasis:
     lower-triangular in the stored order."""
 
     entries: Tuple[Tuple[int, CorootVec], ...]
+    # the k and the mu(k) of ``entries``, in its order; derived once here,
+    # and equality, hash and repr ignore them
+    keys: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    coroots: Tuple[CorootVec, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def keys(self) -> Tuple[int, ...]:
-        return tuple(k for k, _ in self.entries)
-
-    @property
-    def coroots(self) -> Tuple[CorootVec, ...]:
-        return tuple(c for _, c in self.entries)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "keys", tuple(k for k, _ in self.entries))
+        object.__setattr__(self, "coroots", tuple(c for _, c in self.entries))
 
 
 @dataclass(frozen=True)
@@ -258,28 +259,43 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
     datum = inp.datum
     word, inv = canonical_record(inp.w)
     supp = tuple(sorted(set(word)))
-    outside = set(inp.parabolic.complement)
     elements = _canonical_sorted(datum, inv)
     decomposable = decompositions(datum, elements)
     cover_b = tuple(c for c in elements if c not in decomposable)
-    inv_set = frozenset(inv)
     inside = inp.parabolic.inside_sorted
-    cover_p = tuple(
-        eta
-        for eta in cover_b
-        if all(
-            _reflection_image_of_simple(datum, eta, j) not in inv_set
-            for j in inside
+    if inside:
+        outside = inp.parabolic.complement
+        inv_set = frozenset(inv)
+        support_p = tuple(k for k in supp if k in outside)
+        cover_p = tuple(
+            eta
+            for eta in cover_b
+            if all(
+                _reflection_image_of_simple(datum, eta, j) not in inv_set
+                for j in inside
+            )
         )
-    )
+    else:  # P = B: nothing to exclude
+        support_p, cover_p = supp, cover_b
     return CorootSets(
         inv_ordered=inv,
         support_B=supp,
-        support_P=tuple(k for k in supp if k in outside),
+        support_P=support_p,
         decomposable=decomposable,
         cover_B=cover_b,
         cover_P=cover_p,
     )
+
+
+def _columns(ks: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """Reader of the entries at the 1-based indices ``ks``, as a tuple, of a
+    coroot or any rank-length vector: ``eta -> (eta[k - 1] for k in ks)``."""
+    if len(ks) > 1:
+        return operator.itemgetter(*[k - 1 for k in ks])
+    if ks:  # a one-argument itemgetter returns the bare entry
+        i = ks[0] - 1
+        return lambda eta: (eta[i],)
+    return lambda eta: ()
 
 
 def picard_matrix(inp: SchubertInput, sets: CorootSets) -> LabeledMatrix:
@@ -287,7 +303,7 @@ def picard_matrix(inp: SchubertInput, sets: CorootSets) -> LabeledMatrix:
     columns over I^P_w ascending.  Row eta expands the divisor class of the
     k-th Cartier generator over the Schubert divisor basis."""
     cols = sets.support_P
-    entries = tuple(tuple(eta[k - 1] for k in cols) for eta in sets.cover_P)
+    entries = tuple(map(_columns(cols), sets.cover_P))
     return LabeledMatrix(row_labels=sets.cover_P, col_labels=cols, entries=entries)
 
 
@@ -366,13 +382,17 @@ def p_adapt(
     must be mu(k0) + alpha_j^vee; smallest j first.  A step changes only
     mu(k0), so no smaller key can move again.  Each step raises the height
     inside the finite inversion set, so this terminates.
+
+    Every coroot must end in R+_{w,P}.  When no step applies (always for
+    P = B) the input basis itself is returned: it is unchanged, so its span
+    and its unipotent shape stand as ``build_B_wB`` checked them.  A moved
+    basis is re-checked for both.
     """
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
     inv_set = frozenset(sets.inv_ordered)
     inside = inp.parabolic.inside_sorted
-    order = basis.keys
     current: Dict[int, CorootVec] = dict(basis.entries)
 
     def move(mu: CorootVec) -> Optional[Tuple[int, CorootVec]]:
@@ -382,6 +402,7 @@ def p_adapt(
                 return j, image
         return None
 
+    moved = False
     for k0 in sorted(current):
         while (step := move(current[k0])) is not None:
             j, image = step
@@ -393,13 +414,16 @@ def p_adapt(
                     f"parabolic adaptation step is not mu + alpha_{j}^vee: {image}"
                 )
             current[k0] = image
-    adapted = AdaptedBasis(entries=tuple((k, current[k]) for k in order))
-    cover_p = set(sets.cover_P)
-    originals = dict(basis.entries)
-    for k, mu in adapted.entries:
+            moved = True
+    cover_p = frozenset(sets.cover_P)
+    for mu in current.values():
         if mu not in cover_p:
             raise InternalError(f"adapted coroot {mu} escaped the cover set")
-        diff = tuple(a - b for a, b in zip(mu, originals[k]))
+    if not moved:
+        return basis
+    adapted = AdaptedBasis(entries=tuple((k, current[k]) for k in basis.keys))
+    for k, original in basis.entries:
+        diff = tuple(a - b for a, b in zip(current[k], original))
         if any(d and (m + 1) not in inp.parabolic.inside for m, d in enumerate(diff)):
             raise InternalError(
                 f"adaptation changed mu({k}) outside the parabolic span"
@@ -408,7 +432,7 @@ def p_adapt(
     return adapted
 
 
-_PROVENANCE: Dict[str, Dict[str, str]] = {
+_REGIME_PROVENANCE: Dict[str, Dict[str, str]] = {
     "point": {
         "gorenstein": "point: every status trivially affirmative",
         "fano": "point: every status trivially affirmative",
@@ -435,6 +459,16 @@ _PROVENANCE: Dict[str, Dict[str, str]] = {
         "fano": "undetermined without a Gorenstein determination",
         "q_gorenstein_fano": "undetermined without a Q-Gorenstein determination",
     },
+}
+
+# one read-only provenance per regime, shared by every report of it
+_PROVENANCE: Dict[str, Mapping[str, str]] = {
+    regime: MappingProxyType({
+        "q_factorial": "cover-set size equals Cartier index count (b_top == b2)",
+        "factorial": "square divisor pairing matrix with determinant +-1",
+        **table,
+    })
+    for regime, table in _REGIME_PROVENANCE.items()
 }
 
 
@@ -496,11 +530,7 @@ def gorenstein_fano_report(
         factorial_evidence=evidence,
         basis=basis,
         anticanonical_weil=weil,
-        provenance={
-            "q_factorial": "cover-set size equals Cartier index count (b_top == b2)",
-            "factorial": "square divisor pairing matrix with determinant +-1",
-            **_PROVENANCE[regime],
-        },
+        provenance=_PROVENANCE[regime],
     )
     if regime == "point":
         return ClassificationReport(hat_n_keys=(), hat_n=(), c1=(0,) * datum.rank, **common)
@@ -522,7 +552,7 @@ def gorenstein_fano_report(
         hat = tuple(Fraction(sum(map(operator.mul, row, weil)), d) for row in adj)
     else:  # M unipotent lower-triangular: forward substitution in integers
         labels, keys, rows = basis.entries, basis.keys, basis.coroots
-        m_entries = tuple(tuple(c[k - 1] for k in keys) for c in rows)
+        m_entries = tuple(map(_columns(keys), rows))
         hat = ()
         for r, (row, c) in enumerate(zip(m_entries, rows)):
             if row[r] != 1 or any(row[r + 1:]):
@@ -532,10 +562,12 @@ def gorenstein_fano_report(
             hat += (height(c) + 1 - sum(map(operator.mul, row, hat)),)
     hat_by_key = dict(zip(keys, hat))
     c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
+    hat_by_col = _columns(ks)(c1)  # hat-n over the Picard columns
     in_rows = set(rows)
-    defects = (
-        (eta, sum(c1[k - 1] * eta[k - 1] for k in keys) - height(eta))
-        for eta in sets.cover_P if eta not in in_rows
+    defects = (  # <hat-n, eta> - ht eta, from the Picard row and weil = ht + 1
+        (eta, sum(map(operator.mul, hat_by_col, pic_row)) - (w - 1))
+        for eta, pic_row, w in zip(sets.cover_P, pic.entries, weil)
+        if eta not in in_rows
     )
     failures = tuple((eta, d) for eta, d in defects if d != 1)
     q_gor = not failures

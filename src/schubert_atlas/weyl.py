@@ -9,7 +9,7 @@ are applied left to right: ``element_from_word(d, (i1, ..., ir))`` acts as
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
@@ -38,21 +38,22 @@ class ParabolicSubset:
 
     rank: int
     inside: FrozenSet[int]
+    # I^P, the simple indices outside the parabolic, ascending; and I_P
+    # ascending.  Derived once here; equality, hash and repr ignore them.
+    complement: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    inside_sorted: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bad = [j for j in self.inside if not 1 <= j <= self.rank]
         if bad:
             raise IndexOutOfRangeError(f"parabolic indices {bad} outside 1..{self.rank}")
-        object.__setattr__(self, "inside", frozenset(self.inside))
-
-    @property
-    def complement(self) -> Tuple[int, ...]:
-        """I^P, the simple indices outside the parabolic, ascending."""
-        return tuple(j for j in range(1, self.rank + 1) if j not in self.inside)
-
-    @property
-    def inside_sorted(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.inside))
+        inside = frozenset(self.inside)
+        object.__setattr__(self, "inside", inside)
+        object.__setattr__(
+            self, "complement",
+            tuple(j for j in range(1, self.rank + 1) if j not in inside),
+        )
+        object.__setattr__(self, "inside_sorted", tuple(sorted(inside)))
 
 
 def parabolic(datum: RootDatum, indices: Sequence[int]) -> ParabolicSubset:

@@ -289,6 +289,25 @@ def test_survey_rows_build_no_inverse(capsys, monkeypatch):
     assert [run(capsys, *argv) for argv in cases] == expected
 
 
+def test_borel_survey_checks_each_adapted_basis_once(capsys, monkeypatch):
+    """``build_B_wB`` proves each adapted basis unipotent lower-triangular,
+    and with P = B ``p_adapt`` moves nothing, so a D5 Borel survey runs the
+    check once per row (1,920 times) and writes the bytes of an unpatched
+    run."""
+    argv = ("survey", "--type", "D5", "--format", "csv")
+    expected = run(capsys, *argv)
+    calls = []
+    check = schubert._assert_unipotent_lower
+
+    def counted(basis):
+        calls.append(basis)
+        return check(basis)
+
+    monkeypatch.setattr(schubert, "_assert_unipotent_lower", counted)
+    assert run(capsys, *argv) == expected
+    assert len(calls) == 1920
+
+
 @pytest.mark.parametrize(
     "argv, inverses",
     [

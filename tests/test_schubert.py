@@ -374,11 +374,30 @@ def test_p_adapt_a4_example(datum):
 
 
 def test_p_adapt_borel_is_identity(datum):
-    a4 = datum("A4")
-    inp = schubert_input(a4, (), (3, 4, 1, 2, 3))
+    """With I_P empty no step applies, so ``p_adapt`` hands back the very
+    basis it was given, on every element of A4 and D5."""
+    for type_str in ("A4", "D5"):
+        d = datum(type_str)
+        p = sa.parabolic(d, ())
+        for w in sa.enumerate_coset_reps(d, p, len(d.positives)):
+            inp = sa.SchubertInput(datum=d, parabolic=p, w=w)
+            sets = sa.cover_coroots(inp)
+            borel = sa.build_B_wB(inp, sets)
+            assert sa.p_adapt(inp, borel, sets) is borel
+
+
+def test_p_adapt_refuses_an_unmoved_basis_outside_the_cover_set(datum):
+    """The path that moves nothing still checks that every coroot is a cover
+    coroot: an A4 Borel basis of 121 with alpha_2^vee swapped for the
+    decomposable inversion coroot alpha_1^vee + alpha_2^vee is refused."""
+    inp = schubert_input(datum("A4"), (), (1, 2, 1))
     sets = sa.cover_coroots(inp)
-    borel = sa.build_B_wB(inp, sets)
-    assert sa.p_adapt(inp, borel, sets) == borel
+    basis = sa.build_B_wB(inp, sets)
+    assert basis.entries == ((1, (1, 0, 0, 0)), (2, (0, 1, 0, 0)))
+    assert (1, 1, 0, 0) in sets.decomposable
+    bad = schubert.AdaptedBasis(entries=((1, (1, 0, 0, 0)), (2, (1, 1, 0, 0))))
+    with pytest.raises(InternalError, match="escaped the cover set"):
+        sa.p_adapt(inp, bad, sets)
 
 
 def test_p_adapt_d5_maximal_parabolic(datum):
@@ -701,6 +720,70 @@ def test_simply_laced_solve_needs_a_unipotent_lower_basis(datum):
     rep = schubert.ClassificationReport("A2", (), regime="simply_laced", m_matrix=m)
     with pytest.raises(InternalError, match="not unimodular"):
         rep.n_matrix
+
+
+def test_derived_fields_leave_equality_hash_and_repr_alone(datum):
+    """``ParabolicSubset.complement``/``.inside_sorted`` and
+    ``AdaptedBasis.keys``/``.coroots`` are set once at construction; they
+    equal the comprehensions they replace, and equality, hashing and repr
+    still read only the declared fields."""
+    a4 = datum("A4")
+    assert repr(sa.parabolic(a4, (3, 1))) == (
+        "ParabolicSubset(rank=4, inside=frozenset({1, 3}))"
+    )
+    same = sa.ParabolicSubset(rank=4, inside=frozenset({1, 3}))
+    assert same == sa.parabolic(a4, (1, 3))
+    assert hash(same) == hash(sa.parabolic(a4, (3, 1)))
+    for d in (a4, datum("D5")):
+        for n in range(d.rank + 1):
+            for inside in itertools.combinations(range(1, d.rank + 1), n):
+                p = sa.parabolic(d, inside)
+                assert p.complement == tuple(
+                    j for j in range(1, d.rank + 1) if j not in p.inside
+                )
+                assert p.inside_sorted == tuple(sorted(p.inside))
+
+    entries = ((3, (0, 0, 1, 0)), (1, (1, 1, 1, 0)))
+    basis = schubert.AdaptedBasis(entries=entries)
+    assert (basis.keys, basis.coroots) == ((3, 1), ((0, 0, 1, 0), (1, 1, 1, 0)))
+    twin = schubert.AdaptedBasis(entries=tuple(entries))
+    assert basis == twin and hash(basis) == hash(twin)
+    assert basis != schubert.AdaptedBasis(entries=entries[::-1])
+    assert repr(basis) == f"AdaptedBasis(entries={entries!r})"
+    empty = schubert.AdaptedBasis(entries=())
+    assert empty.keys == empty.coroots == ()
+
+
+@pytest.mark.parametrize(
+    "type_str, word, b2",
+    [("A4", (), 0), ("A4", (1,), 1), ("D5", (2, 3, 1, 2, 3, 4, 5, 3), 5)],
+    ids=["point", "A4-1", "D5-generic"],
+)
+def test_matrix_columns_and_shared_provenance(type_str, word, b2, datum):
+    """The Picard matrix and M read the same entries as the plain
+    comprehension at 0, 1 and several Cartier indices.  The provenance is
+    read-only, and ``report_fields`` copies it into a fresh sorted dict."""
+    inp = schubert_input(datum(type_str), (), word)
+    report = sa.classify(inp)
+    ks = report.cartier_indices
+    assert len(ks) == b2
+    pic = report.picard_matrix
+    assert pic.entries == tuple(
+        tuple(eta[k - 1] for k in ks) for eta in report.cover_coroots
+    )
+    if report.m_matrix is not None:
+        keys = report.basis.keys
+        assert report.m_matrix.entries == tuple(
+            tuple(c[k - 1] for k in keys) for c in report.basis.coroots
+        )
+    with pytest.raises(TypeError):
+        report.provenance["gorenstein"] = "edited"
+    fields = schubert.report_fields(report)["provenance"]
+    assert list(fields) == sorted(report.provenance)
+    assert fields == dict(report.provenance)
+    fields["gorenstein"] = "edited"
+    assert report.provenance["gorenstein"] != "edited"
+    assert schubert.report_fields(report)["provenance"] != fields
 
 
 def test_anticanonical_weil_recomputation(datum):
