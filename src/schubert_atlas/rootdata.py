@@ -146,7 +146,8 @@ class RootDatum:
     pair, used for deterministic tie-breaking downstream.
     ``coroot_by_pairings`` maps the pairings (<r, alpha_1^vee>, ...,
     <r, alpha_n^vee>) of each positive root r, which determine r, to its
-    coroot.
+    coroot; ``pairings`` is its inverse, from each positive coroot to the
+    pairings of its root.
     """
 
     cartan_type: CartanType
@@ -164,6 +165,8 @@ class RootDatum:
             pair_for_coroot[pair.coroot] = pair
         object.__setattr__(self, "coroot_index", coroot_index)
         object.__setattr__(self, "pair_for_coroot", pair_for_coroot)
+        pairings = {c: p for p, c in self.coroot_by_pairings.items()}
+        object.__setattr__(self, "pairings", pairings)
         coroots = tuple(p.coroot for p in self.positives)
         object.__setattr__(self, "positive_coroots", coroots)
         object.__setattr__(self, "highest_coroot", max(coroots, key=sum))
@@ -232,12 +235,6 @@ def build_root_datum(ct: CartanType | str) -> RootDatum:
         simply_laced=ct.family in ("A", "D", "E"),
         coroot_by_pairings={p: c for c, p in found.values()},
     )
-
-
-def pair_root_with_simple_coroot(datum: RootDatum, r: RootVec, j: int) -> int:
-    """<r, alpha_j^vee> for a root vector r and 1-based simple index j."""
-    row = datum.cartan[j - 1]
-    return sum(row[m] * r[m] for m in range(datum.rank) if r[m])
 
 
 def height(c: CorootVec) -> int:

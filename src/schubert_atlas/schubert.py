@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from . import exactlinalg
 from .errors import (
@@ -22,12 +22,7 @@ from .errors import (
     NotSimplyLacedError,
     SingularMatrixError,
 )
-from .rootdata import (
-    CorootVec,
-    RootDatum,
-    height,
-    pair_root_with_simple_coroot,
-)
+from .rootdata import CorootVec, RootDatum, height
 from .weyl import (
     ParabolicSubset,
     WeylElement,
@@ -234,15 +229,26 @@ def _canonical_sorted(datum: RootDatum, coroots) -> Tuple[CorootVec, ...]:
     return tuple(sorted(coroots, key=datum.coroot_index.__getitem__))
 
 
-def _reflection_image_of_simple(
-    datum: RootDatum, eta: CorootVec, j: int
-) -> CorootVec:
-    # s_eta(alpha_j^vee) = alpha_j^vee - <root(eta), alpha_j^vee> eta
-    root = datum.pair_for_coroot[eta].root
-    coef = pair_root_with_simple_coroot(datum, root, j)
-    return tuple(
-        (1 if m == j - 1 else 0) - coef * eta[m] for m in range(datum.rank)
-    )
+def _inverted_simple_images(
+    datum: RootDatum, eta: CorootVec, inside: Sequence[int], inv_set: frozenset
+) -> Iterator[Tuple[int, CorootVec]]:
+    """(j, s_eta(alpha_j^vee)) for each j of ``inside``, ascending, whose
+    image lies in the inversion set ``inv_set`` of a w in W^P.
+
+    s_eta(alpha_j^vee) = alpha_j^vee - c eta with c = <root(eta), alpha_j^vee>,
+    and only c < 0 can land in N(w): c = 0 gives alpha_j^vee itself, which
+    w does not invert since w(alpha_j) > 0 for j in I_P; c > 0 gives a
+    negative coroot, as every coefficient off j is -c times eta's and
+    eta = alpha_j^vee has c = 2.  So no other image is built."""
+    pairings = datum.pairings[eta]
+    for j in inside:
+        c = pairings[j - 1]
+        if c < 0:
+            image = [-c * e for e in eta]
+            image[j - 1] += 1
+            image = tuple(image)
+            if image in inv_set:
+                yield j, image
 
 
 def cover_coroots(inp: SchubertInput) -> CorootSets:
@@ -270,10 +276,7 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
         cover_p = tuple(
             eta
             for eta in cover_b
-            if all(
-                _reflection_image_of_simple(datum, eta, j) not in inv_set
-                for j in inside
-            )
+            if next(_inverted_simple_images(datum, eta, inside, inv_set), None) is None
         )
     else:  # P = B: nothing to exclude
         support_p, cover_p = supp, cover_b
@@ -378,8 +381,8 @@ def p_adapt(
     """Push a Borel adapted basis into the parabolic cover set.
 
     For each key k0 in increasing order: while s_{mu(k0)}(alpha_j^vee) is
-    still in the inversion set for some j in I_P, replace mu(k0) by it, which
-    must be mu(k0) + alpha_j^vee; smallest j first.  A step changes only
+    still in the inversion set for some j in I_P (``_inverted_simple_images``),
+    replace mu(k0) by it, which must be mu(k0) + alpha_j^vee; smallest j first.  A step changes only
     mu(k0), so no smaller key can move again.  Each step raises the height
     inside the finite inversion set, so this terminates.
 
@@ -391,30 +394,23 @@ def p_adapt(
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
-    inv_set = frozenset(sets.inv_ordered)
     inside = inp.parabolic.inside_sorted
     current: Dict[int, CorootVec] = dict(basis.entries)
-
-    def move(mu: CorootVec) -> Optional[Tuple[int, CorootVec]]:
-        for j in inside:
-            image = _reflection_image_of_simple(datum, mu, j)
-            if image in inv_set:
-                return j, image
-        return None
-
     moved = False
-    for k0 in sorted(current):
-        while (step := move(current[k0])) is not None:
-            j, image = step
-            expected = tuple(
-                current[k0][m] + (1 if m == j - 1 else 0) for m in range(datum.rank)
-            )
-            if image != expected:
-                raise InternalError(
-                    f"parabolic adaptation step is not mu + alpha_{j}^vee: {image}"
-                )
-            current[k0] = image
-            moved = True
+    if inside:
+        inv_set = frozenset(sets.inv_ordered)
+        for k0 in sorted(current):
+            mu = current[k0]
+            while step := next(_inverted_simple_images(datum, mu, inside, inv_set), None):
+                j, mu = step
+                expected = list(current[k0])
+                expected[j - 1] += 1
+                if mu != tuple(expected):
+                    raise InternalError(
+                        f"parabolic adaptation step is not mu + alpha_{j}^vee: {mu}"
+                    )
+                current[k0] = mu
+                moved = True
     cover_p = frozenset(sets.cover_P)
     for mu in current.values():
         if mu not in cover_p:

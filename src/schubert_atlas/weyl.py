@@ -323,12 +323,9 @@ def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
     hit = cache.get(c)
     if hit is not None:
         return hit
-    pair = require_positive_coroot(datum, c)
-    cartan = datum.cartan
+    require_positive_coroot(datum, c)
     n = datum.rank
-    root = pair.root
-    # <root, alpha_j^vee> for each j
-    pairings = [sum(cartan[j][m] * root[m] for m in range(n)) for j in range(n)]
+    pairings = datum.pairings[c]  # <root, alpha_j^vee> for each j
     cols = [
         tuple((1 if r == j else 0) - pairings[j] * c[r] for r in range(n))
         for j in range(n)

@@ -774,6 +774,13 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
         # 53142: the m_matrix row of k = 3 is the walk's tie choice (1, 1, 1, 0)
         (("classify", "--type", "A4", "--word", "2 1 3 4 3 2 1", "--format", "json"), 0,
          "cf0615b488460e945f8dfdcbea5bdef66bae34d074e19d56a0c98749625089fd"),
+        # E8/P8 as CSV, the README's example
+        (("survey", "--type", "E8", "--parabolic", "1 2 3 4 5 6 7", "--format", "csv"), 0,
+         "0bf8e88585d2f278141162ac35fadb12d36c23a61bcd88b63e46fc5840176ebd"),
+        # E8/P7: p_adapt moves mu(7) = alpha_7^vee eleven steps, to (1, 2, 2, 3, 2, 1, 1, 0)
+        (("classify", "--type", "E8", "--parabolic", "1 2 3 4 5 6 8", "--word",
+          "1 3 4 2 5 4 3 1 6 5 4 2 3 4 5 6 7 8", "--coerce"), 0,
+         "409ad7ab71feb396b8575541f90872e62b5ec6b8d27e3f0682c79369994ad9f5"),
     ],
     ids=["conj-A4-all", "conj-D4-all", "conj-D4-3-cap3", "conj-B3-2", "survey-D4", "survey-B3",
          "survey-E6-P16-len6", "classify-E7-coerce", "survey-G2", "survey-F4-csv",
@@ -781,7 +788,8 @@ _E7_WORD = "7 6 5 4 3 2 4 5 6 7 1 3 4 5 6 7 7 2 4 3 1 5 4 2 3 4 6 5 7"
          "survey-C3-P3", "classify-E7-coerce-table", "classify-E7-coerce-csv",
          "survey-C3-P3-table", "survey-D4-csv", "conj-B3-2-table", "classify-G2",
          "classify-B3", "classify-D5-P12-coerce", "classify-G2-point",
-         "classify-B3-undetermined", "classify-G2-table", "classify-A4-tie"],
+         "classify-B3-undetermined", "classify-G2-table", "classify-A4-tie",
+         "survey-E8-P8-csv", "classify-E8-P7-moved"],
 )
 def test_golden_output_bytes(args, code, digest, capsys):
     """Exit code and sha256 of the output, JSON unless the case names its

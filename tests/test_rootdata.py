@@ -142,11 +142,20 @@ def test_parallel_reflection_closure(type_str, datum):
 @pytest.mark.parametrize("type_str", ALL_TYPES)
 def test_raise_only_closure_matches_parallel_reflection_closure(type_str, datum):
     """The raise-only walk builds the positive system, in canonical order,
-    and the pairings map that the full parallel closure builds."""
+    and the pairings map that the full parallel closure builds; ``pairings``
+    is that map inverted, and each entry is the Cartan-matrix pairing of the
+    coroot's root."""
     d = datum(type_str)
     positives, coroot_by_pairings = parallel_reflection_closure(d.cartan)
     assert d.positives == positives
     assert d.coroot_by_pairings == coroot_by_pairings
+    assert d.pairings == {c: p for p, c in coroot_by_pairings.items()}
+    n = d.rank
+    assert all(
+        d.pairings[p.coroot]
+        == tuple(sum(d.cartan[j][m] * p.root[m] for m in range(n)) for j in range(n))
+        for p in positives
+    )
 
 
 @pytest.mark.parametrize("type_str", ["A4", "D4", "D5", "E6"])

@@ -421,8 +421,10 @@ def test_p_adapt_d5_maximal_parabolic(datum):
         ("A4", [c for r in range(5) for c in itertools.combinations(range(1, 5), r)]),
         ("D4", [(1, 3, 4), (2,)]),
         ("E6", [(2, 3, 4, 5, 6)]),
+        ("E7", [(1, 2, 3, 4, 5, 6)]),
+        ("E8", [(1, 2, 3, 4, 5, 6, 7)]),
     ],
-    ids=["A4-all", "D4-P134-P2", "E6-P23456"],
+    ids=["A4-all", "D4-P134-P2", "E6-P23456", "E7-P7", "E8-P8"],
 )
 def test_p_adapt_matches_round_scan(type_str, parabolics, reverse_ties, datum):
     """The per-key adaptation makes the picks of the round-restarting scan
