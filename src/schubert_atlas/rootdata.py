@@ -123,18 +123,22 @@ class RootCorootPair:
 
 @dataclass
 class Memo:
-    """The two memo tables a root datum owns; each lives as long as the
-    datum and has at most one entry per positive coroot.
+    """The memo tables a root datum owns; each lives as long as the datum
+    and has at most one entry per positive coroot.  A set of positive
+    coroots is an int mask with bit i for canonical index i.
 
     - ``reflections``: positive coroot -> its reflection;
-    - ``splittings``: positive coroot eta -> every witness c * eta = mu + mu'
-      over positive coroots with mu before mu' in canonical order, in
-      lexicographic order of (mu, mu'); filled per eta by
-      ``schubert._splittings``.
+    - ``splittings``: canonical index of eta -> the pair mask (bits a and b)
+      of every c * eta = mu_a + mu_b over positive coroots with a < b, in
+      lexicographic order of (a, b); filled per eta by
+      ``schubert._splittings``;
+    - ``unit_masks``: simple index k -> the mask of the positive coroots
+      with k-th coefficient 1; filled per k by ``weyl.rightmost_distance``.
     """
 
     reflections: dict = field(default_factory=dict)
     splittings: dict = field(default_factory=dict)
+    unit_masks: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +147,9 @@ class RootDatum:
 
     ``positives`` is sorted by (coroot height, coroot coordinates, root
     coordinates); the position in this list is the *canonical index* of a
-    pair, used for deterministic tie-breaking downstream.
+    pair, used for deterministic tie-breaking downstream and as the bit of
+    the coroot in every coroot mask (``Memo``, ``weyl.inversion_mask``), so
+    the set bits of a mask, read upward, come in canonical order.
     ``coroot_by_pairings`` maps the pairings (<r, alpha_1^vee>, ...,
     <r, alpha_n^vee>) of each positive root r, which determine r, to its
     coroot; ``pairings`` is its inverse, from each positive coroot to the

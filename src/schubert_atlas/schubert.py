@@ -18,6 +18,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 from . import exactlinalg
 from .errors import (
     InternalError,
+    InvalidInputError,
     NotMinimalCosetRepError,
     NotSimplyLacedError,
     SingularMatrixError,
@@ -29,6 +30,7 @@ from .weyl import (
     canonical_record,
     canonical_reduced_word,
     has_right_descent,
+    inversion_mask,
     rightmost_distance,
 )
 
@@ -49,8 +51,9 @@ def _status(flag: bool) -> Status:
 class SchubertInput:
     """A Schubert variety described by (root datum, parabolic subset, w).
 
-    w must be a minimal coset representative; the identity element encodes
-    the degenerate point case.
+    w must be a minimal coset representative of the same Cartan type as the
+    datum, whose canonical indices its inversion mask is read against; the
+    identity element encodes the degenerate point case.
     """
 
     datum: RootDatum
@@ -58,6 +61,11 @@ class SchubertInput:
     w: WeylElement
 
     def __post_init__(self) -> None:
+        if self.w.datum.cartan_type != self.datum.cartan_type:
+            raise InvalidInputError(
+                f"w is an element of {self.w.datum.cartan_type}, "
+                f"not of {self.datum.cartan_type}"
+            )
         if self.parabolic.rank != self.datum.rank:
             raise NotMinimalCosetRepError("parabolic rank does not match datum")
         for j in self.parabolic.inside_sorted:
@@ -80,14 +88,16 @@ class CorootSets:
     """The coroot record of a Schubert input, built once by ``cover_coroots``.
 
     ``inv_ordered`` follows the reflection ordering of the canonical reduced
-    word; ``decomposable`` is the ``decompositions`` map of the inversion
-    coroots; ``cover_B``/``cover_P`` are in canonical coroot order.
+    word; ``decomposable`` is the mask, over canonical indices as in
+    ``weyl.inversion_mask``, of the inversion coroots eta with a splitting
+    c * eta = mu + mu' inside N(w); ``cover_B``/``cover_P`` are in canonical
+    coroot order.
     """
 
     inv_ordered: Tuple[CorootVec, ...]
     support_B: Tuple[int, ...]
     support_P: Tuple[int, ...]
-    decomposable: Mapping[CorootVec, List[DecompositionWitness]]
+    decomposable: int
     cover_B: Tuple[CorootVec, ...]
     cover_P: Tuple[CorootVec, ...]
 
@@ -171,34 +181,34 @@ class ClassificationReport:
         )
 
 
-def _splittings(datum: RootDatum, eta: CorootVec) -> Tuple[DecompositionWitness, ...]:
-    """Every c * eta = mu + mu' over positive coroots with mu before mu' in
-    canonical order, in lexicographic order of (mu, mu'); memoized per eta.
+def _splittings(datum: RootDatum, i: int) -> Tuple[int, ...]:
+    """The pair masks (bit a | bit b) of every c * eta = mu_a + mu_b over
+    positive coroots with a < b, for eta of canonical index i, in
+    lexicographic order of (a, b); memoized per i.
 
     mu, mu' and eta span a rank-2 subsystem, so c is at most its largest
-    bond multiplicity: 1 in ADE, 2 in B, C and F, 3 in G2.
+    bond multiplicity: 1 in ADE, 2 in B, C and F, 3 in G2.  The sum fixes c,
+    so each pair occurs once.
     """
     memo = datum.memo.splittings
-    hit = memo.get(eta)
+    hit = memo.get(i)
     if hit is not None:
         return hit
     index = datum.coroot_index
+    coroots = datum.positive_coroots
+    eta = coroots[i]
     c_max = max(1, -min(map(min, datum.cartan)))
     found = []
     for c in range(1, c_max + 1):
         target = tuple(c * x for x in eta)
-        for a, mu in enumerate(datum.positive_coroots):
+        for a, mu in enumerate(coroots):
             if 2 * sum(mu) > c * sum(eta):  # mu' = target - mu is no lower
                 break
             b = index.get(tuple(map(operator.sub, target, mu)), -1)
             if b > a:
-                found.append((a, b, c))
-    coroots = datum.positive_coroots
-    result = tuple(
-        DecompositionWitness(c=c, mu=coroots[a], mu_prime=coroots[b])
-        for a, b, c in sorted(found)
-    )
-    memo[eta] = result
+                found.append((a, b))
+    result = tuple((1 << a) | (1 << b) for a, b in sorted(found))
+    memo[i] = result
     return result
 
 
@@ -208,46 +218,52 @@ def decompositions(
     """Every c * eta = mu + mu' with mu, mu', eta among ``elements`` and
     mu before mu' in canonical order.  The keys are exactly the
     decomposable eta, in the order of ``elements``; each list follows the
-    lexicographic canonical order of the pairs (mu, mu').  The work is the
-    number of splittings of the ``elements`` in the whole positive system
-    (``Memo.splittings``), not the number of their pairs.
+    lexicographic canonical order of the pairs (mu, mu').  The witnesses
+    are read off the pair masks of ``Memo.splittings``: mu and mu' are the
+    low and high bit, and c = (ht mu + ht mu') / ht eta.  ``cover_coroots``
+    tests those masks directly and builds no witness.
     """
-    members = frozenset(elements)
+    index = datum.coroot_index
+    coroots = datum.positive_coroots
+    members = 0
+    for eta in elements:
+        members |= 1 << index[eta]
     found: Dict[CorootVec, List[DecompositionWitness]] = {}
     for eta in elements:
-        witnesses = [
-            wit
-            for wit in _splittings(datum, eta)
-            if wit.mu in members and wit.mu_prime in members
-        ]
+        witnesses = []
+        for pair in _splittings(datum, index[eta]):
+            if pair & members == pair:
+                mu = coroots[(pair & -pair).bit_length() - 1]
+                mu_prime = coroots[pair.bit_length() - 1]
+                c = (height(mu) + height(mu_prime)) // height(eta)
+                witnesses.append(DecompositionWitness(c=c, mu=mu, mu_prime=mu_prime))
         if witnesses:
             found[eta] = witnesses
     return found
 
 
-def _canonical_sorted(datum: RootDatum, coroots) -> Tuple[CorootVec, ...]:
-    return tuple(sorted(coroots, key=datum.coroot_index.__getitem__))
-
-
 def _inverted_simple_images(
-    datum: RootDatum, eta: CorootVec, inside: Sequence[int], inv_set: frozenset
+    datum: RootDatum, eta: CorootVec, inside: Sequence[int], inv_mask: int
 ) -> Iterator[Tuple[int, CorootVec]]:
     """(j, s_eta(alpha_j^vee)) for each j of ``inside``, ascending, whose
-    image lies in the inversion set ``inv_set`` of a w in W^P.
+    image lies in the inversion set of a w in W^P, given as its mask
+    ``inv_mask`` (``weyl.inversion_mask``).
 
     s_eta(alpha_j^vee) = alpha_j^vee - c eta with c = <root(eta), alpha_j^vee>,
     and only c < 0 can land in N(w): c = 0 gives alpha_j^vee itself, which
     w does not invert since w(alpha_j) > 0 for j in I_P; c > 0 gives a
     negative coroot, as every coefficient off j is -c times eta's and
-    eta = alpha_j^vee has c = 2.  So no other image is built."""
+    eta = alpha_j^vee has c = 2.  So no other image is built, and each one
+    built is a positive coroot with a canonical index."""
     pairings = datum.pairings[eta]
+    index = datum.coroot_index
     for j in inside:
         c = pairings[j - 1]
         if c < 0:
             image = [-c * e for e in eta]
             image[j - 1] += 1
             image = tuple(image)
-            if image in inv_set:
+            if inv_mask >> index[image] & 1:
                 yield j, image
 
 
@@ -258,25 +274,39 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
     R+_{w,B} consists of the indecomposable inversion coroots; R+_{w,P}
     keeps those whose reflection maps every alpha_j^vee (j in I_P) outside
     the inversion set.  The word and the inversion sequence come from the
-    ``canonical_record`` that w carries, and the decompositions from the
-    splittings memoized per coroot, so no pair of inversion coroots is
-    scanned here.
+    ``canonical_record`` that w carries, and N(w) from its
+    ``inversion_mask``.  The set bits of that mask, read upward, are the
+    inversion coroots in canonical order; eta is decomposable as soon as
+    one of its splitting pair masks (``Memo.splittings``) lies inside N(w),
+    so no pair of inversion coroots is scanned and no witness is built.
     """
     datum = inp.datum
     word, inv = canonical_record(inp.w)
+    inv_mask = inversion_mask(inp.w)
+    coroots = datum.positive_coroots
     supp = tuple(sorted(set(word)))
-    elements = _canonical_sorted(datum, inv)
-    decomposable = decompositions(datum, elements)
-    cover_b = tuple(c for c in elements if c not in decomposable)
+    decomposable = 0
+    cover: List[CorootVec] = []
+    rest = inv_mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        i = bit.bit_length() - 1
+        for pair in _splittings(datum, i):
+            if pair & inv_mask == pair:
+                decomposable |= bit
+                break
+        else:
+            cover.append(coroots[i])
+    cover_b = tuple(cover)
     inside = inp.parabolic.inside_sorted
     if inside:
         outside = inp.parabolic.complement
-        inv_set = frozenset(inv)
         support_p = tuple(k for k in supp if k in outside)
         cover_p = tuple(
             eta
             for eta in cover_b
-            if next(_inverted_simple_images(datum, eta, inside, inv_set), None) is None
+            if next(_inverted_simple_images(datum, eta, inside, inv_mask), None) is None
         )
     else:  # P = B: nothing to exclude
         support_p, cover_p = supp, cover_b
@@ -350,10 +380,11 @@ def build_B_wB(
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
+    index = datum.coroot_index
     entries: List[Tuple[int, int, CorootVec]] = []  # (d, k, coroot)
     for k in sets.support_P:
         d, mu = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
-        if mu[k - 1] != 1 or mu in sets.decomposable:
+        if mu[k - 1] != 1 or sets.decomposable >> index[mu] & 1:
             raise InternalError(
                 f"rightmost coroot {mu} at {k} is decomposable or not unit there"
             )
@@ -398,10 +429,10 @@ def p_adapt(
     current: Dict[int, CorootVec] = dict(basis.entries)
     moved = False
     if inside:
-        inv_set = frozenset(sets.inv_ordered)
+        inv_mask = inversion_mask(inp.w)
         for k0 in sorted(current):
             mu = current[k0]
-            while step := next(_inverted_simple_images(datum, mu, inside, inv_set), None):
+            while step := next(_inverted_simple_images(datum, mu, inside, inv_mask), None):
                 j, mu = step
                 expected = list(current[k0])
                 expected[j - 1] += 1
@@ -411,9 +442,8 @@ def p_adapt(
                     )
                 current[k0] = mu
                 moved = True
-    cover_p = frozenset(sets.cover_P)
     for mu in current.values():
-        if mu not in cover_p:
+        if mu not in sets.cover_P:
             raise InternalError(f"adapted coroot {mu} escaped the cover set")
     if not moved:
         return basis

@@ -62,15 +62,17 @@ def parabolic(datum: RootDatum, indices: Sequence[int]) -> ParabolicSubset:
 
 class WeylElement:
     """A Weyl group element with its action matrix, cached length and, once
-    known, its canonical record (see ``canonical_record``)."""
+    known, its canonical record (see ``canonical_record``) and the mask of
+    its inversion coroots (see ``inversion_mask``)."""
 
-    __slots__ = ("datum", "matrix", "length", "record")
+    __slots__ = ("datum", "matrix", "length", "record", "mask")
 
     def __init__(self, datum: RootDatum, matrix: Matrix, length: int):
         self.datum = datum
         self.matrix = matrix
         self.length = length
         self.record = None
+        self.mask = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -201,6 +203,21 @@ def canonical_record(w: WeylElement) -> Tuple[Word, Tuple[CorootVec, ...]]:
     return w.record
 
 
+def inversion_mask(w: WeylElement) -> int:
+    """N(w), the inversion coroots of w, as a mask over canonical indices
+    (bit i for ``datum.positive_coroots[i]``), kept on w.  Elements from
+    ``enumerate_coset_reps`` arrive with their canonical parent's mask and
+    the bit of the one new coroot; any other element builds it here from
+    its canonical record on first use."""
+    if w.mask is None:
+        index = w.datum.coroot_index
+        mask = 0
+        for c in canonical_record(w)[1]:
+            mask |= 1 << index[c]
+        w.mask = mask
+    return w.mask
+
+
 def canonical_reduced_word(w: WeylElement) -> Word:
     """Deterministic reduced word: repeatedly peel the smallest left descent
     (see ``canonical_record``)."""
@@ -272,7 +289,11 @@ def rightmost_distance(
     Simply-laced types walk only on ties.  With N(w) the inversion coroots
     and h the least height of a gamma in N(w) with gamma_k = 1, d = h and
     the walk's coroot is gamma if it alone has height h; no gamma exists iff
-    k is outside the support, whose coroots span N(w).  Proof:
+    k is outside the support, whose coroots span N(w).  The gamma are the
+    set bits of ``inversion_mask(w)`` and the datum's unit mask of k, and
+    canonical order is by height, so the lowest bit is a gamma of height h
+    and a tie is the next bit at the same height.  alpha_k^vee is the one
+    such gamma of height 1, so a right descent k is never a tie.  Proof:
     - The walk's coroot is x(alpha_k^vee), x the d - 1 peeled letters, none
       of them k.  s_j, j != k, keeps the k-th coefficient at 1, so it moves
       the height by -<alpha_j, .> in {-1, 0, 1} (simply laced): h <= ht <= d.
@@ -284,26 +305,34 @@ def rightmost_distance(
       alpha_j^vee) has least height h - 1, at s_j(gamma).  A reduced word of
       w s_j with its rightmost s_k at distance <= h - 1, then s_j, is one of w.
     """
-    _check_index(w.datum, k)
+    datum = w.datum
+    _check_index(datum, k)
     k0 = k - 1
-    if w.datum.simply_laced:
-        # h starts above every height; a tie is a second gamma at the least
-        h, best, tie = sum(w.datum.highest_coroot) + 1, None, False
-        for g in canonical_record(w)[1]:
-            if g[k0] == 1 and (ht := sum(g)) <= h:
-                h, best, tie = ht, g, ht == h
-        if best is None:
+    if datum.simply_laced:
+        units = datum.memo.unit_masks
+        unit = units.get(k)
+        if unit is None:
+            unit = units[k] = sum(
+                1 << i for i, c in enumerate(datum.positive_coroots) if c[k0] == 1
+            )
+        gammas = inversion_mask(w) & unit
+        if not gammas:
             raise NotInSupportError(f"s_{k} is not below {w!r}")
-        if not tie:
+        coroots = datum.positive_coroots
+        low = gammas & -gammas
+        best = coroots[low.bit_length() - 1]
+        h = sum(best)
+        rest = gammas ^ low
+        if not rest or sum(coroots[(rest & -rest).bit_length() - 1]) != h:
             return h, best
     elif k not in support(w):
         raise NotInSupportError(f"s_{k} is not below {w!r}")
-    if has_right_descent(w, k):
-        return 1, w.datum.simple_coroot(k)
-    cartan = w.datum.cartan
+    elif has_right_descent(w, k):
+        return 1, datum.simple_coroot(k)
+    cartan = datum.cartan
     inversions = frozenset(canonical_record(w)[1])
-    order = range(w.datum.rank, 0, -1) if reverse_ties else range(1, w.datum.rank + 1)
-    level, d = [identity(w.datum.rank)], 1
+    order = range(datum.rank, 0, -1) if reverse_ties else range(1, datum.rank + 1)
+    level, d = [identity(datum.rank)], 1
     while True:
         d += 1
         steps = [(cols, i) for cols in level for i in order if cols[i - 1] in inversions]
@@ -353,7 +382,9 @@ def enumerate_coset_reps(
     datum: RootDatum, p: ParabolicSubset, max_len: int
 ) -> Iterator[WeylElement]:
     """All w in W^P with l(w) <= max_len, each once, in length-then-canonical-
-    word order, each carrying its canonical record.  W^P is a lower ideal of
+    word order, each carrying its canonical record and inversion mask: the
+    parent's, with the one new coroot w^-1(alpha_i^vee) added to the
+    inversion sequence and its bit to the mask.  W^P is a lower ideal of
     the left weak order, so a BFS by s_i w over the left ascents i of w
     reaches all of it; such an s_i w is w s_j, outside W^P, exactly when
     w(alpha_j^vee) = alpha_i^vee, j in I_P.  s_i w is built only from its
@@ -362,8 +393,10 @@ def enumerate_coset_reps(
     i-major in parent order, which is canonical-word order."""
     n = datum.rank
     cartan = datum.cartan
+    index = datum.coroot_index
     e = identity_element(datum)
     e.record = ((), ())
+    e.mask = 0
     level = [(e, (2,) * n)] if max_len >= 0 else []
     while level:
         yield from (w for w, _ in level)
@@ -381,6 +414,7 @@ def enumerate_coset_reps(
                 child = WeylElement(datum, matrix, w.length + 1)
                 word, seq = w.record
                 child.record = ((i,) + word, seq + (coroot,))
+                child.mask = w.mask | (1 << index[coroot])
                 nxt.append((child, tuple(u - xi * c for u, c in zip(x, row))))
         level = nxt
 

@@ -566,6 +566,15 @@ def decompositions_reference(elements):
     return found
 
 
+def coroot_mask(datum, coroots) -> int:
+    """The mask of a set of positive coroots, bit i for the coroot at
+    canonical index i, by a plain scan of ``datum.positives``."""
+    members = set(coroots)
+    return sum(
+        1 << i for i, pair in enumerate(datum.positives) if pair.coroot in members
+    )
+
+
 # --- misc ------------------------------------------------------------------
 
 

@@ -9,12 +9,14 @@ import schubert_atlas as sa
 from schubert_atlas import exactlinalg, oracle, schubert, weyl
 from schubert_atlas.errors import (
     InternalError,
+    InvalidInputError,
     NotMinimalCosetRepError,
     NotSimplyLacedError,
 )
 
 from helpers import (
     coroot_for,
+    coroot_mask,
     decompose_reference,
     decompositions_reference,
     fraction_rank,
@@ -42,6 +44,27 @@ def test_input_rejects_non_minimal_rep(datum):
     with pytest.raises(NotMinimalCosetRepError) as err:
         sa.SchubertInput(datum=a2, parabolic=sa.parabolic(a2, [2]), w=w0)
     assert err.value.violating_index == 2
+
+
+@pytest.mark.parametrize("word", [(1, 2), (1, 2, 3, 4, 5)])
+def test_input_rejects_an_element_of_another_type(word, datum):
+    """An A5 element under a D5 datum is refused before anything reads its
+    inversion coroots against D5's canonical indices: (1, 2) used to be
+    classified as a D5 element, and (1, 2, 3, 4, 5) failed in a dict lookup."""
+    a5, d5 = datum("A5"), datum("D5")
+    w = sa.element_from_word(a5, word)
+    with pytest.raises(InvalidInputError, match="A5"):
+        sa.SchubertInput(datum=d5, parabolic=sa.parabolic(d5, ()), w=w)
+
+
+def test_input_accepts_an_element_of_another_datum_of_the_same_type(datum):
+    """Canonical indices depend only on the type, so a D5 element of a
+    separately built D5 datum is classified as the same element."""
+    d5 = datum("D5")
+    w = sa.element_from_word(sa.build_root_datum("D5"), (2, 3, 1, 2, 3, 4, 5, 3))
+    inp = sa.SchubertInput(datum=d5, parabolic=sa.parabolic(d5, ()), w=w)
+    expected = sa.classify(schubert_input(d5, (), (2, 3, 1, 2, 3, 4, 5, 3)))
+    assert sa.classify(inp) == expected
 
 
 def test_identity_is_valid_for_any_parabolic(datum):
@@ -88,14 +111,19 @@ def test_inversion_set_a4_example(datum):
 # --- decompositions --------------------------------------------------------------
 
 
+def _canonical(d, coroots):
+    return tuple(sorted(coroots, key=d.coroot_index.__getitem__))
+
+
 def test_decompose_g2_scaled_witness(datum):
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
     sets = schubert.cover_coroots(inp)
-    elements = schubert._canonical_sorted(g2, sets.inv_ordered)
+    elements = _canonical(g2, sets.inv_ordered)
     assert set(elements) == {(0, 1), (1, 1), (3, 2)}
-    wit = sets.decomposable[(1, 1)][0]
+    wit = schubert.decompositions(g2, elements)[(1, 1)][0]
     assert (wit.c, wit.mu, wit.mu_prime) == (3, (0, 1), (3, 2))
+    assert sets.decomposable == coroot_mask(g2, [(1, 1)])
 
 
 def test_decompose_simple_coroot_is_none(datum):
@@ -103,7 +131,8 @@ def test_decompose_simple_coroot_is_none(datum):
     inp = schubert_input(g2, (), (2, 1, 2))
     sets = schubert.cover_coroots(inp)
     assert (0, 1) in sets.inv_ordered
-    assert (0, 1) not in sets.decomposable
+    assert (0, 1) not in schubert.decompositions(g2, sets.inv_ordered)
+    assert not sets.decomposable & coroot_mask(g2, [(0, 1)])
 
 
 def test_decompose_d5_theta(datum):
@@ -116,19 +145,21 @@ def test_decompose_d5_theta(datum):
     sets = schubert.cover_coroots(inp)
     theta = d5.highest_coroot
     assert theta in sets.inv_ordered
-    wit = sets.decomposable[theta][0]
+    assert sets.decomposable & coroot_mask(d5, [theta])
+    wit = schubert.decompositions(d5, sets.inv_ordered)[theta][0]
     assert wit.c == 1
     assert tuple(a + b for a, b in zip(wit.mu, wit.mu_prime)) == theta
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_decompose_matches_pair_scan_everywhere(type_str, datum):
-    """On every Borel element the decomposition map that ``cover_coroots``
-    carries equals the map of a plain pair scan, witness lists and their
-    order included (G2 has witnesses with c = 3).  For both tie orders it
-    holds first (last) the witness a search finds first from the front
-    (back), and the cover set is exactly the inversion coroots the scan
-    cannot decompose."""
+    """On every Borel element the decomposition map of ``decompositions``
+    equals the map of a plain pair scan, witness lists and their order
+    included (G2 has witnesses with c = 3), and the decomposable mask that
+    ``cover_coroots`` carries is the mask of that scan's keys.  For both tie
+    orders the map holds first (last) the witness a search finds first from
+    the front (back), and the cover set is exactly the inversion coroots the
+    scan cannot decompose."""
 
     def triple(wit):
         return (wit.c, wit.mu, wit.mu_prime)
@@ -137,9 +168,12 @@ def test_decompose_matches_pair_scan_everywhere(type_str, datum):
     borel = sa.parabolic(d, [])
     for w in sa.enumerate_coset_reps(d, borel, 99):
         sets = sa.cover_coroots(sa.SchubertInput(datum=d, parabolic=borel, w=w))
-        elements = schubert._canonical_sorted(d, sets.inv_ordered)
-        found = sets.decomposable
-        assert found == decompositions_reference(elements), (type_str, w)
+        elements = _canonical(d, sets.inv_ordered)
+        found = schubert.decompositions(d, elements)
+        reference = decompositions_reference(elements)
+        assert found == reference, (type_str, w)
+        assert list(found) == [eta for eta in elements if eta in reference], (type_str, w)
+        assert sets.decomposable == coroot_mask(d, reference), (type_str, w)
         for reverse_ties in (False, True):
             indecomposable = []
             for eta in elements:
@@ -320,6 +354,7 @@ def _assert_rightmost_coroot_is_least_unit_height(w):
     inv = weyl.canonical_record(w)[1]
     inp = sa.SchubertInput(datum=d, parabolic=sa.parabolic(d, ()), w=w)
     decomposable = sa.cover_coroots(inp).decomposable
+    assert decomposable == coroot_mask(d, schubert.decompositions(d, inv))
     for k in weyl.support(w):
         h = min(sa.height(g) for g in inv if g[k - 1] == 1)
         where = (sa.canonical_reduced_word(w), k)
@@ -327,7 +362,7 @@ def _assert_rightmost_coroot_is_least_unit_height(w):
         for reverse_ties in (False, True):
             dist, mu = sa.rightmost_distance(w, k, reverse_ties)
             assert (dist, sa.height(mu)) == (h, h), (where, reverse_ties)
-            assert mu not in decomposable, (where, reverse_ties)
+            assert not decomposable & coroot_mask(d, [mu]), (where, reverse_ties)
 
 
 @pytest.mark.parametrize("type_str", ["A4", "D4", "D5"])
@@ -394,7 +429,7 @@ def test_p_adapt_refuses_an_unmoved_basis_outside_the_cover_set(datum):
     sets = sa.cover_coroots(inp)
     basis = sa.build_B_wB(inp, sets)
     assert basis.entries == ((1, (1, 0, 0, 0)), (2, (0, 1, 0, 0)))
-    assert (1, 1, 0, 0) in sets.decomposable
+    assert sets.decomposable & coroot_mask(inp.datum, [(1, 1, 0, 0)])
     bad = schubert.AdaptedBasis(entries=((1, (1, 0, 0, 0)), (2, (1, 1, 0, 0))))
     with pytest.raises(InternalError, match="escaped the cover set"):
         sa.p_adapt(inp, bad, sets)

@@ -23,6 +23,7 @@ from helpers import (
     bruhat_leq,
     canonical_word_reference,
     coset_factorize,
+    coroot_mask,
     coset_length_counts,
     enumerate_reference,
     inverse,
@@ -361,6 +362,29 @@ def test_support_is_where_an_inversion_coroot_has_unit_coefficient(type_str, dat
         assert weyl.support(w) == units, sa.canonical_reduced_word(w)
 
 
+def test_rightmost_distance_d5_descents_build_no_product(datum, monkeypatch):
+    """D5 Borel: every right descent k is answered by the closed form as
+    (1, alpha_k^vee), since alpha_k^vee is the one height-1 coroot with unit
+    k-th coefficient, so no walk starts and no x s_i is built."""
+    d5 = datum("D5")
+    elements = list(sa.enumerate_coset_reps(d5, sa.parabolic(d5, ()), 99))
+
+    def refuse(*_):
+        raise AssertionError("walk entered")
+
+    monkeypatch.setattr(weyl, "_times_simple", refuse)
+    monkeypatch.setattr(weyl, "identity", refuse)
+    descents = 0
+    for w in elements:
+        for k in range(1, 6):
+            if weyl.has_right_descent(w, k):
+                descents += 1
+                for reverse_ties in (False, True):
+                    got = weyl.rightmost_distance(w, k, reverse_ties)
+                    assert got == (1, d5.simple_coroot(k)), (w, k)
+    assert descents == 1920 * 5 // 2  # each s_k is a right descent of half of W
+
+
 def test_rightmost_distance_simply_laced_calls_no_support(datum, monkeypatch):
     a4 = datum("A4")
     w = el(a4, (1, 2))
@@ -622,6 +646,64 @@ def test_canonical_record_matches_references(type_str, datum):
         assert fresh.record is None
         assert weyl.canonical_record(fresh) == expected, (type_str, word)
         assert carried == fresh.record, (type_str, word)
+
+
+def _assert_mask_matches_record(w):
+    """The mask w carries, or builds on first use, is the mask of its
+    inversion sequence, and a cold element of a fresh datum built from the
+    canonical word builds the same mask."""
+    d = w.datum
+    word, seq = weyl.canonical_record(w)
+    expected = coroot_mask(d, seq)
+    assert weyl.inversion_mask(w) == expected, word
+    assert w.mask == expected, word
+    assert bin(expected).count("1") == w.length, word
+    fresh = el(sa.build_root_datum(str(d.cartan_type)), word)
+    assert fresh.mask is None
+    assert weyl.inversion_mask(fresh) == expected, word
+
+
+def _assert_unit_masks_match_scan(d, elements):
+    """After the rightmost distance of every support letter, the datum's
+    unit masks are the masks of a plain scan for a unit coefficient."""
+    for w in elements:
+        for k in weyl.support(w):
+            weyl.rightmost_distance(w, k)
+    scan = {
+        k: coroot_mask(d, [p.coroot for p in d.positives if p.coroot[k - 1] == 1])
+        for k in range(1, d.rank + 1)
+    }
+    assert d.memo.unit_masks == scan
+
+
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
+def test_inversion_mask_matches_record(type_str):
+    """Every Borel element, with the mask carried from the canonical parent
+    by the walk, and again from cold.  In simply-laced types the unit masks
+    are checked too.  A fresh datum keeps the memo of this test its own."""
+    d = sa.build_root_datum(type_str)
+    elements = list(sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99))
+    for w in elements:
+        assert w.mask is not None
+        _assert_mask_matches_record(w)
+    if d.simply_laced:
+        _assert_unit_masks_match_scan(d, elements)
+
+
+@pytest.mark.parametrize("type_str", ["E7", "E8"])
+def test_inversion_mask_matches_record_on_e7_and_e8(type_str):
+    """Carried masks of the walk to length 4, and cold masks of seeded
+    random reduced words of length 1 to 60; then the unit masks."""
+    d = sa.build_root_datum(type_str)
+    elements = list(sa.enumerate_coset_reps(d, sa.parabolic(d, []), 4))
+    for w in elements:
+        _assert_mask_matches_record(w)
+    rng = random.Random(f"mask-{type_str}")
+    walked = [_random_reduced_element(d, rng, rng.randint(1, 60)) for _ in range(12)]
+    for w in walked:
+        assert w.mask is None
+        _assert_mask_matches_record(w)
+    _assert_unit_masks_match_scan(d, elements + walked)
 
 
 @pytest.mark.parametrize(
