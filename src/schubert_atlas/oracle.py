@@ -8,8 +8,8 @@ reasoned about.  Nothing here uses the indecomposability logic of
 ``schubert.cover_coroots``.  One input is not raw: the Conjecture 3 scan
 takes its distances from ``weyl.rightmost_distance`` and checks each
 against the words it scans.  Nothing is slow on purpose: the reduced-word
-walk builds each step once per element, and each recount stops at the
-first nonzero coordinate of an image.
+walk builds each step once per edge of its interval, and each recount
+reads an image's sign off its height alone.
 """
 
 from __future__ import annotations
@@ -210,14 +210,12 @@ def check_rightmost_indecomposable(
             truncated = True
             break
         scanned += 1
-        r = len(word)
-        rightmost: Dict[int, int] = {}
-        for pos in range(r - 1, -1, -1):
-            if word[pos] not in rightmost:
-                rightmost[word[pos]] = r - pos
+        # the distance of the rightmost s_k from the end, the end being 1
+        backward = word[::-1]
         for k, d in distances.items():
-            if rightmost[k] <= d:
-                if rightmost[k] < d:
+            rightmost = backward.index(k) + 1
+            if rightmost <= d:
+                if rightmost < d:
                     raise InternalError(f"{word} has its rightmost s_{k} closer than {d}")
                 seen.add(k)
                 if seq[d - 1] in decomposable:

@@ -153,7 +153,10 @@ class RootDatum:
     ``coroot_by_pairings`` maps the pairings (<r, alpha_1^vee>, ...,
     <r, alpha_n^vee>) of each positive root r, which determine r, to its
     coroot; ``pairings`` is its inverse, from each positive coroot to the
-    pairings of its root.
+    pairings of its root.  ``moves[i]`` lists the pairs (b, C[b][i]) with
+    C[b][i] != 0, the nonzero entries of Cartan column i (0-based): the
+    columns b of x that ``weyl._times_simple`` rewrites for x -> x s_{i+1},
+    and the rows of w that ``weyl._lift`` sums for s_{i+1} w.
     """
 
     cartan_type: CartanType
@@ -178,6 +181,7 @@ class RootDatum:
         object.__setattr__(self, "highest_coroot", max(coroots, key=sum))
         # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
         object.__setattr__(self, "two_rho_coroot", tuple(map(sum, zip(*coroots))))
+        object.__setattr__(self, "moves", _column_moves(self.cartan))
 
     @property
     def rank(self) -> int:
@@ -185,6 +189,11 @@ class RootDatum:
 
     def simple_coroot(self, i: int) -> CorootVec:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
+
+
+def _column_moves(cartan: IntMatrix) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    # the nonzero C[b][i] of each column i, as (b, C[b][i])
+    return tuple(tuple((b, a) for b, a in enumerate(col) if a) for col in zip(*cartan))
 
 
 def _reflect_coroot(cartan: IntMatrix, i: int, c: CorootVec) -> CorootVec:
@@ -215,7 +224,7 @@ def build_root_datum(ct: CartanType | str) -> RootDatum:
     cartan = cartan_matrix(ct)
     n = ct.rank
     # the nonzero C[j][i] of each column i, for <alpha_i, c> and the pairings
-    cols = [[(j, a) for j, a in enumerate(col) if a] for col in zip(*cartan)]
+    cols = _column_moves(cartan)
     walk = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     # root -> (coroot, pairings (<r, alpha_1^vee>, ..., <r, alpha_n^vee>))
     found = {r: (r, col) for r, col in zip(walk, zip(*cartan))}

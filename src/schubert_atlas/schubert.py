@@ -220,11 +220,13 @@ def decompositions(
     decomposable eta, in the order of ``elements``; each list follows the
     lexicographic canonical order of the pairs (mu, mu').  The witnesses
     are read off the pair masks of ``Memo.splittings``: mu and mu' are the
-    low and high bit, and c = (ht mu + ht mu') / ht eta.  ``cover_coroots``
-    tests those masks directly and builds no witness.
+    low and high bit, and c = (ht mu + ht mu') / ht eta, which is 1 in
+    simply-laced types, the only c ``_splittings`` searches there.
+    ``cover_coroots`` tests those masks directly and builds no witness.
     """
     index = datum.coroot_index
     coroots = datum.positive_coroots
+    simply_laced = datum.simply_laced
     members = 0
     for eta in elements:
         members |= 1 << index[eta]
@@ -235,7 +237,7 @@ def decompositions(
             if pair & members == pair:
                 mu = coroots[(pair & -pair).bit_length() - 1]
                 mu_prime = coroots[pair.bit_length() - 1]
-                c = (height(mu) + height(mu_prime)) // height(eta)
+                c = 1 if simply_laced else (height(mu) + height(mu_prime)) // height(eta)
                 witnesses.append(DecompositionWitness(c=c, mu=mu, mu_prime=mu_prime))
         if witnesses:
             found[eta] = witnesses

@@ -107,16 +107,10 @@ def _apply(matrix: Matrix, v: Sequence[int]) -> CorootVec:
 
 
 def _count_inversions(datum: RootDatum, matrix: Matrix) -> int:
-    # the positive coroots c with M c negative; the image is +-(a positive
-    # coroot), so its first nonzero coordinate decides and the rest is skipped
-    count = 0
-    for c in datum.positive_coroots:
-        for row in matrix:
-            x = sum(map(mul, row, c))
-            if x:
-                count += x < 0
-                break
-    return count
+    # the positive coroots c with M c negative; M c is +-(a positive coroot),
+    # so the sign of its height h.c decides, h the column sums of M
+    h = tuple(map(sum, zip(*matrix)))
+    return sum(sum(map(mul, h, c)) < 0 for c in datum.positive_coroots)
 
 
 def _left_descents(datum: RootDatum, x: Sequence[int]) -> Iterator[int]:
@@ -126,15 +120,16 @@ def _left_descents(datum: RootDatum, x: Sequence[int]) -> Iterator[int]:
             yield i
 
 
-def _times_simple(cartan: Matrix, cols: Matrix, i: int) -> Matrix:
-    # x -> x s_i on the columns x(alpha_b^vee): column b loses
-    # <alpha_i, alpha_b^vee> x(alpha_i^vee), so only i and its neighbours move
-    i0 = i - 1
-    ci = cols[i0]
-    return tuple(
-        tuple([u - row[i0] * v for u, v in zip(col, ci)]) if row[i0] else col
-        for col, row in zip(cols, cartan)
-    )
+def _times_simple(datum: RootDatum, cols: Matrix, i: int) -> Matrix:
+    """x s_i from x, both by their columns x(alpha_b^vee).  Column b loses
+    <alpha_i, alpha_b^vee> x(alpha_i^vee), so only the columns of
+    ``datum.moves[i - 1]`` are rewritten: i itself, which is negated, and
+    its Dynkin neighbours.  The one x -> x s_i step of this module."""
+    ci = cols[i - 1]
+    out = list(cols)
+    for b, a in datum.moves[i - 1]:
+        out[b] = tuple([u - a * v for u, v in zip(cols[b], ci)])
+    return tuple(out)
 
 
 def _check_index(datum: RootDatum, i: int) -> None:
@@ -156,7 +151,7 @@ def element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
     for i in word:
         _check_index(datum, i)
         length += -1 if _vec_is_negative(cols[i - 1]) else 1
-        cols = _times_simple(datum.cartan, cols, i)
+        cols = _times_simple(datum, cols, i)
     return WeylElement(datum, tuple(zip(*cols)), length)
 
 
@@ -179,7 +174,7 @@ def has_right_descent(w: WeylElement, i: int) -> bool:
 def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
     _check_index(w.datum, i)
     delta = -1 if has_right_descent(w, i) else 1
-    matrix = tuple(zip(*_times_simple(w.datum.cartan, tuple(zip(*w.matrix)), i)))
+    matrix = tuple(zip(*_times_simple(w.datum, tuple(zip(*w.matrix)), i)))
     return WeylElement(w.datum, matrix, w.length + delta)
 
 
@@ -266,7 +261,7 @@ def inversion_sequence(datum: RootDatum, word: Sequence[int]) -> Tuple[CorootVec
         if _vec_is_negative(c):
             raise NonReducedWordError(f"word {word} is not reduced")
         out.append(c)
-        suffix = _times_simple(datum.cartan, suffix, i)
+        suffix = _times_simple(datum, suffix, i)
     return tuple(out)
 
 
@@ -342,7 +337,7 @@ def rightmost_distance(
             ck = tuple([u - a * v for u, v in zip(cols[k0], cols[i - 1])])
             if ck in inversions:
                 return d, ck
-        level = list(dict.fromkeys(_times_simple(cartan, cols, i) for cols, i in steps))
+        level = list(dict.fromkeys(_times_simple(datum, cols, i) for cols, i in steps))
 
 
 def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
@@ -371,9 +366,8 @@ def _lift(datum: RootDatum, matrix: Matrix, i: int) -> Tuple[Matrix, CorootVec]:
     names the coroot, and s_i w differs from w only in row i, by -q."""
     i0 = i - 1
     q = [0] * datum.rank
-    for row, c in zip(matrix, (r[i0] for r in datum.cartan)):
-        if c:
-            q = [u + c * v for u, v in zip(q, row)]
+    for b, c in datum.moves[i0]:
+        q = [u + c * v for u, v in zip(q, matrix[b])]
     lifted = matrix[:i0] + (tuple(u - v for u, v in zip(matrix[i0], q)),) + matrix[i0 + 1:]
     return lifted, datum.coroot_by_pairings[tuple(q)]
 
@@ -455,38 +449,47 @@ def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, 
     The words come lazily, in the order of the plain recursion: depth
     first, the peeled letters ascending at each step.  The walk keeps one
     stack of step iterators and the letters and coroots peeled so far, and
-    builds a word's tuples only at its leaf.  The steps (i, x(alpha_i^vee),
-    x s_i) out of each x are built once per call and kept in a dict local
-    to it; the x are elements of the right weak-order interval below w^-1,
-    and the dict holds only those the walk has reached, at most l(w) per
-    word yielded, so a caller that stops after a capped number of words
+    builds a word's tuples only at its leaf.
+
+    The x are the elements of the right weak-order interval below w^-1.
+    Each x that a step leads to is a node [cols, steps], where steps is
+    None until the walk first arrives at x and then holds
+    (i, x(alpha_i^vee), node of x s_i) for each i, ascending.  A step holds its child node, so x s_i is
+    built and its matrix hashed once per edge of the interval, not once per
+    time the walk crosses it.  Every word ends at w^-1, after l(w) letters,
+    and the walk never builds its steps, which would be empty.  The nodes
+    are kept in a dict local to the call.  Steps are built only at the x
+    the walk has reached, at most l(w) per word yielded, each with at most
+    rank child nodes, so a caller that stops after a capped number of words
     also caps its memory."""
-    cartan = w.datum.cartan
-    inversions = frozenset(canonical_record(w)[1])
-    memo: Dict[Matrix, tuple] = {}
-
-    def steps(cols: Matrix) -> Tuple[Tuple[int, CorootVec, Matrix], ...]:
-        return tuple(
-            (i, c, _times_simple(cartan, cols, i))
-            for i, c in enumerate(cols, 1)
-            if c in inversions
-        )
-
     if w.length == 0:
         yield (), ()
         return
+    datum = w.datum
+    inversions = frozenset(canonical_record(w)[1])
+    nodes: Dict[Matrix, list] = {}
+
+    def expand(x: list) -> tuple:
+        cols, steps = x[0], []
+        for i, c in enumerate(cols, 1):
+            if c in inversions:
+                child = _times_simple(datum, cols, i)
+                steps.append((i, c, nodes.setdefault(child, [child, None])))
+        x[1] = tuple(steps)
+        return x[1]
+
     letters: List[int] = []
     coroots: List[CorootVec] = []
-    stack = [iter(steps(identity(w.datum.rank)))]
+    stack = [iter(expand([identity(datum.rank), None]))]
     while stack:
-        for i, c, cols in stack[-1]:
+        for i, c, child in stack[-1]:
             letters.append(i)
             coroots.append(c)
             if len(letters) < w.length:
-                nxt = memo.get(cols)
-                if nxt is None:
-                    nxt = memo[cols] = steps(cols)
-                stack.append(iter(nxt))
+                steps = child[1]
+                if steps is None:
+                    steps = expand(child)
+                stack.append(iter(steps))
                 break
             yield tuple(reversed(letters)), tuple(coroots)
             letters.pop()

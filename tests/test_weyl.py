@@ -31,6 +31,7 @@ from helpers import (
     longest_element,
     reduced_words_reference,
     rightmost_reference,
+    times_reflection,
 )
 
 
@@ -627,6 +628,74 @@ def test_reduced_words_come_lazily_in_reference_order_on_e7_and_e8(datum):
     assert time.perf_counter() - start < 0.5
     assert len(first[0]) == 120
     assert first == next(reduced_words_reference(w0))
+
+
+# off-diagonal Cartan entries of each type: -2 in B and C, -3 in G2
+BONDS = {"A4": {-1}, "B3": {-1, -2}, "C3": {-1, -2}, "D4": {-1}, "G2": {-1, -3}, "F4": {-1, -2}}
+
+
+@pytest.mark.parametrize("type_str", sorted(BONDS))
+def test_times_simple_matches_reflection_product(type_str, datum):
+    """On every Borel element w and every letter i, the move-list kernel
+    gives the columns of w s_i that a full product with the reflection
+    matrix S_i gives; and ``moves`` is a plain scan of the Cartan columns,
+    the diagonal 2 and each bond entry of the type included."""
+    d = datum(type_str)
+    n = d.rank
+    scan = tuple(
+        tuple((b, d.cartan[b][i]) for b in range(n) if d.cartan[b][i]) for i in range(n)
+    )
+    assert d.moves == scan
+    assert {a for moves in d.moves for _, a in moves} == {2} | BONDS[type_str]
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
+        cols = tuple(zip(*w.matrix))
+        for i in range(1, n + 1):
+            expected = tuple(zip(*times_reflection(d.cartan, w.matrix, i)))
+            assert weyl._times_simple(d, cols, i) == expected, (w, i)
+
+
+@pytest.mark.parametrize("type_str", sorted(BONDS))
+def test_count_inversions_is_the_length(type_str, datum):
+    """The height-sign count of inversions is the length on every Borel
+    element, whose length the walk carries from its canonical parent."""
+    d = datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
+        assert weyl._count_inversions(d, w.matrix) == w.length, w
+
+
+def _interval_edges(w):
+    """The edges (x, i) of the interval below w^-1 that the reference
+    recursion crosses: x is named by the inversion coroots its peeled
+    letters realize, which determine it, and i is the next letter peeled."""
+    edges = set()
+    for word, seq in reduced_words_reference(w):
+        for j, i in enumerate(reversed(word)):
+            edges.add((frozenset(seq[:j]), i))
+    return len(edges)
+
+
+def test_reduced_word_walk_builds_each_edge_once(datum, monkeypatch):
+    """A full walk calls the kernel once per edge of the interval, however
+    many words cross it: on the longest element of D4 (2,316 words) and on
+    every element of A4."""
+    calls = []
+    real = weyl._times_simple
+    monkeypatch.setattr(
+        weyl, "_times_simple", lambda *args: calls.append(None) or real(*args)
+    )
+
+    def walk(w):
+        weyl.canonical_record(w)  # built by the kernel for an element not enumerated
+        calls.clear()
+        words = sum(1 for _ in weyl.iter_reduced_words(w))
+        assert len(calls) == _interval_edges(w), sa.canonical_reduced_word(w)
+        return words, len(calls)
+
+    # all 192 elements of D4 lie below w0^-1 = w0, each joined to 4: 192 * 4 / 2 edges
+    assert walk(longest_element(datum("D4"))) == (2316, 384)
+    a4 = datum("A4")
+    for w in sa.enumerate_coset_reps(a4, sa.parabolic(a4, []), 99):
+        walk(w)
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
