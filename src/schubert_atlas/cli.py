@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import operator
 import os
 import sys
 from dataclasses import asdict
-from typing import Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from . import oracle, schubert, weyl
 from .errors import InvalidInputError, NotMinimalCosetRepError, SchubertAtlasError
@@ -138,6 +139,14 @@ def _coset_walk(
     return cap, enumerate_coset_reps(datum, p, cap)
 
 
+def _write_csv(out: TextIO, rows: Iterable[dict]) -> None:
+    """Write the ``CSV_FIELDS`` header, then each ``csv_row`` dict's values
+    in that order."""
+    writer = csv.writer(out)
+    writer.writerow(CSV_FIELDS)
+    writer.writerows(map(operator.itemgetter(*CSV_FIELDS), rows))
+
+
 def _report_table(report: ClassificationReport) -> str:
     doc = schubert.report_fields(report)
     lines = []
@@ -189,9 +198,7 @@ def run_classify(args: argparse.Namespace, datum: RootDatum) -> int:
             doc["conventions"] = report_conventions(datum)
             out.write(canonical_json(doc) + "\n")
         elif args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            writer.writerow(csv_row(report))
+            _write_csv(out, (csv_row(report),))
         else:
             out.write(_report_table(report) + "\n")
     return EXIT_OK
@@ -215,9 +222,7 @@ def run_survey(args: argparse.Namespace, datum: RootDatum) -> int:
             }
             out.write(canonical_json(doc) + "\n")
         elif args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
+            _write_csv(out, rows)
         else:
             header = ("word", "length", "b2", "b_top", "q_factorial", "factorial",
                       "gorenstein", "fano", "c1")

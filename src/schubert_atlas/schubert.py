@@ -13,7 +13,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from . import exactlinalg
 from .errors import (
@@ -83,8 +85,7 @@ class DecompositionWitness:
     mu_prime: CorootVec
 
 
-@dataclass(frozen=True)
-class CorootSets:
+class CorootSets(NamedTuple):
     """The coroot record of a Schubert input, built once by ``cover_coroots``.
 
     ``inv_ordered`` follows the reflection ordering of the canonical reduced
@@ -118,8 +119,7 @@ class AdaptedBasis:
         object.__setattr__(self, "coroots", tuple(c for _, c in self.entries))
 
 
-@dataclass(frozen=True)
-class LabeledMatrix:
+class LabeledMatrix(NamedTuple):
     """Matrix with explicit row/column labels, since orderings are choices."""
 
     row_labels: Tuple[object, ...]
@@ -127,8 +127,21 @@ class LabeledMatrix:
     entries: Tuple[Tuple[object, ...], ...]
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+# the empty default of the report's mapping fields, one object shared by all
+_NO_ENTRIES: Mapping = MappingProxyType({})
+
+
+class ClassificationReport(NamedTuple):
+    """The classification of one X_{w,P}, as ``gorenstein_fano_report``
+    builds it.
+
+    An immutable tuple record: read its fields by name.  It is built by one
+    positional call, so the field order is part of its definition.  Output
+    goes through ``report_to_dict``/``report_fields`` (JSON, table) or
+    ``csv_row`` (CSV); ``json.dumps`` of the report itself silently writes
+    a list.
+    """
+
     cartan_type: str
     parabolic_inside: Tuple[int, ...]
     word: Word = ()
@@ -144,7 +157,7 @@ class ClassificationReport:
     q_factorial: bool = True
     factorial: bool = True
     # the determinant; ``report_to_dict`` adds the invariant factors
-    factorial_evidence: Mapping[str, object] = field(default_factory=dict)
+    factorial_evidence: Mapping[str, object] = _NO_ENTRIES
     basis: Optional[AdaptedBasis] = None
     # the solve's matrix; hat-n is solved for its one right-hand side, and
     # N = M^-1 is built by ``n_matrix`` only when a report is written
@@ -159,7 +172,7 @@ class ClassificationReport:
     nef_anticanonical: Optional[bool] = True
     c1: Optional[Tuple[int | Fraction, ...]] = None
     anticanonical_weil: Tuple[int, ...] = ()
-    provenance: Mapping[str, str] = field(default_factory=dict)
+    provenance: Mapping[str, str] = _NO_ENTRIES
 
     @property
     def n_matrix(self) -> Optional[LabeledMatrix]:
@@ -312,14 +325,7 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
         )
     else:  # P = B: nothing to exclude
         support_p, cover_p = supp, cover_b
-    return CorootSets(
-        inv_ordered=inv,
-        support_B=supp,
-        support_P=support_p,
-        decomposable=decomposable,
-        cover_B=cover_b,
-        cover_P=cover_p,
-    )
+    return CorootSets(inv, supp, support_p, decomposable, cover_b, cover_p)
 
 
 def _columns(ks: Sequence[int]) -> Callable[[Sequence], Tuple]:
@@ -339,7 +345,7 @@ def picard_matrix(inp: SchubertInput, sets: CorootSets) -> LabeledMatrix:
     k-th Cartier generator over the Schubert divisor basis."""
     cols = sets.support_P
     entries = tuple(map(_columns(cols), sets.cover_P))
-    return LabeledMatrix(row_labels=sets.cover_P, col_labels=cols, entries=entries)
+    return LabeledMatrix(sets.cover_P, cols, entries)
 
 
 def classify_factorial(
@@ -540,79 +546,58 @@ def gorenstein_fano_report(
         regime = "simply_laced"
     else:
         regime = "q_factorial_general" if q_fact else "general_undetermined"
-    common = dict(
-        cartan_type=str(datum.cartan_type),
-        parabolic_inside=inp.parabolic.inside_sorted,
-        word=canonical_reduced_word(inp.w),
-        length=inp.w.length,
-        regime=regime,
-        b2=len(ks),
-        b_top=len(sets.cover_P),
-        support=sets.support_B,
-        cartier_indices=ks,
-        inversion_coroots=sets.inv_ordered,
-        cover_coroots=sets.cover_P,
-        picard_matrix=pic,
-        q_factorial=q_fact,
-        factorial=factorial,
-        factorial_evidence=evidence,
-        basis=basis,
-        anticanonical_weil=weil,
-        provenance=_PROVENANCE[regime],
-    )
+    m_matrix, failures = None, ()
     if regime == "point":
-        return ClassificationReport(hat_n_keys=(), hat_n=(), c1=(0,) * datum.rank, **common)
-    if regime == "general_undetermined":
-        und = Status.UNDETERMINED
-        return ClassificationReport(
-            gorenstein=und, q_gorenstein=und, fano=und, q_gorenstein_fano=und,
-            nef_anticanonical=None, c1=None, **common,
-        )
-
-    if basis is None:  # Q-factorial: every cover coroot is a row, M = P
-        labels, keys, rows, m_entries = sets.cover_P, ks, sets.cover_P, pic.entries
-        adj, d = exactlinalg.adjugate(m_entries)  # hat-n = adj(P) weil / det P
-        if d != evidence["determinant"]:
-            raise InternalError(
-                f"adjugate determinant {d} != Picard determinant "
-                f"{evidence['determinant']} for {inp.w!r}"
-            )
-        hat = tuple(Fraction(sum(map(operator.mul, row, weil)), d) for row in adj)
-    else:  # M unipotent lower-triangular: forward substitution in integers
-        labels, keys, rows = basis.entries, basis.keys, basis.coroots
-        m_entries = tuple(map(_columns(keys), rows))
-        hat = ()
-        for r, (row, c) in enumerate(zip(m_entries, rows)):
-            if row[r] != 1 or any(row[r + 1:]):
+        keys, hat, c1, nef = (), (), (0,) * datum.rank, True
+        gor = q_gor = fano = q_fano = Status.YES
+    elif regime == "general_undetermined":
+        keys = hat = c1 = nef = None
+        gor = q_gor = fano = q_fano = Status.UNDETERMINED
+    else:
+        if basis is None:  # Q-factorial: every cover coroot is a row, M = P
+            labels, keys, rows, m_entries = sets.cover_P, ks, sets.cover_P, pic.entries
+            adj, d = exactlinalg.adjugate(m_entries)  # hat-n = adj(P) weil / det P
+            if d != evidence["determinant"]:
                 raise InternalError(
-                    "adapted-basis matrix is not unipotent lower-triangular"
+                    f"adjugate determinant {d} != Picard determinant "
+                    f"{evidence['determinant']} for {inp.w!r}"
                 )
-            hat += (height(c) + 1 - sum(map(operator.mul, row, hat)),)
-    hat_by_key = dict(zip(keys, hat))
-    c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
-    hat_by_col = _columns(ks)(c1)  # hat-n over the Picard columns
-    in_rows = set(rows)
-    defects = (  # <hat-n, eta> - ht eta, from the Picard row and weil = ht + 1
-        (eta, sum(map(operator.mul, hat_by_col, pic_row)) - (w - 1))
-        for eta, pic_row, w in zip(sets.cover_P, pic.entries, weil)
-        if eta not in in_rows
-    )
-    failures = tuple((eta, d) for eta, d in defects if d != 1)
-    q_gor = not failures
-    gor = q_gor and all(x.denominator == 1 for x in hat)
-    positive = all(x > 0 for x in hat)
-    return ClassificationReport(
-        m_matrix=LabeledMatrix(row_labels=labels, col_labels=keys, entries=m_entries),
-        hat_n_keys=keys,
-        hat_n=hat,
-        gorenstein=_status(gor),
-        q_gorenstein=_status(q_gor),
-        fano=_status(gor and positive),
-        q_gorenstein_fano=_status(q_gor and positive),
-        gorenstein_failures=failures,
-        nef_anticanonical=all(x >= 0 for x in hat),
-        c1=c1 if q_gor else None,
-        **common,
+            hat = tuple(Fraction(sum(map(operator.mul, row, weil)), d) for row in adj)
+        else:  # M unipotent lower-triangular: forward substitution in integers
+            labels, keys, rows = basis.entries, basis.keys, basis.coroots
+            m_entries = tuple(map(_columns(keys), rows))
+            hat = ()
+            for r, (row, c) in enumerate(zip(m_entries, rows)):
+                if row[r] != 1 or any(row[r + 1:]):
+                    raise InternalError(
+                        "adapted-basis matrix is not unipotent lower-triangular"
+                    )
+                hat += (height(c) + 1 - sum(map(operator.mul, row, hat)),)
+        m_matrix = LabeledMatrix(labels, keys, m_entries)
+        hat_by_key = dict(zip(keys, hat))
+        c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
+        hat_by_col = _columns(ks)(c1)  # hat-n over the Picard columns
+        in_rows = set(rows)
+        defects = (  # <hat-n, eta> - ht eta, from the Picard row and weil = ht + 1
+            (eta, sum(map(operator.mul, hat_by_col, pic_row)) - (w - 1))
+            for eta, pic_row, w in zip(sets.cover_P, pic.entries, weil)
+            if eta not in in_rows
+        )
+        failures = tuple((eta, d) for eta, d in defects if d != 1)
+        is_q_gor = not failures
+        is_gor = is_q_gor and all(x.denominator == 1 for x in hat)
+        positive = all(x > 0 for x in hat)
+        gor, q_gor = _status(is_gor), _status(is_q_gor)
+        fano, q_fano = _status(is_gor and positive), _status(is_q_gor and positive)
+        nef = all(x >= 0 for x in hat)
+        if not is_q_gor:
+            c1 = None
+    return ClassificationReport(  # positional, in the order of the fields
+        str(datum.cartan_type), inp.parabolic.inside_sorted,
+        canonical_reduced_word(inp.w), inp.w.length, regime, len(ks),
+        len(sets.cover_P), sets.support_B, ks, sets.inv_ordered, sets.cover_P,
+        pic, q_fact, factorial, evidence, basis, m_matrix, keys, hat,
+        gor, q_gor, fano, q_fano, failures, nef, c1, weil, _PROVENANCE[regime],
     )
 
 

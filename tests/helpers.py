@@ -3,7 +3,9 @@ the library code paths they check."""
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -14,7 +16,7 @@ from schubert_atlas import weyl
 from schubert_atlas.errors import SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
 from schubert_atlas.rootdata import RootCorootPair, _reflect_coroot
-from schubert_atlas.schubert import DecompositionWitness
+from schubert_atlas.schubert import CSV_FIELDS, DecompositionWitness
 
 
 def schubert_input(datum, inside, word):
@@ -587,6 +589,16 @@ def reorder_matrix(matrix, row_labels, col_labels, new_rows, new_cols):
 
 def hat_n_map(report) -> Dict[int, Fraction]:
     return dict(zip(report.hat_n_keys, report.hat_n))
+
+
+def csv_reference(rows) -> str:
+    """The text ``csv.DictWriter`` writes for the ``csv_row`` dicts
+    ``rows`` under the ``CSV_FIELDS`` header: each row looked up by name."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def cv(*coeffs) -> Tuple[int, ...]:

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from schubert_atlas import cli, exactlinalg, schubert
 from schubert_atlas.errors import InternalError
 
-from helpers import coset_length_counts
+from helpers import coset_length_counts, csv_reference
 
 
 def run(capsys, *args):
@@ -546,6 +547,34 @@ def test_cli_import_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert done.stdout == "[]\n"
+
+
+_A4_PARABOLICS = [
+    " ".join(map(str, inside))
+    for n in range(5)
+    for inside in itertools.combinations(range(1, 5), n)
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("survey", "--type", "A4", "--parabolic", inside) for inside in _A4_PARABOLICS]
+    + [("survey", "--type", t) for t in ("B3", "C3", "G2", "D4")]
+    + [("classify", "--type", "G2", "--word", "2 1 2")],
+    ids=[f"survey-A4-P{inside.replace(' ', '')}" for inside in _A4_PARABOLICS]
+    + [f"survey-{t}" for t in ("B3", "C3", "G2", "D4")] + ["classify-G2"],
+)
+def test_csv_matches_dict_writer(argv, capsys, monkeypatch):
+    """CSV output writes each ``csv_row`` dict's values by position in
+    ``CSV_FIELDS`` order; its bytes equal ``csv.DictWriter``'s, which looks
+    each field up by name, fed the same dicts."""
+    rows = []
+    monkeypatch.setattr(
+        cli, "csv_row", lambda report: rows.append(schubert.csv_row(report)) or rows[-1]
+    )
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and rows
+    assert out == csv_reference(rows)
 
 
 # --- conjectures --------------------------------------------------------------

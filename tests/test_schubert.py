@@ -829,6 +829,39 @@ def test_anticanonical_weil_recomputation(datum):
         assert entry == sum(eta) + 1
 
 
+def test_report_field_order():
+    """``gorenstein_fano_report`` builds the report by one positional call,
+    which relies on this order of its fields."""
+    assert schubert.ClassificationReport._fields == (
+        "cartan_type", "parabolic_inside", "word", "length", "regime", "b2",
+        "b_top", "support", "cartier_indices", "inversion_coroots",
+        "cover_coroots", "picard_matrix", "q_factorial", "factorial",
+        "factorial_evidence", "basis", "m_matrix", "hat_n_keys", "hat_n",
+        "gorenstein", "q_gorenstein", "fano", "q_gorenstein_fano",
+        "gorenstein_failures", "nef_anticanonical", "c1", "anticanonical_weil",
+        "provenance",
+    )
+
+
+def test_records_refuse_assignment(datum):
+    """A report, its coroot record, its matrices and a decomposition
+    witness are immutable: assigning to a field raises ``AttributeError``."""
+    d4 = datum("D4")
+    inp = schubert_input(d4, (), (2, 1, 3, 4, 2))
+    report = sa.classify(inp)
+    (witness, *_), *_ = schubert.decompositions(d4, d4.positive_coroots).values()
+    records = (
+        (report, "gorenstein"),
+        (sa.cover_coroots(inp), "cover_B"),
+        (report.picard_matrix, "entries"),
+        (report.m_matrix, "entries"),
+        (witness, "c"),
+    )
+    for record, name in records:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 # --- serialization -------------------------------------------------------------------
 
 
