@@ -4,9 +4,11 @@ desk-scale scanners for three reduced-word conjectures.
 Everything here recomputes from raw definitions: lengths are inversion
 counts of freshly multiplied matrices, cover membership is a literal
 length-drop test, and reduced words are enumerated one by one rather than
-reasoned about.  Nothing here uses the indecomposability logic of
-``schubert.cover_coroots``.  One input is not raw: the Conjecture 3 scan
-takes its distances from ``weyl.rightmost_distance`` and checks each
+reasoned about.  Decompositions eta = mu + mu' come from a plain scan over
+pairs of inversion coroots, so nothing here reads the splitting memo or uses
+the indecomposability logic of ``schubert.cover_coroots``; ``SchubertInput``
+is all that is taken from ``schubert``.  One input is not raw: the Conjecture 3
+scan takes its distances from ``weyl.rightmost_distance`` and checks each
 against the words it scans.  Nothing is slow on purpose: the reduced-word
 walk builds each step once per edge of its interval, and each recount
 reads an image's sign off its height alone.
@@ -14,12 +16,13 @@ reads an image's sign off its height alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import InternalError, NotSimplyLacedError
 from .rootdata import CorootVec, RootDatum
-from .schubert import SchubertInput, decompositions
+from .schubert import SchubertInput
 from .weyl import (
     DEFAULT_WORD_CAP,
     WeylElement,
@@ -45,6 +48,22 @@ def _length_drop_pairs(
         u = multiply(w, reflection_element(datum, eta))
         out.append((eta, u, w.length - u.length))
     return tuple(out)
+
+
+def _pair_decompositions(
+    seq: Tuple[CorootVec, ...]
+) -> Dict[CorootVec, List[Tuple[CorootVec, CorootVec]]]:
+    """{eta: [(mu, mu'), ...]} over every pair mu before mu' in ``seq`` whose
+    sum eta is in ``seq`` too: the decomposable inversion coroots of a
+    simply-laced type, where every splitting has c = 1."""
+    members = set(seq)
+    found: Dict[CorootVec, List[Tuple[CorootVec, CorootVec]]] = {}
+    for a, mu in enumerate(seq):
+        for mu_prime in seq[a + 1:]:
+            eta = tuple(map(operator.add, mu, mu_prime))
+            if eta in members:
+                found.setdefault(eta, []).append((mu, mu_prime))
+    return found
 
 
 def cover_coroots_direct(inp: SchubertInput) -> FrozenSet[CorootVec]:
@@ -96,15 +115,10 @@ def check_order_reversal(
     """Conjecture 1: every decomposable inversion coroot admits *some*
     decomposition whose summands appear in both orders across two reduced
     words (not necessarily every decomposition).  Simply-laced only."""
-    datum = w.datum
-    if not datum.simply_laced:
+    if not w.datum.simply_laced:
         raise NotSimplyLacedError("order-reversal scan needs a simply-laced type")
     canon, seq = canonical_record(w)
-    # simply-laced: every witness has c == 1, so mu + mu' = eta
-    pairs = {
-        eta: [(wit.mu, wit.mu_prime) for wit in witnesses]
-        for eta, witnesses in decompositions(datum, seq).items()
-    }
+    pairs = _pair_decompositions(seq)
     if not pairs:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
     orders_seen: Dict[Tuple[CorootVec, CorootVec], Set[bool]] = {}
@@ -193,13 +207,12 @@ def check_rightmost_indecomposable(
     is indecomposable.  Simply-laced only, where the height argument of
     ``weyl.rightmost_distance`` proves it; this scan stays as the brute-force
     check, and checks those distances against the words too."""
-    datum = w.datum
-    if not datum.simply_laced:
+    if not w.datum.simply_laced:
         raise NotSimplyLacedError("rightmost scan needs a simply-laced type")
     canon, seq = canonical_record(w)
     if w.is_identity:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
-    decomposable = decompositions(datum, seq)
+    decomposable = _pair_decompositions(seq)
     distances = {k: rightmost_distance(w, k)[0] for k in support(w)}
     counter: List[object] = []
     seen: Set[int] = set()

@@ -131,7 +131,7 @@ class Memo:
     - ``splittings``: canonical index of eta -> the pair mask (bits a and b)
       of every c * eta = mu_a + mu_b over positive coroots with a < b, in
       lexicographic order of (a, b); filled per eta by
-      ``schubert._splittings``;
+      ``schubert._splittings`` and read by ``schubert.cover_coroots`` only;
     - ``unit_masks``: simple index k -> the mask of the positive coroots
       with k-th coefficient 1; filled per k by ``weyl.rightmost_distance``.
     """

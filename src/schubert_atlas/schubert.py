@@ -69,20 +69,16 @@ class SchubertInput:
                 f"not of {self.datum.cartan_type}"
             )
         if self.parabolic.rank != self.datum.rank:
-            raise NotMinimalCosetRepError("parabolic rank does not match datum")
+            raise InvalidInputError(
+                f"the parabolic has rank {self.parabolic.rank}, "
+                f"but {self.datum.cartan_type} has rank {self.datum.rank}"
+            )
         for j in self.parabolic.inside_sorted:
             if has_right_descent(self.w, j):
                 raise NotMinimalCosetRepError(
                     f"w sends alpha_{j} negative for j={j} in I_P; not in W^P",
                     violating_index=j,
                 )
-
-
-@dataclass(frozen=True)
-class DecompositionWitness:
-    c: int
-    mu: CorootVec
-    mu_prime: CorootVec
 
 
 class CorootSets(NamedTuple):
@@ -197,7 +193,8 @@ class ClassificationReport(NamedTuple):
 def _splittings(datum: RootDatum, i: int) -> Tuple[int, ...]:
     """The pair masks (bit a | bit b) of every c * eta = mu_a + mu_b over
     positive coroots with a < b, for eta of canonical index i, in
-    lexicographic order of (a, b); memoized per i.
+    lexicographic order of (a, b); memoized per i.  ``cover_coroots`` is
+    its one reader.
 
     mu, mu' and eta span a rank-2 subsystem, so c is at most its largest
     bond multiplicity: 1 in ADE, 2 in B, C and F, 3 in G2.  The sum fixes c,
@@ -223,38 +220,6 @@ def _splittings(datum: RootDatum, i: int) -> Tuple[int, ...]:
     result = tuple((1 << a) | (1 << b) for a, b in sorted(found))
     memo[i] = result
     return result
-
-
-def decompositions(
-    datum: RootDatum, elements: Sequence[CorootVec]
-) -> Dict[CorootVec, List[DecompositionWitness]]:
-    """Every c * eta = mu + mu' with mu, mu', eta among ``elements`` and
-    mu before mu' in canonical order.  The keys are exactly the
-    decomposable eta, in the order of ``elements``; each list follows the
-    lexicographic canonical order of the pairs (mu, mu').  The witnesses
-    are read off the pair masks of ``Memo.splittings``: mu and mu' are the
-    low and high bit, and c = (ht mu + ht mu') / ht eta, which is 1 in
-    simply-laced types, the only c ``_splittings`` searches there.
-    ``cover_coroots`` tests those masks directly and builds no witness.
-    """
-    index = datum.coroot_index
-    coroots = datum.positive_coroots
-    simply_laced = datum.simply_laced
-    members = 0
-    for eta in elements:
-        members |= 1 << index[eta]
-    found: Dict[CorootVec, List[DecompositionWitness]] = {}
-    for eta in elements:
-        witnesses = []
-        for pair in _splittings(datum, index[eta]):
-            if pair & members == pair:
-                mu = coroots[(pair & -pair).bit_length() - 1]
-                mu_prime = coroots[pair.bit_length() - 1]
-                c = 1 if simply_laced else (height(mu) + height(mu_prime)) // height(eta)
-                witnesses.append(DecompositionWitness(c=c, mu=mu, mu_prime=mu_prime))
-        if witnesses:
-            found[eta] = witnesses
-    return found
 
 
 def _inverted_simple_images(
@@ -293,7 +258,7 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
     ``inversion_mask``.  The set bits of that mask, read upward, are the
     inversion coroots in canonical order; eta is decomposable as soon as
     one of its splitting pair masks (``Memo.splittings``) lies inside N(w),
-    so no pair of inversion coroots is scanned and no witness is built.
+    so no pair of inversion coroots is scanned.
     """
     datum = inp.datum
     word, inv = canonical_record(inp.w)

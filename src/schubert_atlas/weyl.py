@@ -18,6 +18,7 @@ from .errors import (
     InvalidInputError,
     NonReducedWordError,
     NotInSupportError,
+    NotSimplyLacedError,
 )
 from .exactlinalg import identity
 from .rootdata import CorootVec, RootDatum, _reflect_coroot, require_positive_coroot
@@ -270,28 +271,20 @@ def rightmost_distance(
 ) -> Tuple[int, CorootVec]:
     """Minimal distance d of the rightmost occurrence of s_k from the end of
     a reduced word of w, together with the inversion coroot that occurrence
-    realizes: entry d of the inversion sequence of a witness word.
+    realizes: entry d of the inversion sequence of a witness word.  The end
+    position has distance 1.  Simply-laced types only.
 
-    The end position has distance 1.  The walk is breadth-first over the
-    products x of the d - 1 letters peeled from the end, each kept by its
-    columns: w x has right descent i exactly when x(alpha_i^vee) is an
-    inversion coroot of w (Bjorner-Brenti, 1.3), and then s_i is peeled
-    next.  It stops at the first x with x(alpha_k^vee) an inversion coroot,
-    which the occurrence of s_k realizes.  Each level is ordered by the
-    peeled letters, lexicographically, or in reverse with ``reverse_ties``,
-    so ties go to the smallest (largest) letter peeled first.
-
-    Simply-laced types walk only on ties.  With N(w) the inversion coroots
-    and h the least height of a gamma in N(w) with gamma_k = 1, d = h and
-    the walk's coroot is gamma if it alone has height h; no gamma exists iff
-    k is outside the support, whose coroots span N(w).  The gamma are the
-    set bits of ``inversion_mask(w)`` and the datum's unit mask of k, and
-    canonical order is by height, so the lowest bit is a gamma of height h
-    and a tie is the next bit at the same height.  alpha_k^vee is the one
-    such gamma of height 1, so a right descent k is never a tie.  Proof:
-    - The walk's coroot is x(alpha_k^vee), x the d - 1 peeled letters, none
-      of them k.  s_j, j != k, keeps the k-th coefficient at 1, so it moves
-      the height by -<alpha_j, .> in {-1, 0, 1} (simply laced): h <= ht <= d.
+    With N(w) the inversion coroots and h the least height of a gamma in
+    N(w) with gamma_k = 1, d = h and the coroot is gamma if it alone has
+    height h; no gamma exists iff k is outside the support, whose coroots
+    span N(w).  The gamma are the set bits of ``inversion_mask(w)`` and the
+    datum's unit mask of k, and canonical order is by height, so the lowest
+    bit is a gamma of height h and a tie is the next bit at the same height.
+    alpha_k^vee is the one such gamma of height 1, so a right descent k is
+    never a tie.  Proof:
+    - The coroot is x(alpha_k^vee), x the d - 1 letters peeled from the
+      end, none of them k.  s_j, j != k, keeps the k-th coefficient at 1, so
+      it moves the height by -<alpha_j, .> in {-1, 0, 1}: h <= ht <= d.
     - d <= h, by induction on h; h = 1 makes k a right descent.  If h > 1
       and gamma reaches it, 2 = <gamma, gamma> = sum_j gamma_j <alpha_j,
       gamma> with <alpha_k, gamma> <= 1 gives j != k, <alpha_j, gamma> = 1.
@@ -299,31 +292,37 @@ def rightmost_distance(
       alpha_j^vee is: j is a right descent, and N(w s_j) = s_j(N(w) -
       alpha_j^vee) has least height h - 1, at s_j(gamma).  A reduced word of
       w s_j with its rightmost s_k at distance <= h - 1, then s_j, is one of w.
+
+    A tie is broken by a breadth-first walk over the products x of the
+    letters peeled from the end, each kept by its columns: w x has right
+    descent i exactly when x(alpha_i^vee) is an inversion coroot of w
+    (Bjorner-Brenti, 1.3), and then s_i is peeled next.  It stops at the
+    first x with x(alpha_k^vee) an inversion coroot, at distance h.  Each
+    level is ordered by the peeled letters, lexicographically, or in
+    reverse with ``reverse_ties``, so ties go to the smallest (largest)
+    letter peeled first.
     """
     datum = w.datum
+    if not datum.simply_laced:
+        raise NotSimplyLacedError("rightmost distances need a simply-laced type")
     _check_index(datum, k)
     k0 = k - 1
-    if datum.simply_laced:
-        units = datum.memo.unit_masks
-        unit = units.get(k)
-        if unit is None:
-            unit = units[k] = sum(
-                1 << i for i, c in enumerate(datum.positive_coroots) if c[k0] == 1
-            )
-        gammas = inversion_mask(w) & unit
-        if not gammas:
-            raise NotInSupportError(f"s_{k} is not below {w!r}")
-        coroots = datum.positive_coroots
-        low = gammas & -gammas
-        best = coroots[low.bit_length() - 1]
-        h = sum(best)
-        rest = gammas ^ low
-        if not rest or sum(coroots[(rest & -rest).bit_length() - 1]) != h:
-            return h, best
-    elif k not in support(w):
+    units = datum.memo.unit_masks
+    unit = units.get(k)
+    if unit is None:
+        unit = units[k] = sum(
+            1 << i for i, c in enumerate(datum.positive_coroots) if c[k0] == 1
+        )
+    gammas = inversion_mask(w) & unit
+    if not gammas:
         raise NotInSupportError(f"s_{k} is not below {w!r}")
-    elif has_right_descent(w, k):
-        return 1, datum.simple_coroot(k)
+    coroots = datum.positive_coroots
+    low = gammas & -gammas
+    best = coroots[low.bit_length() - 1]
+    h = sum(best)
+    rest = gammas ^ low
+    if not rest or sum(coroots[(rest & -rest).bit_length() - 1]) != h:
+        return h, best
     cartan = datum.cartan
     inversions = frozenset(canonical_record(w)[1])
     order = range(datum.rank, 0, -1) if reverse_ties else range(1, datum.rank + 1)

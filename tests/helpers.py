@@ -16,7 +16,7 @@ from schubert_atlas import weyl
 from schubert_atlas.errors import SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
 from schubert_atlas.rootdata import RootCorootPair, _reflect_coroot
-from schubert_atlas.schubert import CSV_FIELDS, DecompositionWitness
+from schubert_atlas.schubert import CSV_FIELDS
 
 
 def schubert_input(datum, inside, word):
@@ -546,8 +546,8 @@ def decompose_reference(eta, inv_elements, reverse_ties=False):
 def decompositions_reference(elements):
     """The decomposition map by a scan over all pairs a < b of ``elements``
     (inversion coroots in canonical order): each c dividing gcd(mu + mu')
-    with (mu + mu')/c among them appends ``DecompositionWitness(c, mu, mu')``
-    to that coroot's list, in lexicographic pair order."""
+    with (mu + mu')/c among them appends ``(c, mu, mu')`` to that coroot's
+    list, in lexicographic pair order."""
     members = set(elements)
     found = {}
     size = len(elements)
@@ -562,9 +562,7 @@ def decompositions_reference(elements):
                     continue
                 eta = tuple(x // c for x in s)
                 if eta in members:
-                    found.setdefault(eta, []).append(
-                        DecompositionWitness(c=c, mu=mu, mu_prime=mu2)
-                    )
+                    found.setdefault(eta, []).append((c, mu, mu2))
     return found
 
 

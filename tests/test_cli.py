@@ -498,25 +498,6 @@ def test_survey_memo_tables_stay_within_the_positive_system(capsys, monkeypatch)
     assert sizes and all(size <= len(d.positives) for size in sizes.values()), sizes
 
 
-def test_survey_builds_no_decomposition_witness(capsys, monkeypatch):
-    """A D5 Borel survey reads decomposability off the splitting pair masks:
-    it classifies 1,920 elements and builds no ``DecompositionWitness``.
-    The witness lists are built only for the order-reversal oracle and the
-    tests, as the last call shows the counter would see."""
-    built = []
-    init = schubert.DecompositionWitness.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(None)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(schubert.DecompositionWitness, "__init__", counting_init)
-    assert len(_survey_rows(capsys, "--type", "D5")) == 1920
-    assert built == []
-    d5 = cli.build_root_datum("D5")
-    assert schubert.decompositions(d5, d5.positive_coroots) and built
-
-
 def test_survey_json_header_names_parsed_type(capsys):
     """The header names the parsed type, as the rows do, not the raw
     --type text."""

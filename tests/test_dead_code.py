@@ -152,3 +152,24 @@ def test_traced_names_are_module_functions():
             ):
                 missing.append(f"{layer}.{name}")
     assert named and not missing, missing
+
+
+def test_oracle_shares_no_logic_with_schubert():
+    """The oracles are ground truth for ``schubert``, so they must not reuse
+    its logic: ``oracle.py`` takes only ``SchubertInput`` from it, imports
+    no ``schubert`` module object, and reads no ``memo`` table of a datum."""
+    taken = set()
+    memo_reads = []
+    for node in ast.walk(_trees()["oracle"]):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").rpartition(".")[2] == "schubert":
+                taken.update(alias.name for alias in node.names)
+            taken.update("module" for alias in node.names if alias.name == "schubert")
+        elif isinstance(node, ast.Import):
+            taken.update(
+                "module" for alias in node.names if alias.name.endswith(".schubert")
+            )
+        elif isinstance(node, ast.Attribute) and node.attr == "memo":
+            memo_reads.append(node.lineno)
+    assert taken == {"SchubertInput"}, taken
+    assert not memo_reads, memo_reads

@@ -6,7 +6,12 @@ import schubert_atlas as sa
 from schubert_atlas import oracle, weyl
 from schubert_atlas.errors import InternalError, NotSimplyLacedError
 
-from helpers import longest_element, schubert_input, valid_parabolics
+from helpers import (
+    decompositions_reference,
+    longest_element,
+    schubert_input,
+    valid_parabolics,
+)
 
 
 def test_direct_cover_g2_grassmannian(datum):
@@ -127,6 +132,23 @@ def test_type_a_covers_match_permutation_model(datum):
 
 
 # --- conjecture 1: order reversal ------------------------------------------
+
+
+@pytest.mark.parametrize("type_str", ["A4", "D4", "D5"])
+def test_pair_decompositions_match_reference(type_str, datum):
+    """On every Borel element the oracle's own pair scan finds the
+    decomposable inversion coroots of the reference scan, each with the
+    same pairs in the same order, and every splitting has c = 1."""
+    d = datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, ()), 99):
+        seq = weyl.canonical_record(w)[1]
+        reference = decompositions_reference(seq)
+        assert {c for witnesses in reference.values() for c, _, _ in witnesses} <= {1}
+        expected = {
+            eta: [(mu, mu_prime) for _, mu, mu_prime in witnesses]
+            for eta, witnesses in reference.items()
+        }
+        assert oracle._pair_decompositions(seq) == expected, sa.canonical_reduced_word(w)
 
 
 def test_order_reversal_a2_longest(datum):

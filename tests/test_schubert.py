@@ -57,6 +57,15 @@ def test_input_rejects_an_element_of_another_type(word, datum):
         sa.SchubertInput(datum=d5, parabolic=sa.parabolic(d5, ()), w=w)
 
 
+def test_input_rejects_a_parabolic_of_another_rank(datum):
+    """A parabolic of the wrong rank is a bad input, not a w outside W^P:
+    the error names both ranks and no violating index."""
+    a3, a4 = datum("A3"), datum("A4")
+    w = sa.element_from_word(a4, (1, 2))
+    with pytest.raises(InvalidInputError, match="rank 3, but A4 has rank 4"):
+        sa.SchubertInput(datum=a4, parabolic=sa.parabolic(a3, [1]), w=w)
+
+
 def test_input_accepts_an_element_of_another_datum_of_the_same_type(datum):
     """Canonical indices depend only on the type, so a D5 element of a
     separately built D5 datum is classified as the same element."""
@@ -115,14 +124,26 @@ def _canonical(d, coroots):
     return tuple(sorted(coroots, key=d.coroot_index.__getitem__))
 
 
+def _pair_masks(d, witnesses):
+    """The pair masks of reference witnesses (c, mu, mu'), in their order."""
+    index = d.coroot_index
+    return tuple((1 << index[mu]) | (1 << index[mu2]) for _, mu, mu2 in witnesses)
+
+
+def _splittings_inside(d, eta, w):
+    """The splitting pair masks of eta that lie inside N(w)."""
+    inv_mask = weyl.inversion_mask(w)
+    return [m for m in schubert._splittings(d, d.coroot_index[eta]) if m & inv_mask == m]
+
+
 def test_decompose_g2_scaled_witness(datum):
+    """3 * (1, 1) = (0, 1) + (3, 2) is the one splitting of (1, 1) inside
+    N(s2 s1 s2)."""
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
     sets = schubert.cover_coroots(inp)
-    elements = _canonical(g2, sets.inv_ordered)
-    assert set(elements) == {(0, 1), (1, 1), (3, 2)}
-    wit = schubert.decompositions(g2, elements)[(1, 1)][0]
-    assert (wit.c, wit.mu, wit.mu_prime) == (3, (0, 1), (3, 2))
+    assert set(sets.inv_ordered) == {(0, 1), (1, 1), (3, 2)}
+    assert _splittings_inside(g2, (1, 1), inp.w) == [coroot_mask(g2, [(0, 1), (3, 2)])]
     assert sets.decomposable == coroot_mask(g2, [(1, 1)])
 
 
@@ -131,7 +152,7 @@ def test_decompose_simple_coroot_is_none(datum):
     inp = schubert_input(g2, (), (2, 1, 2))
     sets = schubert.cover_coroots(inp)
     assert (0, 1) in sets.inv_ordered
-    assert (0, 1) not in schubert.decompositions(g2, sets.inv_ordered)
+    assert schubert._splittings(g2, g2.coroot_index[(0, 1)]) == ()
     assert not sets.decomposable & coroot_mask(g2, [(0, 1)])
 
 
@@ -146,45 +167,47 @@ def test_decompose_d5_theta(datum):
     theta = d5.highest_coroot
     assert theta in sets.inv_ordered
     assert sets.decomposable & coroot_mask(d5, [theta])
-    wit = schubert.decompositions(d5, sets.inv_ordered)[theta][0]
-    assert wit.c == 1
-    assert tuple(a + b for a, b in zip(wit.mu, wit.mu_prime)) == theta
+    inside = _splittings_inside(d5, theta, rep)
+    assert inside
+    coroots = d5.positive_coroots
+    for mask in inside:
+        mu = coroots[(mask & -mask).bit_length() - 1]
+        mu_prime = coroots[mask.bit_length() - 1]
+        assert tuple(a + b for a, b in zip(mu, mu_prime)) == theta
+
+
+@pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4", "E6"])
+def test_splittings_match_pair_scan(type_str, datum):
+    """For every positive coroot eta the memoized splitting pair masks are
+    those of a plain pair scan over all positive coroots, in its
+    lexicographic order (G2 has splittings with c = 3)."""
+    d = datum(type_str)
+    reference = decompositions_reference(d.positive_coroots)
+    for i, eta in enumerate(d.positive_coroots):
+        expected = _pair_masks(d, reference.get(eta, ()))
+        assert schubert._splittings(d, i) == expected, (type_str, eta)
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_decompose_matches_pair_scan_everywhere(type_str, datum):
-    """On every Borel element the decomposition map of ``decompositions``
-    equals the map of a plain pair scan, witness lists and their order
-    included (G2 has witnesses with c = 3), and the decomposable mask that
-    ``cover_coroots`` carries is the mask of that scan's keys.  For both tie
-    orders the map holds first (last) the witness a search finds first from
-    the front (back), and the cover set is exactly the inversion coroots the
-    scan cannot decompose."""
-
-    def triple(wit):
-        return (wit.c, wit.mu, wit.mu_prime)
-
+    """On every Borel element the decomposable mask that ``cover_coroots``
+    carries is the mask of the keys of a plain pair scan over the inversion
+    coroots, and the cover set is exactly the inversion coroots that a
+    search from either end cannot decompose."""
     d = datum(type_str)
     borel = sa.parabolic(d, [])
     for w in sa.enumerate_coset_reps(d, borel, 99):
         sets = sa.cover_coroots(sa.SchubertInput(datum=d, parabolic=borel, w=w))
         elements = _canonical(d, sets.inv_ordered)
-        found = schubert.decompositions(d, elements)
         reference = decompositions_reference(elements)
-        assert found == reference, (type_str, w)
-        assert list(found) == [eta for eta in elements if eta in reference], (type_str, w)
         assert sets.decomposable == coroot_mask(d, reference), (type_str, w)
         for reverse_ties in (False, True):
-            indecomposable = []
-            for eta in elements:
-                expected = decompose_reference(eta, elements, reverse_ties)
-                if expected is None:
-                    assert eta not in found, (type_str, w, eta)
-                    indecomposable.append(eta)
-                else:
-                    got = triple(found[eta][-1 if reverse_ties else 0])
-                    assert got == expected, (type_str, w, eta, reverse_ties)
-            assert sets.cover_B == tuple(indecomposable), (type_str, w)
+            indecomposable = [
+                eta
+                for eta in elements
+                if decompose_reference(eta, elements, reverse_ties) is None
+            ]
+            assert sets.cover_B == tuple(indecomposable), (type_str, w, reverse_ties)
 
 
 # --- cover sets ------------------------------------------------------------------
@@ -354,7 +377,7 @@ def _assert_rightmost_coroot_is_least_unit_height(w):
     inv = weyl.canonical_record(w)[1]
     inp = sa.SchubertInput(datum=d, parabolic=sa.parabolic(d, ()), w=w)
     decomposable = sa.cover_coroots(inp).decomposable
-    assert decomposable == coroot_mask(d, schubert.decompositions(d, inv))
+    assert decomposable == coroot_mask(d, decompositions_reference(inv))
     for k in weyl.support(w):
         h = min(sa.height(g) for g in inv if g[k - 1] == 1)
         where = (sa.canonical_reduced_word(w), k)
@@ -844,18 +867,16 @@ def test_report_field_order():
 
 
 def test_records_refuse_assignment(datum):
-    """A report, its coroot record, its matrices and a decomposition
-    witness are immutable: assigning to a field raises ``AttributeError``."""
+    """A report, its coroot record and its matrices are immutable:
+    assigning to a field raises ``AttributeError``."""
     d4 = datum("D4")
     inp = schubert_input(d4, (), (2, 1, 3, 4, 2))
     report = sa.classify(inp)
-    (witness, *_), *_ = schubert.decompositions(d4, d4.positive_coroots).values()
     records = (
         (report, "gorenstein"),
         (sa.cover_coroots(inp), "cover_B"),
         (report.picard_matrix, "entries"),
         (report.m_matrix, "entries"),
-        (witness, "c"),
     )
     for record, name in records:
         with pytest.raises(AttributeError):

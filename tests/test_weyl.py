@@ -15,6 +15,7 @@ from schubert_atlas.errors import (
     NonReducedWordError,
     NotACorootError,
     NotInSupportError,
+    NotSimplyLacedError,
 )
 
 from helpers import (
@@ -288,9 +289,20 @@ def test_rightmost_distance_53142(datum):
 
 
 def test_rightmost_distance_descent_is_one(datum):
-    g2 = datum("G2")
-    w = el(g2, (1, 2, 1))
-    assert sa.rightmost_distance(w, 1)[0] == 1
+    d4 = datum("D4")
+    w = el(d4, (1, 2, 3, 4, 2, 1))
+    assert sa.rightmost_distance(w, 1) == (1, (1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("type_str", ["B3", "C3", "G2", "F4"])
+def test_rightmost_distance_needs_simply_laced(type_str, datum):
+    """Its callers need it in simply-laced types only, so any other type is
+    refused, even for a right descent or a letter outside the support."""
+    d = datum(type_str)
+    w = el(d, (1, 2, 1))
+    for k in (1, 2, d.rank):
+        with pytest.raises(NotSimplyLacedError):
+            sa.rightmost_distance(w, k)
 
 
 def test_rightmost_distance_not_in_support(datum):
@@ -559,11 +571,14 @@ def _assert_walks_match_references(w, with_words=True):
     own inversion sequence, and for every support letter and both tie
     orders the distance of the reference witness with the coroot it
     realizes there, which ``inversion_sequence`` of the witness suffix
-    ends with too."""
+    ends with too.  The rightmost walk is checked in simply-laced types,
+    the only ones it serves."""
     d = w.datum
     if with_words:
         pairs = list(weyl.iter_reduced_words(w))
         assert pairs == list(reduced_words_reference(w)), sa.canonical_reduced_word(w)
+    if not d.simply_laced:
+        return
     for k in weyl.support(w):
         for reverse_ties in (False, True):
             dist, suffix = rightmost_reference(w, k, reverse_ties)
