@@ -5,7 +5,7 @@ Everything here recomputes from raw definitions: lengths are inversion
 counts of freshly multiplied matrices, cover membership is a literal
 length-drop test, and reduced words are enumerated one by one rather than
 reasoned about.  Decompositions eta = mu + mu' come from a plain scan over
-pairs of inversion coroots, so nothing here reads the splitting memo or uses
+pairs of inversion coroots, so nothing here reads a memo table or uses
 the indecomposability logic of ``schubert.cover_coroots``; ``SchubertInput``
 is all that is taken from ``schubert``.  One input is not raw: the Conjecture 3
 scan takes its distances from ``weyl.rightmost_distance`` and checks each

@@ -124,21 +124,22 @@ class RootCorootPair:
 @dataclass
 class Memo:
     """The memo tables a root datum owns; each lives as long as the datum
-    and has at most one entry per positive coroot.  A set of positive
-    coroots is an int mask with bit i for canonical index i.
+    and has at most one entry per positive coroot, and at most one per
+    parabolic used with the datum (one in any command-line run).  A set of
+    positive coroots is an int mask with bit i for canonical index i.
 
     - ``reflections``: positive coroot -> its reflection;
-    - ``splittings``: canonical index of eta -> the pair mask (bits a and b)
-      of every c * eta = mu_a + mu_b over positive coroots with a < b, in
-      lexicographic order of (a, b); filled per eta by
-      ``schubert._splittings`` and read by ``schubert.cover_coroots`` only;
     - ``unit_masks``: simple index k -> the mask of the positive coroots
-      with k-th coefficient 1; filled per k by ``weyl.rightmost_distance``.
+      with k-th coefficient 1; filled per k by ``weyl.rightmost_distance``;
+    - ``parabolics``: I_P (a non-empty frozenset) -> its
+      ``weyl.ParabolicTable``, whose tuples hold one entry per positive
+      coroot; filled per I_P by ``weyl.parabolic_table``, so a Borel run
+      fills none.
     """
 
     reflections: dict = field(default_factory=dict)
-    splittings: dict = field(default_factory=dict)
     unit_masks: dict = field(default_factory=dict)
+    parabolics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,6 +158,13 @@ class RootDatum:
     C[b][i] != 0, the nonzero entries of Cartan column i (0-based): the
     columns b of x that ``weyl._times_simple`` rewrites for x -> x s_{i+1},
     and the rows of w that ``weyl._lift`` sums for s_{i+1} w.
+    ``coroot_keys[i]`` packs the coroot of canonical index i into one
+    integer, sum_j c_j << 5j, and ``key_bits`` maps each key to the bit of
+    its coroot.  Coefficients stay below 32 in every sum c * eta and gamma +
+    mu that ``weyl`` forms (at most 3 * 3 in G2, 2 * 4 in F4, 6 in E8), so a
+    key of such a sum carries nothing between coefficients and names the
+    sum exactly.  ``bond_multiples`` is 1, ..., the largest bond
+    multiplicity: every c with c * eta = mu + mu' over positive coroots.
     """
 
     cartan_type: CartanType
@@ -182,6 +190,11 @@ class RootDatum:
         # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
         object.__setattr__(self, "two_rho_coroot", tuple(map(sum, zip(*coroots))))
         object.__setattr__(self, "moves", _column_moves(self.cartan))
+        keys = tuple(sum(x << 5 * j for j, x in enumerate(c)) for c in coroots)
+        object.__setattr__(self, "coroot_keys", keys)
+        object.__setattr__(self, "key_bits", {k: 1 << i for i, k in enumerate(keys)})
+        bond = max(1, -min(map(min, self.cartan)))
+        object.__setattr__(self, "bond_multiples", tuple(range(1, bond + 1)))
 
     @property
     def rank(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import (
-    Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from . import exactlinalg
@@ -31,8 +31,9 @@ from .weyl import (
     WeylElement,
     canonical_record,
     canonical_reduced_word,
-    has_right_descent,
+    decomposable_mask,
     inversion_mask,
+    parabolic_table,
     rightmost_distance,
 )
 
@@ -55,7 +56,12 @@ class SchubertInput:
 
     w must be a minimal coset representative of the same Cartan type as the
     datum, whose canonical indices its inversion mask is read against; the
-    identity element encodes the degenerate point case.
+    identity element encodes the degenerate point case.  w is in W^P
+    exactly when no alpha_j^vee, j in I_P, is an inversion coroot, since
+    w(alpha_j^vee) < 0 exactly when w(alpha_j) < 0: one AND of
+    ``weyl.inversion_mask(w)`` with the ``parabolic_table`` simple mask.
+    The simple coroots sit in canonical order with alpha_n^vee lowest, so
+    the highest bit of that AND names the smallest violating j.
     """
 
     datum: RootDatum
@@ -73,22 +79,27 @@ class SchubertInput:
                 f"the parabolic has rank {self.parabolic.rank}, "
                 f"but {self.datum.cartan_type} has rank {self.datum.rank}"
             )
-        for j in self.parabolic.inside_sorted:
-            if has_right_descent(self.w, j):
-                raise NotMinimalCosetRepError(
-                    f"w sends alpha_{j} negative for j={j} in I_P; not in W^P",
-                    violating_index=j,
-                )
+        if not self.parabolic.inside:
+            return
+        simple = parabolic_table(self.datum, self.parabolic).simple_mask
+        violating = inversion_mask(self.w) & simple
+        if violating:
+            alpha = self.datum.positive_coroots[violating.bit_length() - 1]
+            j = alpha.index(1) + 1
+            raise NotMinimalCosetRepError(
+                f"w sends alpha_{j} negative for j={j} in I_P; not in W^P",
+                violating_index=j,
+            )
 
 
 class CorootSets(NamedTuple):
     """The coroot record of a Schubert input, built once by ``cover_coroots``.
 
     ``inv_ordered`` follows the reflection ordering of the canonical reduced
-    word; ``decomposable`` is the mask, over canonical indices as in
-    ``weyl.inversion_mask``, of the inversion coroots eta with a splitting
-    c * eta = mu + mu' inside N(w); ``cover_B``/``cover_P`` are in canonical
-    coroot order.
+    word; ``decomposable`` is ``weyl.decomposable_mask(w)``, the mask over
+    canonical indices (as in ``weyl.inversion_mask``) of the inversion
+    coroots eta with a splitting c * eta = mu + mu' inside N(w);
+    ``cover_B``/``cover_P`` are in canonical coroot order.
     """
 
     inv_ordered: Tuple[CorootVec, ...]
@@ -190,63 +201,6 @@ class ClassificationReport(NamedTuple):
         )
 
 
-def _splittings(datum: RootDatum, i: int) -> Tuple[int, ...]:
-    """The pair masks (bit a | bit b) of every c * eta = mu_a + mu_b over
-    positive coroots with a < b, for eta of canonical index i, in
-    lexicographic order of (a, b); memoized per i.  ``cover_coroots`` is
-    its one reader.
-
-    mu, mu' and eta span a rank-2 subsystem, so c is at most its largest
-    bond multiplicity: 1 in ADE, 2 in B, C and F, 3 in G2.  The sum fixes c,
-    so each pair occurs once.
-    """
-    memo = datum.memo.splittings
-    hit = memo.get(i)
-    if hit is not None:
-        return hit
-    index = datum.coroot_index
-    coroots = datum.positive_coroots
-    eta = coroots[i]
-    c_max = max(1, -min(map(min, datum.cartan)))
-    found = []
-    for c in range(1, c_max + 1):
-        target = tuple(c * x for x in eta)
-        for a, mu in enumerate(coroots):
-            if 2 * sum(mu) > c * sum(eta):  # mu' = target - mu is no lower
-                break
-            b = index.get(tuple(map(operator.sub, target, mu)), -1)
-            if b > a:
-                found.append((a, b))
-    result = tuple((1 << a) | (1 << b) for a, b in sorted(found))
-    memo[i] = result
-    return result
-
-
-def _inverted_simple_images(
-    datum: RootDatum, eta: CorootVec, inside: Sequence[int], inv_mask: int
-) -> Iterator[Tuple[int, CorootVec]]:
-    """(j, s_eta(alpha_j^vee)) for each j of ``inside``, ascending, whose
-    image lies in the inversion set of a w in W^P, given as its mask
-    ``inv_mask`` (``weyl.inversion_mask``).
-
-    s_eta(alpha_j^vee) = alpha_j^vee - c eta with c = <root(eta), alpha_j^vee>,
-    and only c < 0 can land in N(w): c = 0 gives alpha_j^vee itself, which
-    w does not invert since w(alpha_j) > 0 for j in I_P; c > 0 gives a
-    negative coroot, as every coefficient off j is -c times eta's and
-    eta = alpha_j^vee has c = 2.  So no other image is built, and each one
-    built is a positive coroot with a canonical index."""
-    pairings = datum.pairings[eta]
-    index = datum.coroot_index
-    for j in inside:
-        c = pairings[j - 1]
-        if c < 0:
-            image = [-c * e for e in eta]
-            image[j - 1] += 1
-            image = tuple(image)
-            if inv_mask >> index[image] & 1:
-                yield j, image
-
-
 def cover_coroots(inp: SchubertInput) -> CorootSets:
     """Build the coroot record of ``inp``, down to the Weil-divisor coroot
     sets R+_{w,B} and R+_{w,P}.
@@ -254,40 +208,30 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
     R+_{w,B} consists of the indecomposable inversion coroots; R+_{w,P}
     keeps those whose reflection maps every alpha_j^vee (j in I_P) outside
     the inversion set.  The word and the inversion sequence come from the
-    ``canonical_record`` that w carries, and N(w) from its
-    ``inversion_mask``.  The set bits of that mask, read upward, are the
-    inversion coroots in canonical order; eta is decomposable as soon as
-    one of its splitting pair masks (``Memo.splittings``) lies inside N(w),
-    so no pair of inversion coroots is scanned.
+    ``canonical_record`` that w carries, N(w) from its ``inversion_mask``
+    and the decomposable coroots from its ``decomposable_mask``, so
+    R+_{w,B} is the mask N(w) & ~dec, whose set bits, read upward, are in
+    canonical order.  eta of R+_{w,B} is in R+_{w,P} iff N(w) misses its
+    ``blocked`` mask of the ``parabolic_table``: one AND per cover coroot.
     """
     datum = inp.datum
     word, inv = canonical_record(inp.w)
     inv_mask = inversion_mask(inp.w)
+    decomposable = decomposable_mask(inp.w)
     coroots = datum.positive_coroots
     supp = tuple(sorted(set(word)))
-    decomposable = 0
-    cover: List[CorootVec] = []
-    rest = inv_mask
+    cover: List[int] = []
+    rest = inv_mask & ~decomposable
     while rest:
         bit = rest & -rest
         rest ^= bit
-        i = bit.bit_length() - 1
-        for pair in _splittings(datum, i):
-            if pair & inv_mask == pair:
-                decomposable |= bit
-                break
-        else:
-            cover.append(coroots[i])
-    cover_b = tuple(cover)
-    inside = inp.parabolic.inside_sorted
-    if inside:
+        cover.append(bit.bit_length() - 1)
+    cover_b = tuple(coroots[i] for i in cover)
+    if inp.parabolic.inside:
+        blocked = parabolic_table(datum, inp.parabolic).blocked
         outside = inp.parabolic.complement
         support_p = tuple(k for k in supp if k in outside)
-        cover_p = tuple(
-            eta
-            for eta in cover_b
-            if next(_inverted_simple_images(datum, eta, inside, inv_mask), None) is None
-        )
+        cover_p = tuple(coroots[i] for i in cover if not inv_mask & blocked[i])
     else:  # P = B: nothing to exclude
         support_p, cover_p = supp, cover_b
     return CorootSets(inv, supp, support_p, decomposable, cover_b, cover_p)
@@ -385,10 +329,13 @@ def p_adapt(
     """Push a Borel adapted basis into the parabolic cover set.
 
     For each key k0 in increasing order: while s_{mu(k0)}(alpha_j^vee) is
-    still in the inversion set for some j in I_P (``_inverted_simple_images``),
-    replace mu(k0) by it, which must be mu(k0) + alpha_j^vee; smallest j first.  A step changes only
-    mu(k0), so no smaller key can move again.  Each step raises the height
-    inside the finite inversion set, so this terminates.
+    still in the inversion set for some j in I_P, replace mu(k0) by it,
+    which must be mu(k0) + alpha_j^vee; smallest j first.  The candidate
+    images are the ``steps`` of mu(k0) in the ``parabolic_table``, j
+    ascending, and none is inverted when N(w) misses its ``blocked`` mask.
+    A step changes only mu(k0), so no smaller key can move again.  Each
+    step raises the height inside the finite inversion set, so this
+    terminates.
 
     Every coroot must end in R+_{w,P}.  When no step applies (always for
     P = B) the input basis itself is returned: it is unchanged, so its span
@@ -398,15 +345,18 @@ def p_adapt(
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
-    inside = inp.parabolic.inside_sorted
     current: Dict[int, CorootVec] = dict(basis.entries)
     moved = False
-    if inside:
+    if inp.parabolic.inside:
+        table = parabolic_table(datum, inp.parabolic)
+        blocked, steps = table.blocked, table.steps
+        index, coroots = datum.coroot_index, datum.positive_coroots
         inv_mask = inversion_mask(inp.w)
         for k0 in sorted(current):
-            mu = current[k0]
-            while step := next(_inverted_simple_images(datum, mu, inside, inv_mask), None):
-                j, mu = step
+            i = index[current[k0]]
+            while inv_mask & blocked[i]:
+                j, i = next((j, b) for j, b in steps[i] if inv_mask >> b & 1)
+                mu = coroots[i]
                 expected = list(current[k0])
                 expected[j - 1] += 1
                 if mu != tuple(expected):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRangeError,
@@ -61,12 +61,56 @@ def parabolic(datum: RootDatum, indices: Sequence[int]) -> ParabolicSubset:
     return ParabolicSubset(rank=datum.rank, inside=frozenset(indices))
 
 
+class ParabolicTable(NamedTuple):
+    """What a non-empty I_P asks of each positive coroot, as masks over
+    canonical indices (see ``parabolic_table``).
+
+    ``simple_mask`` holds the alpha_j^vee, j in I_P.  For the coroot eta of
+    canonical index i, ``steps[i]`` holds the pairs (j, canonical index of
+    s_eta(alpha_j^vee)), j ascending, over the j in I_P with <root(eta),
+    alpha_j^vee> < 0, and ``blocked[i]`` is the mask of those images.  For w
+    in W^P they are the only images that can be inversion coroots:
+    s_eta(alpha_j^vee) = alpha_j^vee - c eta with c = <root(eta),
+    alpha_j^vee>, c = 0 gives alpha_j^vee itself, which w does not invert
+    since w(alpha_j) > 0, and c > 0 gives a negative coroot, as every
+    coefficient off j is -c times eta's and eta = alpha_j^vee has c = 2."""
+
+    simple_mask: int
+    blocked: Tuple[int, ...]
+    steps: Tuple[Tuple[Tuple[int, int], ...], ...]
+
+
+def parabolic_table(datum: RootDatum, p: ParabolicSubset) -> ParabolicTable:
+    """The ``ParabolicTable`` of a non-empty I_P, built on first use and
+    kept in ``datum.memo.parabolics``."""
+    tables = datum.memo.parabolics
+    table = tables.get(p.inside)
+    if table is None:
+        index = datum.coroot_index
+        blocked, steps = [], []
+        for eta in datum.positive_coroots:
+            pairings = datum.pairings[eta]
+            pairs = []
+            for j in p.inside_sorted:
+                c = pairings[j - 1]
+                if c < 0:
+                    image = [-c * e for e in eta]
+                    image[j - 1] += 1
+                    pairs.append((j, index[tuple(image)]))
+            steps.append(tuple(pairs))
+            blocked.append(sum(1 << b for _, b in pairs))
+        simple = sum(1 << index[datum.simple_coroot(j)] for j in p.inside)
+        table = tables[p.inside] = ParabolicTable(simple, tuple(blocked), tuple(steps))
+    return table
+
+
 class WeylElement:
     """A Weyl group element with its action matrix, cached length and, once
-    known, its canonical record (see ``canonical_record``) and the mask of
-    its inversion coroots (see ``inversion_mask``)."""
+    known, its canonical record (see ``canonical_record``), the mask of its
+    inversion coroots (see ``inversion_mask``) and the mask of those that
+    are decomposable (see ``decomposable_mask``)."""
 
-    __slots__ = ("datum", "matrix", "length", "record", "mask")
+    __slots__ = ("datum", "matrix", "length", "record", "mask", "dec")
 
     def __init__(self, datum: RootDatum, matrix: Matrix, length: int):
         self.datum = datum
@@ -74,6 +118,7 @@ class WeylElement:
         self.length = length
         self.record = None
         self.mask = None
+        self.dec = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -162,14 +207,10 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     return WeylElement(a.datum, matrix, _count_inversions(a.datum, matrix))
 
 
-def image_of_simple_coroot(w: WeylElement, i: int) -> CorootVec:
-    """w(alpha_i^vee), read off as column i of the matrix."""
-    i0 = i - 1
-    return tuple(row[i0] for row in w.matrix)
-
-
 def has_right_descent(w: WeylElement, i: int) -> bool:
-    return _vec_is_negative(image_of_simple_coroot(w, i))
+    """Whether w(alpha_i^vee), column i of the matrix, is negative."""
+    i0 = i - 1
+    return _vec_is_negative([row[i0] for row in w.matrix])
 
 
 def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
@@ -212,6 +253,52 @@ def inversion_mask(w: WeylElement) -> int:
             mask |= 1 << index[c]
         w.mask = mask
     return w.mask
+
+
+def _newly_decomposable(datum: RootDatum, mask: int, dec: int, gamma: int) -> int:
+    """The coroots that the positive coroot of key ``gamma`` makes
+    decomposable as it enters the inversion set ``mask``, whose decomposable
+    coroots are ``dec``: the eta in mask, not in dec, with c * eta - gamma
+    in mask for some c (keys as in ``RootDatum``).
+
+    Every prefix of an inversion sequence is an inversion set, and
+    inversion sets are closed: mu, mu' in N and c eta = mu + mu' give eta
+    in N (P. Papi, Proc. AMS 120 (1994)).  So in reflection order eta comes
+    between mu and mu', the coroot that enters last is never decomposable,
+    and eta becomes decomposable exactly when the first of its splittings
+    completes: dec(N + gamma) = dec(N) | (this mask)."""
+    keys, bits = datum.coroot_keys, datum.key_bits
+    multiples = datum.bond_multiples
+    new = 0
+    rest = mask & ~dec
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        key = keys[low.bit_length() - 1]
+        for c in multiples:
+            if mask & bits.get(c * key - gamma, 0):
+                new |= low
+                break
+    return new
+
+
+def decomposable_mask(w: WeylElement) -> int:
+    """The mask of the decomposable inversion coroots of w, the eta in N(w)
+    with c * eta = mu + mu' for some mu != mu' in N(w), kept on w.
+    Elements from ``enumerate_coset_reps`` arrive with it, carried from
+    their canonical parent; any other element folds ``_newly_decomposable``
+    once per letter along its inversion sequence on first use."""
+    if w.dec is None:
+        datum = w.datum
+        index, keys = datum.coroot_index, datum.coroot_keys
+        mask = dec = 0
+        for c in canonical_record(w)[1]:
+            i = index[c]
+            dec |= _newly_decomposable(datum, mask, dec, keys[i])
+            mask |= 1 << i
+        w.mask = mask
+        w.dec = dec
+    return w.dec
 
 
 def canonical_reduced_word(w: WeylElement) -> Word:
@@ -375,39 +462,46 @@ def enumerate_coset_reps(
     datum: RootDatum, p: ParabolicSubset, max_len: int
 ) -> Iterator[WeylElement]:
     """All w in W^P with l(w) <= max_len, each once, in length-then-canonical-
-    word order, each carrying its canonical record and inversion mask: the
-    parent's, with the one new coroot w^-1(alpha_i^vee) added to the
-    inversion sequence and its bit to the mask.  W^P is a lower ideal of
-    the left weak order, so a BFS by s_i w over the left ascents i of w
-    reaches all of it; such an s_i w is w s_j, outside W^P, exactly when
-    w(alpha_j^vee) = alpha_i^vee, j in I_P.  s_i w is built only from its
-    canonical parent w, when i is its smallest left descent, read off the
-    pairings x_j = <alpha_j, w(2 rho^vee)> carried along; children come out
-    i-major in parent order, which is canonical-word order."""
+    word order, each carrying its canonical record and its inversion and
+    decomposable masks: the parent's, with the one new coroot
+    w^-1(alpha_i^vee) added to the inversion sequence, its bit to the
+    inversion mask and what it makes decomposable (``_newly_decomposable``)
+    to the decomposable mask.  W^P is a lower ideal of the left weak order,
+    so a BFS by s_i w over the left ascents i of w reaches all of it; such
+    an s_i w is w s_j, outside W^P, exactly when its new coroot is
+    alpha_j^vee, j in I_P, a bit of the ``parabolic_table`` simple mask.
+    s_i w is built only from its canonical parent w, when i is its smallest
+    left descent, read off the pairings x_j = <alpha_j, w(2 rho^vee)>
+    carried along; children come out i-major in parent order, which is
+    canonical-word order."""
     n = datum.rank
     cartan = datum.cartan
-    index = datum.coroot_index
+    index, keys = datum.coroot_index, datum.coroot_keys
+    simple = parabolic_table(datum, p).simple_mask if p.inside else 0
     e = identity_element(datum)
     e.record = ((), ())
-    e.mask = 0
+    e.mask = e.dec = 0
     level = [(e, (2,) * n)] if max_len >= 0 else []
     while level:
         yield from (w for w, _ in level)
         if level[0][0].length == max_len:
             return
-        blocked = [{image_of_simple_coroot(w, j) for j in p.inside} for w, _ in level]
         nxt = []
         for i in range(1, n + 1):
-            row, alpha = cartan[i - 1], datum.simple_coroot(i)
-            for (w, x), out in zip(level, blocked):
+            row = cartan[i - 1]
+            for w, x in level:
                 xi = x[i - 1]
-                if xi < 0 or alpha in out or any(x[j] < xi * row[j] for j in range(i - 1)):
+                if xi < 0 or any(x[j] < xi * row[j] for j in range(i - 1)):
                     continue
                 matrix, coroot = _lift(datum, w.matrix, i)
+                g = index[coroot]
+                if simple >> g & 1:
+                    continue
                 child = WeylElement(datum, matrix, w.length + 1)
                 word, seq = w.record
                 child.record = ((i,) + word, seq + (coroot,))
-                child.mask = w.mask | (1 << index[coroot])
+                child.mask = w.mask | (1 << g)
+                child.dec = w.dec | _newly_decomposable(datum, w.mask, w.dec, keys[g])
                 nxt.append((child, tuple(u - xi * c for u, c in zip(x, row))))
         level = nxt
 

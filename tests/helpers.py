@@ -339,6 +339,24 @@ def pair_root_coroot(datum, r, c) -> int:
     return sum(ci * row[j] * r[j] for ci, row in zip(c, cartan) for j in range(len(r)))
 
 
+def parabolic_images_reference(w, eta, inside):
+    """(j, s_eta(alpha_j^vee)) for each j of ``inside``, ascending, whose
+    image is an inversion coroot of w, by the reflection formula
+    s_eta(c) = c - <root(eta), c> eta: the image is taken for every j,
+    whatever the sign of the pairing, and kept when it is positive and w
+    sends it negative."""
+    datum = w.datum
+    root = datum.pair_for_coroot[eta].root
+    n = datum.rank
+    out = []
+    for j in inside:
+        coef = sum(datum.cartan[j - 1][m] * root[m] for m in range(n))
+        image = tuple((1 if m == j - 1 else 0) - coef * eta[m] for m in range(n))
+        if sum(image) > 0 and sum(act(w, image)) < 0:
+            out.append((j, image))
+    return out
+
+
 # --- Bruhat order by the right-descent recursion ---------------------------
 
 

@@ -487,15 +487,23 @@ def test_survey_size_guard_admits_full_e6_borel(capsys, monkeypatch):
 def test_survey_memo_tables_stay_within_the_positive_system(capsys, monkeypatch):
     """A D5 Borel survey classifies 1,920 elements, yet no table of the
     datum's memo grows past one entry per positive coroot: per-element
-    records live on the elements, not on the datum."""
+    records live on the elements, not on the datum.  The Borel survey
+    builds no parabolic table; an E6/P{6} survey builds exactly one, with
+    one entry per positive coroot in each of its tuples."""
     build, built = cli.build_root_datum, []
     monkeypatch.setattr(
         cli, "build_root_datum", lambda ct: built.append(build(ct)) or built[-1]
     )
     assert len(_survey_rows(capsys, "--type", "D5")) == 1920
-    (d,) = built
-    sizes = {name: len(table) for name, table in vars(d.memo).items()}
-    assert sizes and all(size <= len(d.positives) for size in sizes.values()), sizes
+    rows = _survey_rows(capsys, "--type", "E6", "--parabolic", "1 2 3 4 5")
+    assert len(rows) == 27
+    for d in built:
+        sizes = {name: len(table) for name, table in vars(d.memo).items()}
+        assert sizes and all(size <= len(d.positives) for size in sizes.values()), sizes
+    d5, e6 = built
+    assert not d5.memo.parabolics
+    (table,) = e6.memo.parabolics.values()
+    assert len(table.blocked) == len(table.steps) == len(e6.positives)
 
 
 def test_survey_json_header_names_parsed_type(capsys):

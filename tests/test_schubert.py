@@ -24,6 +24,7 @@ from helpers import (
     longest_element,
     mat_mul,
     p_adapt_reference,
+    parabolic_images_reference,
     reorder_matrix,
     restrict_basis,
     rightmost_reference,
@@ -44,6 +45,26 @@ def test_input_rejects_non_minimal_rep(datum):
     with pytest.raises(NotMinimalCosetRepError) as err:
         sa.SchubertInput(datum=a2, parabolic=sa.parabolic(a2, [2]), w=w0)
     assert err.value.violating_index == 2
+
+
+@pytest.mark.parametrize("type_str", ["A4", "B3", "G2", "D4"])
+def test_input_names_the_smallest_violating_index(type_str, datum):
+    """For every Borel element and every I_P holding one of its right
+    descents, the refusal names the smallest such j, though the simple
+    coroots sit in canonical order opposite to j."""
+    d = datum(type_str)
+    indices = range(1, d.rank + 1)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
+        descents = {j for j in indices if weyl.has_right_descent(w, j)}
+        for r in range(1, d.rank + 1):
+            for inside in itertools.combinations(indices, r):
+                violating = descents.intersection(inside)
+                if not violating:
+                    sa.SchubertInput(datum=d, parabolic=sa.parabolic(d, inside), w=w)
+                    continue
+                with pytest.raises(NotMinimalCosetRepError) as err:
+                    sa.SchubertInput(datum=d, parabolic=sa.parabolic(d, inside), w=w)
+                assert err.value.violating_index == min(violating), (w, inside)
 
 
 @pytest.mark.parametrize("word", [(1, 2), (1, 2, 3, 4, 5)])
@@ -130,33 +151,57 @@ def _pair_masks(d, witnesses):
     return tuple((1 << index[mu]) | (1 << index[mu2]) for _, mu, mu2 in witnesses)
 
 
-def _splittings_inside(d, eta, w):
-    """The splitting pair masks of eta that lie inside N(w)."""
-    inv_mask = weyl.inversion_mask(w)
-    return [m for m in schubert._splittings(d, d.coroot_index[eta]) if m & inv_mask == m]
+def _entering(d, mask, gamma):
+    """What the coroot ``gamma`` makes decomposable as it enters ``mask``,
+    none of whose coroots is taken as decomposable yet."""
+    return weyl._newly_decomposable(d, mask, 0, d.coroot_keys[d.coroot_index[gamma]])
+
+
+def _fold_steps(w):
+    """(gamma, mask before gamma, decomposable after gamma) along the
+    inversion sequence of w, folded one coroot at a time."""
+    d = w.datum
+    mask = dec = 0
+    for gamma in weyl.canonical_record(w)[1]:
+        i = d.coroot_index[gamma]
+        dec |= weyl._newly_decomposable(d, mask, dec, d.coroot_keys[i])
+        yield gamma, mask, dec
+        mask |= 1 << i
 
 
 def test_decompose_g2_scaled_witness(datum):
     """3 * (1, 1) = (0, 1) + (3, 2) is the one splitting of (1, 1) inside
-    N(s2 s1 s2)."""
+    N(s2 s1 s2): (1, 1) enters between its summands, and (3, 2) entering
+    last makes it decomposable, with c = 3."""
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
     sets = schubert.cover_coroots(inp)
-    assert set(sets.inv_ordered) == {(0, 1), (1, 1), (3, 2)}
-    assert _splittings_inside(g2, (1, 1), inp.w) == [coroot_mask(g2, [(0, 1), (3, 2)])]
+    assert sets.inv_ordered == ((0, 1), (1, 1), (3, 2))
+    assert _entering(g2, coroot_mask(g2, [(0, 1), (1, 1)]), (3, 2)) == coroot_mask(
+        g2, [(1, 1)]
+    )
+    assert [dec for _, _, dec in _fold_steps(inp.w)] == [0, 0, coroot_mask(g2, [(1, 1)])]
     assert sets.decomposable == coroot_mask(g2, [(1, 1)])
 
 
 def test_decompose_simple_coroot_is_none(datum):
+    """No coroot entering any set of positive coroots makes a simple coroot
+    decomposable: a simple coroot has no splitting at all."""
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
     sets = schubert.cover_coroots(inp)
     assert (0, 1) in sets.inv_ordered
-    assert schubert._splittings(g2, g2.coroot_index[(0, 1)]) == ()
     assert not sets.decomposable & coroot_mask(g2, [(0, 1)])
+    simple = coroot_mask(g2, [(1, 0), (0, 1)])
+    full = (1 << len(g2.positives)) - 1
+    for i, gamma in enumerate(g2.positive_coroots):
+        assert not _entering(g2, full & ~(1 << i), gamma) & simple, gamma
 
 
 def test_decompose_d5_theta(datum):
+    """theta is decomposable in N(w) of the longest element of W^P, P =
+    P{2}, and the coroot whose entry makes it so completes a splitting
+    gamma + mu = theta with mu already inside."""
     d5 = datum("D5")
     w0 = longest_element(d5)
     rep = sa.min_coset_rep(w0, sa.parabolic(d5, [1, 3, 4, 5]))
@@ -165,27 +210,36 @@ def test_decompose_d5_theta(datum):
     )
     sets = schubert.cover_coroots(inp)
     theta = d5.highest_coroot
+    bit = coroot_mask(d5, [theta])
     assert theta in sets.inv_ordered
-    assert sets.decomposable & coroot_mask(d5, [theta])
-    inside = _splittings_inside(d5, theta, rep)
-    assert inside
-    coroots = d5.positive_coroots
-    for mask in inside:
-        mu = coroots[(mask & -mask).bit_length() - 1]
-        mu_prime = coroots[mask.bit_length() - 1]
-        assert tuple(a + b for a, b in zip(mu, mu_prime)) == theta
+    assert sets.decomposable & bit
+    gamma, before, _ = next(step for step in _fold_steps(rep) if step[2] & bit)
+    mu = tuple(a - b for a, b in zip(theta, gamma))
+    assert before & bit and before & coroot_mask(d5, [mu]), (gamma, mu)
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4", "E6"])
 def test_splittings_match_pair_scan(type_str, datum):
-    """For every positive coroot eta the memoized splitting pair masks are
-    those of a plain pair scan over all positive coroots, in its
-    lexicographic order (G2 has splittings with c = 3)."""
+    """The update rule against a plain pair scan over all positive coroots:
+    gamma entering the set of every other positive coroot makes exactly
+    the eta decomposable that have a splitting c * eta = gamma + mu (G2 has
+    splittings with c = 3), and none it is told are decomposable already."""
     d = datum(type_str)
     reference = decompositions_reference(d.positive_coroots)
-    for i, eta in enumerate(d.positive_coroots):
-        expected = _pair_masks(d, reference.get(eta, ()))
-        assert schubert._splittings(d, i) == expected, (type_str, eta)
+    full = (1 << len(d.positives)) - 1
+    for i, gamma in enumerate(d.positive_coroots):
+        expected = coroot_mask(
+            d,
+            [
+                eta
+                for eta, splits in reference.items()
+                if any(gamma in (mu, mu2) for _, mu, mu2 in splits)
+            ],
+        )
+        got = _entering(d, full & ~(1 << i), gamma)
+        assert got == expected, (type_str, gamma)
+        key = d.coroot_keys[i]
+        assert weyl._newly_decomposable(d, full & ~(1 << i), expected, key) == 0
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
@@ -243,6 +297,48 @@ def test_cover_single_reflection(datum):
     a4 = datum("A4")
     sets = sa.cover_coroots(schubert_input(a4, (4,), (3,)))
     assert sets.cover_P == ((0, 0, 1, 0),)
+
+
+@pytest.mark.parametrize(
+    "type_str,inside,sample",
+    [
+        ("E6", (2, 3, 4, 5, 6), None),
+        ("E6", (1, 2, 3, 4, 5), None),
+        ("E7", (1, 2, 3, 4, 5, 6), None),
+        ("E7", (1, 2, 3, 5, 6, 7), 100),
+    ],
+    ids=["E6-P1", "E6-P6", "E7-P7", "E7-P4-sample"],
+)
+def test_parabolic_table_matches_reflection_formula(type_str, inside, sample, datum):
+    """On every element of W^P, or on a seeded sample projected into W^P
+    from random words, each coroot's inverted images under the table's
+    steps are those of the reflection formula over every j in I_P, in the
+    same order, and its blocked mask meets N(w) exactly when there is one.
+    The simple mask holds the alpha_j^vee of I_P."""
+    d = datum(type_str)
+    p = sa.parabolic(d, inside)
+    table = weyl.parabolic_table(d, p)
+    assert weyl.parabolic_table(d, p) is table
+    simple = [tuple(int(m == j - 1) for m in range(d.rank)) for j in inside]
+    assert table.simple_mask == coroot_mask(d, simple)
+    if sample is None:
+        elements = list(sa.enumerate_coset_reps(d, p, len(d.positives)))
+    else:
+        rng = random.Random(f"table-{type_str}")
+        elements = [
+            sa.min_coset_rep(
+                sa.element_from_word(d, [rng.randint(1, d.rank) for _ in range(40)]), p
+            )
+            for _ in range(sample)
+        ]
+    coroots = d.positive_coroots
+    for w in elements:
+        inv_mask = weyl.inversion_mask(w)
+        for i, eta in enumerate(coroots):
+            expected = parabolic_images_reference(w, eta, inside)
+            got = [(j, coroots[b]) for j, b in table.steps[i] if inv_mask >> b & 1]
+            assert got == expected, (sa.canonical_reduced_word(w), eta)
+            assert bool(inv_mask & table.blocked[i]) == bool(expected)
 
 
 def test_cover_matches_oracle_b2(datum):
@@ -479,10 +575,11 @@ def test_p_adapt_d5_maximal_parabolic(datum):
         ("A4", [c for r in range(5) for c in itertools.combinations(range(1, 5), r)]),
         ("D4", [(1, 3, 4), (2,)]),
         ("E6", [(2, 3, 4, 5, 6)]),
+        ("E6", [(1, 2, 3, 4, 5)]),
         ("E7", [(1, 2, 3, 4, 5, 6)]),
         ("E8", [(1, 2, 3, 4, 5, 6, 7)]),
     ],
-    ids=["A4-all", "D4-P134-P2", "E6-P23456", "E7-P7", "E8-P8"],
+    ids=["A4-all", "D4-P134-P2", "E6-P23456", "E6-P12345", "E7-P7", "E8-P8"],
 )
 def test_p_adapt_matches_round_scan(type_str, parabolics, reverse_ties, datum):
     """The per-key adaptation makes the picks of the round-restarting scan

@@ -26,6 +26,7 @@ from helpers import (
     coset_factorize,
     coroot_mask,
     coset_length_counts,
+    decompositions_reference,
     enumerate_reference,
     inverse,
     inversion_sequence_reference,
@@ -788,6 +789,47 @@ def test_inversion_mask_matches_record_on_e7_and_e8(type_str):
         assert w.mask is None
         _assert_mask_matches_record(w)
     _assert_unit_masks_match_scan(d, elements + walked)
+
+
+def _assert_decomposable_matches_pair_scan(w):
+    """The decomposable mask w carries, or folds on first use, is the mask
+    of the keys of a plain pair scan over its inversion coroots, and a
+    fresh element of the same word folds the same mask."""
+    d = w.datum
+    word, seq = weyl.canonical_record(w)
+    elements = sorted(seq, key=d.coroot_index.__getitem__)
+    expected = coroot_mask(d, decompositions_reference(elements))
+    assert weyl.decomposable_mask(w) == expected, word
+    fresh = el(d, word)
+    assert fresh.dec is None
+    assert weyl.decomposable_mask(fresh) == expected, word
+    assert fresh.mask == weyl.inversion_mask(w), word
+
+
+@pytest.mark.parametrize(
+    "type_str, max_len",
+    [("A4", 99), ("B3", 99), ("C3", 99), ("G2", 99), ("D4", 99), ("F4", 99),
+     ("D5", 99), ("E6", 8)],
+)
+def test_decomposable_mask_matches_pair_scan(type_str, max_len, datum):
+    """Every Borel element up to ``max_len``, with the mask carried from
+    the canonical parent by the walk, and again folded from its word."""
+    d = datum(type_str)
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), max_len):
+        assert w.dec is not None
+        _assert_decomposable_matches_pair_scan(w)
+
+
+@pytest.mark.parametrize("type_str", ["E7", "E8"])
+def test_decomposable_mask_matches_pair_scan_on_e7_and_e8(type_str, datum):
+    """100 seeded random reduced words of length 1 to 60, each folded from
+    its inversion sequence."""
+    d = datum(type_str)
+    rng = random.Random(f"decomposable-{type_str}")
+    for _ in range(100):
+        w = _random_reduced_element(d, rng, rng.randint(1, 60))
+        assert w.dec is None
+        _assert_decomposable_matches_pair_scan(w)
 
 
 @pytest.mark.parametrize(
