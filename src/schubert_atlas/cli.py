@@ -15,7 +15,7 @@ import operator
 import os
 import sys
 from dataclasses import asdict
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Tuple
 
 from . import oracle, schubert, weyl
 from .errors import InvalidInputError, NotMinimalCosetRepError, SchubertAtlasError
@@ -253,40 +253,34 @@ def run_conjectures(args: argparse.Namespace, datum: RootDatum) -> int:
         datum, parabolic(datum, ()), args,
         "the scan has {} elements, more than {}; lower --max-length",
     )
-    elements = list(walk)
-    reports = []
-    for c in which:
-        checker = _CHECKERS[c]
-        counter: List[object] = []
-        manual: List[object] = []
-        truncated = False
-        verified = 0
-        for w in elements:
-            frag = checker(w, args.cap)
-            if frag.verified:
-                verified += 1
-            counter.extend(
-                {"word": list(frag.word), "witness": x}
-                for x in frag.counterexamples
-            )
-            manual.extend(
-                {"word": list(frag.word), "witness": x}
-                for x in frag.manual_review
-            )
-            truncated = truncated or frag.truncated
-        reports.append(
-            oracle.ConjectureReport(
-                conjecture=c,
-                cartan_type=str(datum.cartan_type),
-                length_cap=args.max_length,
-                word_cap=args.cap,
-                elements_scanned=len(elements),
-                verified_count=verified,
-                counterexamples=tuple(counter),
-                manual_review=tuple(manual),
-                truncated=truncated,
-            )
+    verified = dict.fromkeys(which, 0)
+    counter = {c: [] for c in which}
+    manual = {c: [] for c in which}
+    truncated = dict.fromkeys(which, False)
+    scanned = 0
+    for w in walk:
+        scanned += 1
+        for c in which:
+            frag = _CHECKERS[c](w, args.cap)
+            verified[c] += frag.verified
+            counter[c].extend({"word": list(frag.word), "witness": x} for x in frag.counterexamples)
+            manual[c].extend({"word": list(frag.word), "witness": x} for x in frag.manual_review)
+            truncated[c] = truncated[c] or frag.truncated
+        w.graph = None  # the checks of w share its reduced-word graph; free it
+    reports = [
+        oracle.ConjectureReport(
+            conjecture=c,
+            cartan_type=str(datum.cartan_type),
+            length_cap=args.max_length,
+            word_cap=args.cap,
+            elements_scanned=scanned,
+            verified_count=verified[c],
+            counterexamples=tuple(counter[c]),
+            manual_review=tuple(manual[c]),
+            truncated=truncated[c],
         )
+        for c in which
+    ]
     with _sink(args.output) as out:
         if args.format == "json":
             out.write(canonical_json({"reports": [asdict(r) for r in reports]}) + "\n")

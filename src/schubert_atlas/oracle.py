@@ -10,8 +10,9 @@ the indecomposability logic of ``schubert.cover_coroots``; ``SchubertInput``
 is all that is taken from ``schubert``.  One input is not raw: the Conjecture 3
 scan takes its distances from ``weyl.rightmost_distance`` and checks each
 against the words it scans.  Nothing is slow on purpose: the reduced-word
-walk builds each step once per edge of its interval, and each recount
-reads an image's sign off its height alone.
+walk builds each step once per edge of its interval, and keeps the graph
+on the element, so the three scans of one element build it once between
+them; each recount reads an image's sign off its height alone.
 """
 
 from __future__ import annotations

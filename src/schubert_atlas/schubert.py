@@ -535,7 +535,9 @@ def classify(inp: SchubertInput, reverse_ties: bool = False) -> ClassificationRe
 
 
 def _frac_str(x) -> str:
-    return str(Fraction(x))
+    """x in lowest terms; an int, the simply-laced case, skips ``Fraction``
+    (the exact type test keeps a bool off that path)."""
+    return str(x) if type(x) is int else str(Fraction(x))
 
 
 def _label_to_json(obj):

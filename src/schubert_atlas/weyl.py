@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRangeError,
@@ -107,10 +107,13 @@ def parabolic_table(datum: RootDatum, p: ParabolicSubset) -> ParabolicTable:
 class WeylElement:
     """A Weyl group element with its action matrix, cached length and, once
     known, its canonical record (see ``canonical_record``), the mask of its
-    inversion coroots (see ``inversion_mask``) and the mask of those that
-    are decomposable (see ``decomposable_mask``)."""
+    inversion coroots (see ``inversion_mask``), the mask of those that are
+    decomposable (see ``decomposable_mask``) and the interval graph its
+    reduced-word walks share (see ``iter_reduced_words``).  The graph stays
+    on w until its owner sets ``graph`` back to None, as the conjecture scan
+    does once all its checks of w are done."""
 
-    __slots__ = ("datum", "matrix", "length", "record", "mask", "dec")
+    __slots__ = ("datum", "matrix", "length", "record", "mask", "dec", "graph")
 
     def __init__(self, datum: RootDatum, matrix: Matrix, length: int):
         self.datum = datum
@@ -119,6 +122,7 @@ class WeylElement:
         self.record = None
         self.mask = None
         self.dec = None
+        self.graph = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeylElement) and self.matrix == other.matrix
@@ -446,16 +450,12 @@ def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
     return el
 
 
-def _lift(datum: RootDatum, matrix: Matrix, i: int) -> Tuple[Matrix, CorootVec]:
-    """S_i . matrix, the matrix of s_i w, and w^-1(alpha_i^vee) for an ascent
-    i of w.  q_a = sum_b C[b][i] M[b][a] = <w^-1(alpha_i), alpha_a^vee>
-    names the coroot, and s_i w differs from w only in row i, by -q."""
+def _lift(matrix: Matrix, i: int, q: Sequence[int]) -> Matrix:
+    """S_i . matrix, the matrix of s_i w, for an ascent i of w and q_a =
+    sum_b C[b][i] M[b][a] = <w^-1(alpha_i), alpha_a^vee>, the pairings that
+    name w^-1(alpha_i^vee): s_i w differs from w only in row i, by -q."""
     i0 = i - 1
-    q = [0] * datum.rank
-    for b, c in datum.moves[i0]:
-        q = [u + c * v for u, v in zip(q, matrix[b])]
-    lifted = matrix[:i0] + (tuple(u - v for u, v in zip(matrix[i0], q)),) + matrix[i0 + 1:]
-    return lifted, datum.coroot_by_pairings[tuple(q)]
+    return matrix[:i0] + (tuple(u - v for u, v in zip(matrix[i0], q)),) + matrix[i0 + 1:]
 
 
 def enumerate_coset_reps(
@@ -469,7 +469,9 @@ def enumerate_coset_reps(
     to the decomposable mask.  W^P is a lower ideal of the left weak order,
     so a BFS by s_i w over the left ascents i of w reaches all of it; such
     an s_i w is w s_j, outside W^P, exactly when its new coroot is
-    alpha_j^vee, j in I_P, a bit of the ``parabolic_table`` simple mask.
+    alpha_j^vee, j in I_P, a bit of the ``parabolic_table`` simple mask,
+    which is tested on the pairings that name the coroot before the child's
+    matrix is lifted, so a child outside W^P costs no matrix.
     s_i w is built only from its canonical parent w, when i is its smallest
     left descent, read off the pairings x_j = <alpha_j, w(2 rho^vee)>
     carried along; children come out i-major in parent order, which is
@@ -488,16 +490,19 @@ def enumerate_coset_reps(
             return
         nxt = []
         for i in range(1, n + 1):
-            row = cartan[i - 1]
+            row, moves = cartan[i - 1], datum.moves[i - 1]
             for w, x in level:
                 xi = x[i - 1]
                 if xi < 0 or any(x[j] < xi * row[j] for j in range(i - 1)):
                     continue
-                matrix, coroot = _lift(datum, w.matrix, i)
+                q = [0] * n
+                for b, c in moves:
+                    q = [u + c * v for u, v in zip(q, w.matrix[b])]
+                coroot = datum.coroot_by_pairings[tuple(q)]
                 g = index[coroot]
                 if simple >> g & 1:
                     continue
-                child = WeylElement(datum, matrix, w.length + 1)
+                child = WeylElement(datum, _lift(w.matrix, i, q), w.length + 1)
                 word, seq = w.record
                 child.record = ((i,) + word, seq + (coroot,))
                 child.mask = w.mask | (1 << g)
@@ -546,21 +551,26 @@ def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, 
 
     The x are the elements of the right weak-order interval below w^-1.
     Each x that a step leads to is a node [cols, steps], where steps is
-    None until the walk first arrives at x and then holds
+    None until a walk first arrives at x and then holds
     (i, x(alpha_i^vee), node of x s_i) for each i, ascending.  A step holds its child node, so x s_i is
     built and its matrix hashed once per edge of the interval, not once per
-    time the walk crosses it.  Every word ends at w^-1, after l(w) letters,
-    and the walk never builds its steps, which would be empty.  The nodes
-    are kept in a dict local to the call.  Steps are built only at the x
-    the walk has reached, at most l(w) per word yielded, each with at most
+    time a walk crosses it.  Every word ends at w^-1, after l(w) letters,
+    and the walk never builds its steps, which would be empty.  The graph,
+    the root node and the dict of nodes by matrix, is a function of w alone
+    and is kept on w (``WeylElement.graph``): a later walk of w, or one
+    consumed in lockstep with this one, reuses every node and step already
+    built and builds the rest as it arrives.  Steps are built only at the x
+    a walk has reached, at most l(w) per word yielded, each with at most
     rank child nodes, so a caller that stops after a capped number of words
-    also caps its memory."""
+    also caps the graph it leaves on w."""
     if w.length == 0:
         yield (), ()
         return
     datum = w.datum
     inversions = frozenset(canonical_record(w)[1])
-    nodes: Dict[Matrix, list] = {}
+    if w.graph is None:
+        w.graph = ([identity(datum.rank), None], {})
+    root, nodes = w.graph
 
     def expand(x: list) -> tuple:
         cols, steps = x[0], []
@@ -573,7 +583,7 @@ def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, 
 
     letters: List[int] = []
     coroots: List[CorootVec] = []
-    stack = [iter(expand([identity(datum.rank), None]))]
+    stack = [iter(root[1] or expand(root))]
     while stack:
         for i, c, child in stack[-1]:
             letters.append(i)

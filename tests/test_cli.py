@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_atlas import cli, exactlinalg, schubert
+from schubert_atlas import cli, exactlinalg, schubert, weyl
 from schubert_atlas.errors import InternalError
 
 from helpers import coset_length_counts, csv_reference
@@ -619,6 +619,58 @@ def test_conjectures_truncation_exit_code(capsys):
     assert code == 3
     (rep,) = json.loads(out)["reports"]
     assert rep["truncated"] is True
+
+
+def _conjecture_reports(capsys, *args):
+    code, out, err = run(capsys, "conjectures", *args, "--format", "json")
+    assert err == ""
+    return json.loads(out)["reports"]
+
+
+@pytest.mark.parametrize("cap", [None, "3"], ids=["uncapped", "cap-3"])
+@pytest.mark.parametrize("type_str", ["A4", "D4"])
+def test_conjecture_scans_are_independent(type_str, cap, capsys):
+    """The three scans of one element share its reduced-word graph, yet
+    ``--which all`` gives the three reports that each scan gives alone.
+    Under ``--cap 3`` a scan that stops early leaves a half-built graph for
+    the next one."""
+    args = ("--type", type_str) + (("--cap", cap) if cap else ())
+    alone = [
+        report
+        for which in ("1", "2", "3")
+        for report in _conjecture_reports(capsys, *args, "--which", which)
+    ]
+    assert _conjecture_reports(capsys, *args, "--which", "all") == alone
+    assert [r["conjecture"] for r in alone] == [1, 2, 3]
+    if cap:
+        assert any(r["truncated"] for r in alone)
+
+
+def test_conjectures_release_each_graph(capsys, monkeypatch):
+    """A D4 scan holds one element's reduced-word graph at a time: when
+    the coset walk yields the next element, none yielded before holds a
+    graph, nor does any after the run.  The kernel runs 6,129 times: once
+    per edge of the 192 intervals (6,099) and 30 times in the tie walks of
+    ``rightmost_distance``."""
+    enumerate_coset_reps, yielded = cli.enumerate_coset_reps, []
+
+    def walk(*args):
+        for w in enumerate_coset_reps(*args):
+            assert all(u.graph is None for u in yielded)
+            yielded.append(w)
+            yield w
+
+    monkeypatch.setattr(cli, "enumerate_coset_reps", walk)
+    calls = []
+    real = weyl._times_simple
+    monkeypatch.setattr(
+        weyl, "_times_simple", lambda *args: calls.append(None) or real(*args)
+    )
+    reports = _conjecture_reports(capsys, "--type", "D4", "--which", "all")
+    assert [r["elements_scanned"] for r in reports] == [192] * 3
+    assert len(yielded) == 192
+    assert all(w.graph is None for w in yielded)
+    assert len(calls) == 6129
 
 
 def test_conjectures_size_guard_refuses_before_enumerating(capsys, monkeypatch):

@@ -995,6 +995,15 @@ def test_json_round_trip_byte_identical(datum):
     assert doc["gorenstein"] == "no"
 
 
+@pytest.mark.parametrize(
+    "x", [0, 3, -7, 10**30, True, False, Fraction(4, 2), Fraction(-2, 3)]
+)
+def test_frac_str_matches_fraction(x):
+    """An int skips ``Fraction`` and a bool does not, so each entry reads
+    as its ``Fraction`` does: a bool as 1 or 0, not True or False."""
+    assert schubert._frac_str(x) == str(Fraction(x))
+
+
 def test_c1_pretty(datum):
     rep = sa.classify(schubert_input(datum("G2"), (), (2, 1)))
     assert schubert.c1_pretty(rep) == "2*w1 - w2"

@@ -532,6 +532,25 @@ def test_enumerate_matches_poincare_counts(type_str, inside, datum):
 
 
 @pytest.mark.parametrize(
+    "type_str,inside", [("E6", (1, 2, 3, 4, 5)), ("E6", (2, 3, 4, 5, 6)), ("D4", ())]
+)
+def test_enumerate_lifts_a_matrix_only_for_each_child_in_w_p(
+    type_str, inside, datum, monkeypatch
+):
+    """The walk tests a child's new coroot against I_P before it lifts the
+    child's matrix, so it lifts one matrix per element of W^P other than
+    the identity: on the two E6 parabolics, whose walks reach 68 and 70
+    children, and on a Borel walk, which drops none."""
+    d = datum(type_str)
+    lifts = []
+    real = weyl._lift
+    monkeypatch.setattr(weyl, "_lift", lambda *args: lifts.append(None) or real(*args))
+    reps = list(sa.enumerate_coset_reps(d, sa.parabolic(d, inside), 99))
+    assert len(reps) == sum(coset_length_counts(d, inside))
+    assert len(lifts) == len(reps) - 1
+
+
+@pytest.mark.parametrize(
     "type_str", ["A1", "A5", "B4", "C3", "D6", "E6", "E7", "E8", "F4", "G2"]
 )
 def test_coset_counts_match_degree_formula_on_every_parabolic(type_str, datum):
@@ -712,6 +731,58 @@ def test_reduced_word_walk_builds_each_edge_once(datum, monkeypatch):
     a4 = datum("A4")
     for w in sa.enumerate_coset_reps(a4, sa.parabolic(a4, []), 99):
         walk(w)
+
+
+def _walk_elements(datum):
+    """The longest element of D4 and every element of A4, each with its
+    canonical record built, since the kernel builds it for an element not
+    enumerated."""
+    elements = [longest_element(datum("D4"))]
+    a4 = datum("A4")
+    elements += sa.enumerate_coset_reps(a4, sa.parabolic(a4, []), 99)
+    for w in elements:
+        weyl.canonical_record(w)
+    return elements
+
+
+def test_later_walks_of_an_element_reuse_its_graph(datum, monkeypatch):
+    """Three walks of one element, a full one, one stopped after a few
+    words and a full one again, call the kernel once per edge of the
+    interval in all, since the graph stays on the element; each yields the
+    reference's words and inversion sequences, in its order."""
+    elements = _walk_elements(datum)
+    calls = []
+    real = weyl._times_simple
+    monkeypatch.setattr(
+        weyl, "_times_simple", lambda *args: calls.append(None) or real(*args)
+    )
+    for w in elements:
+        reference = list(reduced_words_reference(w))
+        calls.clear()
+        assert list(weyl.iter_reduced_words(w)) == reference
+        assert list(itertools.islice(weyl.iter_reduced_words(w), 3)) == reference[:3]
+        assert list(weyl.iter_reduced_words(w)) == reference
+        assert len(calls) == _interval_edges(w), sa.canonical_reduced_word(w)
+
+
+def test_walks_in_lockstep_share_a_graph(datum, monkeypatch):
+    """Two walks of one element consumed together through ``zip``, each
+    arriving at nodes the other may have expanded, both yield the
+    reference's pairs, and together build each edge once.  A walk stopped
+    after a few words first leaves a half-built graph for them."""
+    elements = _walk_elements(datum)
+    calls = []
+    real = weyl._times_simple
+    monkeypatch.setattr(
+        weyl, "_times_simple", lambda *args: calls.append(None) or real(*args)
+    )
+    for w in elements:
+        reference = list(reduced_words_reference(w))
+        calls.clear()
+        assert list(itertools.islice(weyl.iter_reduced_words(w), 3)) == reference[:3]
+        pairs = list(zip(weyl.iter_reduced_words(w), weyl.iter_reduced_words(w)))
+        assert [a for a, _ in pairs] == [b for _, b in pairs] == reference
+        assert len(calls) == _interval_edges(w), sa.canonical_reduced_word(w)
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
