@@ -16,7 +16,6 @@ from .weyl import (
     element_from_word,
     enumerate_coset_reps,
     inversion_sequence,
-    is_min_coset_rep,
     min_coset_rep,
     parabolic,
     reflection_element,
@@ -60,7 +59,6 @@ __all__ = [
     "gorenstein_fano_report",
     "height",
     "inversion_sequence",
-    "is_min_coset_rep",
     "min_coset_rep",
     "p_adapt",
     "parabolic",

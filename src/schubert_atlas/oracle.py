@@ -1,13 +1,12 @@
-"""Independent brute-force checkers used as ground truth in tests, plus
-desk-scale scanners for three reduced-word conjectures.
+"""Desk-scale scanners for three reduced-word conjectures, recomputing
+from raw definitions.
 
-Everything here recomputes from raw definitions: lengths are inversion
-counts of freshly multiplied matrices, cover membership is a literal
-length-drop test, and reduced words are enumerated one by one rather than
-reasoned about.  Decompositions eta = mu + mu' come from a plain scan over
-pairs of inversion coroots, so nothing here reads a memo table or uses
-the indecomposability logic of ``schubert.cover_coroots``; ``SchubertInput``
-is all that is taken from ``schubert``.  One input is not raw: the Conjecture 3
+Lengths are inversion counts of freshly multiplied matrices, and reduced
+words are enumerated one by one rather than reasoned about.
+Decompositions eta = mu + mu' come from a plain scan over pairs of
+inversion coroots, so nothing here reads a memo table or uses the
+indecomposability logic of ``schubert.cover_coroots``, and nothing is taken
+from ``schubert``.  One input is not raw: the Conjecture 3
 scan takes its distances from ``weyl.rightmost_distance`` and checks each
 against the words it scans.  Nothing is slow on purpose: the reduced-word
 walk builds each step once per edge of its interval, and keeps the graph
@@ -19,17 +18,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import InternalError, NotSimplyLacedError
 from .rootdata import CorootVec, RootDatum
-from .schubert import SchubertInput
 from .weyl import (
     DEFAULT_WORD_CAP,
     WeylElement,
     canonical_record,
     canonical_reduced_word,
-    is_min_coset_rep,
     iter_reduced_words,
     multiply,
     reflection_element,
@@ -45,7 +42,7 @@ def _length_drop_pairs(
 ) -> Tuple[Tuple[CorootVec, WeylElement, int], ...]:
     """(eta, w*s_eta, length drop) for every inversion coroot of w."""
     out = []
-    for eta in canonical_record(w)[1]:
+    for eta in canonical_record(w).inversions:
         u = multiply(w, reflection_element(datum, eta))
         out.append((eta, u, w.length - u.length))
     return tuple(out)
@@ -65,17 +62,6 @@ def _pair_decompositions(
             if eta in members:
                 found.setdefault(eta, []).append((mu, mu_prime))
     return found
-
-
-def cover_coroots_direct(inp: SchubertInput) -> FrozenSet[CorootVec]:
-    """R+_{w,P} straight from the definition: eta counts iff the reflection
-    drops the length by exactly one and lands back in W^P.  No
-    indecomposability logic anywhere."""
-    out = set()
-    for eta, u, drop in _length_drop_pairs(inp.datum, inp.w):
-        if drop == 1 and is_min_coset_rep(u, inp.parabolic):
-            out.add(eta)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -118,7 +104,7 @@ def check_order_reversal(
     words (not necessarily every decomposition).  Simply-laced only."""
     if not w.datum.simply_laced:
         raise NotSimplyLacedError("order-reversal scan needs a simply-laced type")
-    canon, seq = canonical_record(w)
+    canon, seq, _, _ = canonical_record(w)
     pairs = _pair_decompositions(seq)
     if not pairs:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
@@ -210,7 +196,7 @@ def check_rightmost_indecomposable(
     check, and checks those distances against the words too."""
     if not w.datum.simply_laced:
         raise NotSimplyLacedError("rightmost scan needs a simply-laced type")
-    canon, seq = canonical_record(w)
+    canon, seq, _, _ = canonical_record(w)
     if w.is_identity:
         return ConjectureFragment(word=canon, verified=True, counterexamples=())
     decomposable = _pair_decompositions(seq)

@@ -149,7 +149,7 @@ class RootDatum:
     ``positives`` is sorted by (coroot height, coroot coordinates, root
     coordinates); the position in this list is the *canonical index* of a
     pair, used for deterministic tie-breaking downstream and as the bit of
-    the coroot in every coroot mask (``Memo``, ``weyl.inversion_mask``), so
+    the coroot in every coroot mask (``Memo``, ``weyl.ElementRecord``), so
     the set bits of a mask, read upward, come in canonical order.
     ``coroot_by_pairings`` maps the pairings (<r, alpha_1^vee>, ...,
     <r, alpha_n^vee>) of each positive root r, which determine r, to its

@@ -30,9 +30,6 @@ from .weyl import (
     ParabolicSubset,
     WeylElement,
     canonical_record,
-    canonical_reduced_word,
-    decomposable_mask,
-    inversion_mask,
     parabolic_table,
     rightmost_distance,
 )
@@ -58,8 +55,8 @@ class SchubertInput:
     datum, whose canonical indices its inversion mask is read against; the
     identity element encodes the degenerate point case.  w is in W^P
     exactly when no alpha_j^vee, j in I_P, is an inversion coroot, since
-    w(alpha_j^vee) < 0 exactly when w(alpha_j) < 0: one AND of
-    ``weyl.inversion_mask(w)`` with the ``parabolic_table`` simple mask.
+    w(alpha_j^vee) < 0 exactly when w(alpha_j) < 0: one AND of the mask of
+    ``weyl.canonical_record(w)`` with the ``parabolic_table`` simple mask.
     The simple coroots sit in canonical order with alpha_n^vee lowest, so
     the highest bit of that AND names the smallest violating j.
     """
@@ -82,7 +79,7 @@ class SchubertInput:
         if not self.parabolic.inside:
             return
         simple = parabolic_table(self.datum, self.parabolic).simple_mask
-        violating = inversion_mask(self.w) & simple
+        violating = canonical_record(self.w).mask & simple
         if violating:
             alpha = self.datum.positive_coroots[violating.bit_length() - 1]
             j = alpha.index(1) + 1
@@ -93,19 +90,14 @@ class SchubertInput:
 
 
 class CorootSets(NamedTuple):
-    """The coroot record of a Schubert input, built once by ``cover_coroots``.
-
-    ``inv_ordered`` follows the reflection ordering of the canonical reduced
-    word; ``decomposable`` is ``weyl.decomposable_mask(w)``, the mask over
-    canonical indices (as in ``weyl.inversion_mask``) of the inversion
-    coroots eta with a splitting c * eta = mu + mu' inside N(w);
-    ``cover_B``/``cover_P`` are in canonical coroot order.
+    """What ``cover_coroots`` derives from the record of w: the supports
+    I_w and I^P_w, ascending, and the cover sets R+_{w,B} and R+_{w,P}, in
+    canonical coroot order.  The inversion sequence, N(w) and its
+    decomposable mask are read from ``weyl.canonical_record(w)`` itself.
     """
 
-    inv_ordered: Tuple[CorootVec, ...]
     support_B: Tuple[int, ...]
     support_P: Tuple[int, ...]
-    decomposable: int
     cover_B: Tuple[CorootVec, ...]
     cover_P: Tuple[CorootVec, ...]
 
@@ -113,7 +105,8 @@ class CorootSets(NamedTuple):
 @dataclass(frozen=True)
 class AdaptedBasis:
     """Ordered pairs (k, mu(k)) whose pairing matrix is unipotent
-    lower-triangular in the stored order."""
+    lower-triangular in the stored order, which ``_assert_unipotent_lower``
+    checks as each basis is built."""
 
     entries: Tuple[Tuple[int, CorootVec], ...]
     # the k and the mu(k) of ``entries``, in its order; derived once here,
@@ -124,6 +117,7 @@ class AdaptedBasis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "keys", tuple(k for k, _ in self.entries))
         object.__setattr__(self, "coroots", tuple(c for _, c in self.entries))
+        _assert_unipotent_lower(self)
 
 
 class LabeledMatrix(NamedTuple):
@@ -202,26 +196,23 @@ class ClassificationReport(NamedTuple):
 
 
 def cover_coroots(inp: SchubertInput) -> CorootSets:
-    """Build the coroot record of ``inp``, down to the Weil-divisor coroot
-    sets R+_{w,B} and R+_{w,P}.
+    """The supports and the Weil-divisor coroot sets R+_{w,B} and R+_{w,P}
+    of ``inp``.
 
     R+_{w,B} consists of the indecomposable inversion coroots; R+_{w,P}
     keeps those whose reflection maps every alpha_j^vee (j in I_P) outside
-    the inversion set.  The word and the inversion sequence come from the
-    ``canonical_record`` that w carries, N(w) from its ``inversion_mask``
-    and the decomposable coroots from its ``decomposable_mask``, so
-    R+_{w,B} is the mask N(w) & ~dec, whose set bits, read upward, are in
-    canonical order.  eta of R+_{w,B} is in R+_{w,P} iff N(w) misses its
-    ``blocked`` mask of the ``parabolic_table``: one AND per cover coroot.
+    the inversion set.  The word, N(w) and the decomposable mask dec come
+    from the ``canonical_record`` that w carries, so R+_{w,B} is the mask
+    N(w) & ~dec, whose set bits, read upward, are in canonical order.  eta
+    of R+_{w,B} is in R+_{w,P} iff N(w) misses its ``blocked`` mask of the
+    ``parabolic_table``: one AND per cover coroot.
     """
     datum = inp.datum
-    word, inv = canonical_record(inp.w)
-    inv_mask = inversion_mask(inp.w)
-    decomposable = decomposable_mask(inp.w)
+    word, _, inv_mask, dec = canonical_record(inp.w)
     coroots = datum.positive_coroots
     supp = tuple(sorted(set(word)))
     cover: List[int] = []
-    rest = inv_mask & ~decomposable
+    rest = inv_mask & ~dec
     while rest:
         bit = rest & -rest
         rest ^= bit
@@ -234,7 +225,7 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
         cover_p = tuple(coroots[i] for i in cover if not inv_mask & blocked[i])
     else:  # P = B: nothing to exclude
         support_p, cover_p = supp, cover_b
-    return CorootSets(inv, supp, support_p, decomposable, cover_b, cover_p)
+    return CorootSets(supp, support_p, cover_b, cover_p)
 
 
 def _columns(ks: Sequence[int]) -> Callable[[Sequence], Tuple]:
@@ -292,24 +283,25 @@ def build_B_wB(
     index, descending with ``reverse_ties``.  mu(k) has the least height of
     an inversion coroot with unit k-th coefficient (proof in
     ``rightmost_distance``), so no split mu(k) = mu + mu' in N(w) exists: one
-    summand would have that coefficient and less height.  Both are re-checked.
+    summand would have that coefficient and less height.  Both are re-checked,
+    the decomposable mask read from the record of w; ``AdaptedBasis``
+    checks the unipotent shape.
     """
     datum = inp.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError(f"{datum.cartan_type} is not simply laced")
     index = datum.coroot_index
+    dec = canonical_record(inp.w).dec
     entries: List[Tuple[int, int, CorootVec]] = []  # (d, k, coroot)
     for k in sets.support_P:
         d, mu = rightmost_distance(inp.w, k, reverse_ties=reverse_ties)
-        if mu[k - 1] != 1 or sets.decomposable >> index[mu] & 1:
+        if mu[k - 1] != 1 or dec >> index[mu] & 1:
             raise InternalError(
                 f"rightmost coroot {mu} at {k} is decomposable or not unit there"
             )
         entries.append((d, k, mu))
     entries.sort(key=lambda t: (t[0], -t[1]) if reverse_ties else (t[0], t[1]))
-    basis = AdaptedBasis(entries=tuple((k, c) for _, k, c in entries))
-    _assert_unipotent_lower(basis)
-    return basis
+    return AdaptedBasis(entries=tuple((k, c) for _, k, c in entries))
 
 
 def _assert_unipotent_lower(basis: AdaptedBasis) -> None:
@@ -339,8 +331,8 @@ def p_adapt(
 
     Every coroot must end in R+_{w,P}.  When no step applies (always for
     P = B) the input basis itself is returned: it is unchanged, so its span
-    and its unipotent shape stand as ``build_B_wB`` checked them.  A moved
-    basis is re-checked for both.
+    stands.  A moved basis is re-checked for its span, and ``AdaptedBasis``
+    checks its unipotent shape as it is built.
     """
     datum = inp.datum
     if not datum.simply_laced:
@@ -351,7 +343,7 @@ def p_adapt(
         table = parabolic_table(datum, inp.parabolic)
         blocked, steps = table.blocked, table.steps
         index, coroots = datum.coroot_index, datum.positive_coroots
-        inv_mask = inversion_mask(inp.w)
+        inv_mask = canonical_record(inp.w).mask
         for k0 in sorted(current):
             i = index[current[k0]]
             while inv_mask & blocked[i]:
@@ -377,7 +369,6 @@ def p_adapt(
             raise InternalError(
                 f"adaptation changed mu({k}) outside the parabolic span"
             )
-    _assert_unipotent_lower(adapted)
     return adapted
 
 
@@ -451,6 +442,7 @@ def gorenstein_fano_report(
         raise InternalError(
             "adapted basis must be supplied exactly for simply-laced data"
         )
+    word, inversions, _, _ = canonical_record(inp.w)
     pic = picard_matrix(inp, sets)
     q_fact, factorial, evidence = classify_factorial(inp, pic)
     ks = sets.support_P
@@ -482,11 +474,7 @@ def gorenstein_fano_report(
             labels, keys, rows = basis.entries, basis.keys, basis.coroots
             m_entries = tuple(map(_columns(keys), rows))
             hat = ()
-            for r, (row, c) in enumerate(zip(m_entries, rows)):
-                if row[r] != 1 or any(row[r + 1:]):
-                    raise InternalError(
-                        "adapted-basis matrix is not unipotent lower-triangular"
-                    )
+            for row, c in zip(m_entries, rows):
                 hat += (height(c) + 1 - sum(map(operator.mul, row, hat)),)
         m_matrix = LabeledMatrix(labels, keys, m_entries)
         hat_by_key = dict(zip(keys, hat))
@@ -508,9 +496,9 @@ def gorenstein_fano_report(
         if not is_q_gor:
             c1 = None
     return ClassificationReport(  # positional, in the order of the fields
-        str(datum.cartan_type), inp.parabolic.inside_sorted,
-        canonical_reduced_word(inp.w), inp.w.length, regime, len(ks),
-        len(sets.cover_P), sets.support_B, ks, sets.inv_ordered, sets.cover_P,
+        str(datum.cartan_type), inp.parabolic.inside_sorted, word,
+        inp.w.length, regime, len(ks), len(sets.cover_P), sets.support_B, ks,
+        inversions, sets.cover_P,
         pic, q_fact, factorial, evidence, basis, m_matrix, keys, hat,
         gor, q_gor, fano, q_fano, failures, nef, c1, weil, _PROVENANCE[regime],
     )

@@ -104,24 +104,34 @@ def parabolic_table(datum: RootDatum, p: ParabolicSubset) -> ParabolicTable:
     return table
 
 
+class ElementRecord(NamedTuple):
+    """What the canonical reduced word of w fixes, built together and kept
+    on w (see ``canonical_record``): the word; its inversion sequence, in
+    reflection order; N(w), the inversion coroots, as a mask over canonical
+    indices (bit i for ``datum.positive_coroots[i]``); and the mask of the
+    decomposable ones, the eta in N(w) with c * eta = mu + mu' for some
+    mu != mu' in N(w)."""
+
+    word: Word
+    inversions: Tuple[CorootVec, ...]
+    mask: int
+    dec: int
+
+
 class WeylElement:
     """A Weyl group element with its action matrix, cached length and, once
-    known, its canonical record (see ``canonical_record``), the mask of its
-    inversion coroots (see ``inversion_mask``), the mask of those that are
-    decomposable (see ``decomposable_mask``) and the interval graph its
-    reduced-word walks share (see ``iter_reduced_words``).  The graph stays
-    on w until its owner sets ``graph`` back to None, as the conjecture scan
-    does once all its checks of w are done."""
+    known, its ``ElementRecord`` (see ``canonical_record``) and the interval
+    graph its reduced-word walks share (see ``iter_reduced_words``).  The
+    graph stays on w until its owner sets ``graph`` back to None, as the
+    conjecture scan does once all its checks of w are done."""
 
-    __slots__ = ("datum", "matrix", "length", "record", "mask", "dec", "graph")
+    __slots__ = ("datum", "matrix", "length", "record", "graph")
 
     def __init__(self, datum: RootDatum, matrix: Matrix, length: int):
         self.datum = datum
         self.matrix = matrix
         self.length = length
         self.record = None
-        self.mask = None
-        self.dec = None
         self.graph = None
 
     def __eq__(self, other: object) -> bool:
@@ -224,14 +234,16 @@ def right_mul_simple(w: WeylElement, i: int) -> WeylElement:
     return WeylElement(w.datum, matrix, w.length + delta)
 
 
-def canonical_record(w: WeylElement) -> Tuple[Word, Tuple[CorootVec, ...]]:
-    """The canonical reduced word of w and its inversion sequence, kept on w.
+def canonical_record(w: WeylElement) -> ElementRecord:
+    """The ``ElementRecord`` of w, kept on w.
 
     The word peels the smallest left descent i, read off x = w(2 rho^vee),
     which s_i w carries as s_i x: word(w) = (i,) + word(s_i w)
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, 1.3).  Elements from
     ``enumerate_coset_reps`` arrive with the record of their canonical
-    parent extended; any other element builds it here on first use.
+    parent extended; any other element builds all of it here on first use,
+    in one pass: peel the word, take its inversion sequence, then fold
+    ``_newly_decomposable`` once per coroot as its bit enters the mask.
     """
     if w.record is None:
         datum = w.datum
@@ -240,23 +252,15 @@ def canonical_record(w: WeylElement) -> Tuple[Word, Tuple[CorootVec, ...]]:
         while (i := next(_left_descents(datum, x), None)) is not None:
             word.append(i)
             x = _reflect_coroot(datum.cartan, i - 1, x)
-        w.record = (tuple(word), inversion_sequence(datum, word))
+        seq = inversion_sequence(datum, word)
+        index, keys = datum.coroot_index, datum.coroot_keys
+        mask = dec = 0
+        for c in seq:
+            g = index[c]
+            dec |= _newly_decomposable(datum, mask, dec, keys[g])
+            mask |= 1 << g
+        w.record = ElementRecord(tuple(word), seq, mask, dec)
     return w.record
-
-
-def inversion_mask(w: WeylElement) -> int:
-    """N(w), the inversion coroots of w, as a mask over canonical indices
-    (bit i for ``datum.positive_coroots[i]``), kept on w.  Elements from
-    ``enumerate_coset_reps`` arrive with their canonical parent's mask and
-    the bit of the one new coroot; any other element builds it here from
-    its canonical record on first use."""
-    if w.mask is None:
-        index = w.datum.coroot_index
-        mask = 0
-        for c in canonical_record(w)[1]:
-            mask |= 1 << index[c]
-        w.mask = mask
-    return w.mask
 
 
 def _newly_decomposable(datum: RootDatum, mask: int, dec: int, gamma: int) -> int:
@@ -286,29 +290,10 @@ def _newly_decomposable(datum: RootDatum, mask: int, dec: int, gamma: int) -> in
     return new
 
 
-def decomposable_mask(w: WeylElement) -> int:
-    """The mask of the decomposable inversion coroots of w, the eta in N(w)
-    with c * eta = mu + mu' for some mu != mu' in N(w), kept on w.
-    Elements from ``enumerate_coset_reps`` arrive with it, carried from
-    their canonical parent; any other element folds ``_newly_decomposable``
-    once per letter along its inversion sequence on first use."""
-    if w.dec is None:
-        datum = w.datum
-        index, keys = datum.coroot_index, datum.coroot_keys
-        mask = dec = 0
-        for c in canonical_record(w)[1]:
-            i = index[c]
-            dec |= _newly_decomposable(datum, mask, dec, keys[i])
-            mask |= 1 << i
-        w.mask = mask
-        w.dec = dec
-    return w.dec
-
-
 def canonical_reduced_word(w: WeylElement) -> Word:
     """Deterministic reduced word: repeatedly peel the smallest left descent
     (see ``canonical_record``)."""
-    return canonical_record(w)[0]
+    return canonical_record(w).word
 
 
 def support(w: WeylElement) -> FrozenSet[int]:
@@ -322,10 +307,6 @@ def support(w: WeylElement) -> FrozenSet[int]:
         for i, row in enumerate(w.matrix, 1)
         if row[i - 1] != 1 or sum(map(abs, row)) != 1
     )
-
-
-def is_min_coset_rep(w: WeylElement, p: ParabolicSubset) -> bool:
-    return all(not has_right_descent(w, j) for j in p.inside)
 
 
 def min_coset_rep(w: WeylElement, p: ParabolicSubset) -> WeylElement:
@@ -368,7 +349,7 @@ def rightmost_distance(
     With N(w) the inversion coroots and h the least height of a gamma in
     N(w) with gamma_k = 1, d = h and the coroot is gamma if it alone has
     height h; no gamma exists iff k is outside the support, whose coroots
-    span N(w).  The gamma are the set bits of ``inversion_mask(w)`` and the
+    span N(w).  The gamma are the set bits of the record's ``mask`` and the
     datum's unit mask of k, and canonical order is by height, so the lowest
     bit is a gamma of height h and a tie is the next bit at the same height.
     alpha_k^vee is the one such gamma of height 1, so a right descent k is
@@ -404,7 +385,8 @@ def rightmost_distance(
         unit = units[k] = sum(
             1 << i for i, c in enumerate(datum.positive_coroots) if c[k0] == 1
         )
-    gammas = inversion_mask(w) & unit
+    record = canonical_record(w)
+    gammas = record.mask & unit
     if not gammas:
         raise NotInSupportError(f"s_{k} is not below {w!r}")
     coroots = datum.positive_coroots
@@ -415,7 +397,7 @@ def rightmost_distance(
     if not rest or sum(coroots[(rest & -rest).bit_length() - 1]) != h:
         return h, best
     cartan = datum.cartan
-    inversions = frozenset(canonical_record(w)[1])
+    inversions = frozenset(record.inversions)
     order = range(datum.rank, 0, -1) if reverse_ties else range(1, datum.rank + 1)
     level, d = [identity(datum.rank)], 1
     while True:
@@ -453,7 +435,8 @@ def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
 def _lift(matrix: Matrix, i: int, q: Sequence[int]) -> Matrix:
     """S_i . matrix, the matrix of s_i w, for an ascent i of w and q_a =
     sum_b C[b][i] M[b][a] = <w^-1(alpha_i), alpha_a^vee>, the pairings that
-    name w^-1(alpha_i^vee): s_i w differs from w only in row i, by -q."""
+    name w^-1(alpha_i^vee): s_i w differs from w only in row i, by -q.
+    Only the matrix is lifted; the child's record extends the parent's."""
     i0 = i - 1
     return matrix[:i0] + (tuple(u - v for u, v in zip(matrix[i0], q)),) + matrix[i0 + 1:]
 
@@ -462,16 +445,16 @@ def enumerate_coset_reps(
     datum: RootDatum, p: ParabolicSubset, max_len: int
 ) -> Iterator[WeylElement]:
     """All w in W^P with l(w) <= max_len, each once, in length-then-canonical-
-    word order, each carrying its canonical record and its inversion and
-    decomposable masks: the parent's, with the one new coroot
-    w^-1(alpha_i^vee) added to the inversion sequence, its bit to the
-    inversion mask and what it makes decomposable (``_newly_decomposable``)
-    to the decomposable mask.  W^P is a lower ideal of the left weak order,
-    so a BFS by s_i w over the left ascents i of w reaches all of it; such
-    an s_i w is w s_j, outside W^P, exactly when its new coroot is
-    alpha_j^vee, j in I_P, a bit of the ``parabolic_table`` simple mask,
-    which is tested on the pairings that name the coroot before the child's
-    matrix is lifted, so a child outside W^P costs no matrix.
+    word order, each carrying its ``ElementRecord``, built in one call from
+    the parent's: the letter i before the word, the one new coroot
+    w^-1(alpha_i^vee) after the inversion sequence, its bit in the mask and
+    what it makes decomposable (``_newly_decomposable``) in the decomposable
+    mask.  W^P is a lower ideal of the left weak order, so a BFS by s_i w
+    over the left ascents i of w reaches all of it; such an s_i w is w s_j,
+    outside W^P, exactly when its new coroot is alpha_j^vee, j in I_P, a
+    bit of the ``parabolic_table`` simple mask, which is tested on the
+    pairings that name the coroot before the child's matrix is lifted, so
+    a child outside W^P costs no matrix.
     s_i w is built only from its canonical parent w, when i is its smallest
     left descent, read off the pairings x_j = <alpha_j, w(2 rho^vee)>
     carried along; children come out i-major in parent order, which is
@@ -481,8 +464,7 @@ def enumerate_coset_reps(
     index, keys = datum.coroot_index, datum.coroot_keys
     simple = parabolic_table(datum, p).simple_mask if p.inside else 0
     e = identity_element(datum)
-    e.record = ((), ())
-    e.mask = e.dec = 0
+    e.record = ElementRecord((), (), 0, 0)
     level = [(e, (2,) * n)] if max_len >= 0 else []
     while level:
         yield from (w for w, _ in level)
@@ -503,10 +485,11 @@ def enumerate_coset_reps(
                 if simple >> g & 1:
                     continue
                 child = WeylElement(datum, _lift(w.matrix, i, q), w.length + 1)
-                word, seq = w.record
-                child.record = ((i,) + word, seq + (coroot,))
-                child.mask = w.mask | (1 << g)
-                child.dec = w.dec | _newly_decomposable(datum, w.mask, w.dec, keys[g])
+                word, seq, mask, dec = w.record
+                child.record = ElementRecord(
+                    (i,) + word, seq + (coroot,), mask | 1 << g,
+                    dec | _newly_decomposable(datum, mask, dec, keys[g]),
+                )
                 nxt.append((child, tuple(u - xi * c for u, c in zip(x, row))))
         level = nxt
 
@@ -567,7 +550,7 @@ def iter_reduced_words(w: WeylElement) -> Iterator[Tuple[Word, Tuple[CorootVec, 
         yield (), ()
         return
     datum = w.datum
-    inversions = frozenset(canonical_record(w)[1])
+    inversions = frozenset(canonical_record(w).inversions)
     if w.graph is None:
         w.graph = ([identity(datum.rank), None], {})
     root, nodes = w.graph

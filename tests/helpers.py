@@ -9,10 +9,10 @@ import io
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import schubert_atlas as sa
-from schubert_atlas import weyl
+from schubert_atlas import oracle, weyl
 from schubert_atlas.errors import SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
 from schubert_atlas.rootdata import RootCorootPair, _reflect_coroot
@@ -24,6 +24,22 @@ def schubert_input(datum, inside, word):
     return sa.SchubertInput(
         datum=datum, parabolic=sa.parabolic(datum, inside), w=w
     )
+
+
+def is_min_coset_rep(w, p) -> bool:
+    """Whether w is in W^P: no j of I_P is a right descent of w."""
+    return all(not weyl.has_right_descent(w, j) for j in p.inside)
+
+
+def cover_coroots_direct(inp) -> FrozenSet[Tuple[int, ...]]:
+    """R+_{w,P} straight from the definition: eta counts iff the reflection
+    drops the length by exactly one and lands back in W^P.  No
+    indecomposability logic anywhere."""
+    out = set()
+    for eta, u, drop in oracle._length_drop_pairs(inp.datum, inp.w):
+        if drop == 1 and is_min_coset_rep(u, inp.parabolic):
+            out.add(eta)
+    return frozenset(out)
 
 
 def valid_parabolics(datum, w) -> Iterable[Tuple[int, ...]]:
@@ -291,7 +307,7 @@ def enumerate_reference(datum, p, max_len, key=canonical_word_reference):
     level = {weyl.identity_element(datum)}
     length = 0
     while level and length <= max_len:
-        yield from sorted((w for w in level if weyl.is_min_coset_rep(w, p)), key=key)
+        yield from sorted((w for w in level if is_min_coset_rep(w, p)), key=key)
         level = {
             weyl.right_mul_simple(w, i)
             for w in level
@@ -505,7 +521,7 @@ def p_adapt_reference(inp, basis, sets):
     smallest and moves the first mu(k0) with s_{mu(k0)}(alpha_j^vee) in the
     inversion set for a j in I_P (smallest j), until no key moves."""
     datum = inp.datum
-    inv_set = frozenset(sets.inv_ordered)
+    inv_set = frozenset(weyl.canonical_record(inp.w).inversions)
     n = datum.rank
     current = dict(basis.entries)
 

@@ -291,10 +291,11 @@ def test_survey_rows_build_no_inverse(capsys, monkeypatch):
 
 
 def test_borel_survey_checks_each_adapted_basis_once(capsys, monkeypatch):
-    """``build_B_wB`` proves each adapted basis unipotent lower-triangular,
-    and with P = B ``p_adapt`` moves nothing, so a D5 Borel survey runs the
-    check once per row (1,920 times) and writes the bytes of an unpatched
-    run."""
+    """Each ``AdaptedBasis`` checks its unipotent lower-triangular shape as
+    it is built, ``build_B_wB`` builds one per row and with P = B
+    ``p_adapt`` moves nothing and builds none, so a D5 Borel survey runs
+    the check once per row (1,920 times) and writes the bytes of an
+    unpatched run."""
     argv = ("survey", "--type", "D5", "--format", "csv")
     expected = run(capsys, *argv)
     calls = []

@@ -25,9 +25,8 @@ import schubert_atlas
 SRC = Path(schubert_atlas.__file__).parent
 TESTS = Path(__file__).parent
 
-ALLOWED = {
-    "cover_coroots_direct": "the brute-force cover oracle the tests check against",
-}
+# {name: reason} of functions kept although nothing in the package calls them
+ALLOWED = {}
 
 
 def _trees():
@@ -156,8 +155,8 @@ def test_traced_names_are_module_functions():
 
 def test_oracle_shares_no_logic_with_schubert():
     """The oracles are ground truth for ``schubert``, so they must not reuse
-    its logic: ``oracle.py`` takes only ``SchubertInput`` from it, imports
-    no ``schubert`` module object, and reads no ``memo`` table of a datum."""
+    its logic: ``oracle.py`` takes nothing from it, imports no ``schubert``
+    module object, and reads no ``memo`` table of a datum."""
     taken = set()
     memo_reads = []
     for node in ast.walk(_trees()["oracle"]):
@@ -171,5 +170,19 @@ def test_oracle_shares_no_logic_with_schubert():
             )
         elif isinstance(node, ast.Attribute) and node.attr == "memo":
             memo_reads.append(node.lineno)
-    assert taken == {"SchubertInput"}, taken
+    assert taken == set(), taken
     assert not memo_reads, memo_reads
+
+
+def test_only_weyl_touches_the_element_record():
+    """``WeylElement.record`` is read and written by ``weyl.py`` alone: every
+    other module goes through ``weyl.canonical_record``, so the record has
+    one place where it is built and its layout stays behind that function."""
+    touches = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _trees().items()
+        if module != "weyl"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "record"
+    ]
+    assert not touches, touches

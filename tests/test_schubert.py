@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import schubert_atlas as sa
-from schubert_atlas import exactlinalg, oracle, schubert, weyl
+from schubert_atlas import exactlinalg, schubert, weyl
 from schubert_atlas.errors import (
     InternalError,
     InvalidInputError,
@@ -17,6 +17,7 @@ from schubert_atlas.errors import (
 from helpers import (
     coroot_for,
     coroot_mask,
+    cover_coroots_direct,
     decompose_reference,
     decompositions_reference,
     fraction_rank,
@@ -116,20 +117,19 @@ def test_identity_is_valid_for_any_parabolic(datum):
 def test_inversion_set_g2_w2(datum):
     inp = schubert_input(datum("G2"), (), (2, 1, 2, 1, 2))
     sets = schubert.cover_coroots(inp)
-    assert set(sets.inv_ordered) == {(0, 1), (1, 1), (3, 2), (2, 1), (3, 1)}
+    inversions = weyl.canonical_record(inp.w).inversions
+    assert set(inversions) == {(0, 1), (1, 1), (3, 2), (2, 1), (3, 1)}
     assert sets.support_B == (1, 2)
 
 
 def test_inversion_set_single_reflection(datum):
     inp = schubert_input(datum("A4"), (), (3,))
-    sets = schubert.cover_coroots(inp)
-    assert sets.inv_ordered == ((0, 0, 1, 0, 0)[:4],)
+    assert weyl.canonical_record(inp.w).inversions == ((0, 0, 1, 0, 0)[:4],)
 
 
 def test_inversion_set_a4_example(datum):
     inp = schubert_input(datum("A4"), (), (3, 4, 1, 2, 3))
-    sets = schubert.cover_coroots(inp)
-    assert set(sets.inv_ordered) == {
+    assert set(weyl.canonical_record(inp.w).inversions) == {
         (0, 0, 1, 0),
         (0, 1, 1, 0),
         (1, 1, 1, 0),
@@ -162,7 +162,7 @@ def _fold_steps(w):
     inversion sequence of w, folded one coroot at a time."""
     d = w.datum
     mask = dec = 0
-    for gamma in weyl.canonical_record(w)[1]:
+    for gamma in weyl.canonical_record(w).inversions:
         i = d.coroot_index[gamma]
         dec |= weyl._newly_decomposable(d, mask, dec, d.coroot_keys[i])
         yield gamma, mask, dec
@@ -175,13 +175,12 @@ def test_decompose_g2_scaled_witness(datum):
     last makes it decomposable, with c = 3."""
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
-    sets = schubert.cover_coroots(inp)
-    assert sets.inv_ordered == ((0, 1), (1, 1), (3, 2))
+    assert weyl.canonical_record(inp.w).inversions == ((0, 1), (1, 1), (3, 2))
     assert _entering(g2, coroot_mask(g2, [(0, 1), (1, 1)]), (3, 2)) == coroot_mask(
         g2, [(1, 1)]
     )
     assert [dec for _, _, dec in _fold_steps(inp.w)] == [0, 0, coroot_mask(g2, [(1, 1)])]
-    assert sets.decomposable == coroot_mask(g2, [(1, 1)])
+    assert weyl.canonical_record(inp.w).dec == coroot_mask(g2, [(1, 1)])
 
 
 def test_decompose_simple_coroot_is_none(datum):
@@ -189,9 +188,9 @@ def test_decompose_simple_coroot_is_none(datum):
     decomposable: a simple coroot has no splitting at all."""
     g2 = datum("G2")
     inp = schubert_input(g2, (), (2, 1, 2))
-    sets = schubert.cover_coroots(inp)
-    assert (0, 1) in sets.inv_ordered
-    assert not sets.decomposable & coroot_mask(g2, [(0, 1)])
+    record = weyl.canonical_record(inp.w)
+    assert (0, 1) in record.inversions
+    assert not record.dec & coroot_mask(g2, [(0, 1)])
     simple = coroot_mask(g2, [(1, 0), (0, 1)])
     full = (1 << len(g2.positives)) - 1
     for i, gamma in enumerate(g2.positive_coroots):
@@ -208,11 +207,11 @@ def test_decompose_d5_theta(datum):
     inp = sa.SchubertInput(
         datum=d5, parabolic=sa.parabolic(d5, [1, 3, 4, 5]), w=rep
     )
-    sets = schubert.cover_coroots(inp)
     theta = d5.highest_coroot
     bit = coroot_mask(d5, [theta])
-    assert theta in sets.inv_ordered
-    assert sets.decomposable & bit
+    record = weyl.canonical_record(rep)
+    assert theta in record.inversions
+    assert record.dec & bit
     gamma, before, _ = next(step for step in _fold_steps(rep) if step[2] & bit)
     mu = tuple(a - b for a, b in zip(theta, gamma))
     assert before & bit and before & coroot_mask(d5, [mu]), (gamma, mu)
@@ -252,9 +251,10 @@ def test_decompose_matches_pair_scan_everywhere(type_str, datum):
     borel = sa.parabolic(d, [])
     for w in sa.enumerate_coset_reps(d, borel, 99):
         sets = sa.cover_coroots(sa.SchubertInput(datum=d, parabolic=borel, w=w))
-        elements = _canonical(d, sets.inv_ordered)
+        record = weyl.canonical_record(w)
+        elements = _canonical(d, record.inversions)
         reference = decompositions_reference(elements)
-        assert sets.decomposable == coroot_mask(d, reference), (type_str, w)
+        assert record.dec == coroot_mask(d, reference), (type_str, w)
         for reverse_ties in (False, True):
             indecomposable = [
                 eta
@@ -289,8 +289,9 @@ def test_cover_a4_parabolic(datum):
     a4 = datum("A4")
     sets = sa.cover_coroots(schubert_input(a4, (4,), (3, 4, 1, 2, 3)))
     assert set(sets.cover_P) == {(1, 1, 1, 0), (0, 0, 1, 1), (0, 1, 1, 1)}
-    sets_b = sa.cover_coroots(schubert_input(a4, (), (3, 4, 1, 2, 3)))
-    assert set(sets_b.cover_B) == set(sets_b.inv_ordered)
+    inp_b = schubert_input(a4, (), (3, 4, 1, 2, 3))
+    sets_b = sa.cover_coroots(inp_b)
+    assert set(sets_b.cover_B) == set(weyl.canonical_record(inp_b.w).inversions)
 
 
 def test_cover_single_reflection(datum):
@@ -314,7 +315,8 @@ def test_parabolic_table_matches_reflection_formula(type_str, inside, sample, da
     from random words, each coroot's inverted images under the table's
     steps are those of the reflection formula over every j in I_P, in the
     same order, and its blocked mask meets N(w) exactly when there is one.
-    The simple mask holds the alpha_j^vee of I_P."""
+    The simple mask holds the alpha_j^vee of I_P.  The whole record w
+    carries is the one a cold element of its word builds."""
     d = datum(type_str)
     p = sa.parabolic(d, inside)
     table = weyl.parabolic_table(d, p)
@@ -333,7 +335,11 @@ def test_parabolic_table_matches_reflection_formula(type_str, inside, sample, da
         ]
     coroots = d.positive_coroots
     for w in elements:
-        inv_mask = weyl.inversion_mask(w)
+        inv_mask = weyl.canonical_record(w).mask
+        word = sa.canonical_reduced_word(w)
+        cold = sa.element_from_word(d, word)
+        assert cold.record is None
+        assert weyl.canonical_record(cold) == w.record, word
         for i, eta in enumerate(coroots):
             expected = parabolic_images_reference(w, eta, inside)
             got = [(j, coroots[b]) for j, b in table.steps[i] if inv_mask >> b & 1]
@@ -345,7 +351,7 @@ def test_cover_matches_oracle_b2(datum):
     inp = schubert_input(datum("B2"), (), (1, 2, 1))
     sets = sa.cover_coroots(inp)
     assert sets.cover_P
-    assert frozenset(sets.cover_P) == oracle.cover_coroots_direct(inp)
+    assert frozenset(sets.cover_P) == cover_coroots_direct(inp)
 
 
 # --- picard matrix -----------------------------------------------------------------
@@ -470,9 +476,7 @@ def _assert_rightmost_coroot_is_least_unit_height(w):
     with unit k-th coefficient, and under both tie orders the walk's coroot
     has height h and is indecomposable."""
     d = w.datum
-    inv = weyl.canonical_record(w)[1]
-    inp = sa.SchubertInput(datum=d, parabolic=sa.parabolic(d, ()), w=w)
-    decomposable = sa.cover_coroots(inp).decomposable
+    _, inv, _, decomposable = weyl.canonical_record(w)
     assert decomposable == coroot_mask(d, decompositions_reference(inv))
     for k in weyl.support(w):
         h = min(sa.height(g) for g in inv if g[k - 1] == 1)
@@ -548,7 +552,7 @@ def test_p_adapt_refuses_an_unmoved_basis_outside_the_cover_set(datum):
     sets = sa.cover_coroots(inp)
     basis = sa.build_B_wB(inp, sets)
     assert basis.entries == ((1, (1, 0, 0, 0)), (2, (0, 1, 0, 0)))
-    assert sets.decomposable & coroot_mask(inp.datum, [(1, 1, 0, 0)])
+    assert weyl.canonical_record(inp.w).dec & coroot_mask(inp.datum, [(1, 1, 0, 0)])
     bad = schubert.AdaptedBasis(entries=((1, (1, 0, 0, 0)), (2, (1, 1, 0, 0))))
     with pytest.raises(InternalError, match="escaped the cover set"):
         sa.p_adapt(inp, bad, sets)
@@ -563,9 +567,7 @@ def test_p_adapt_d5_maximal_parabolic(datum):
     borel = sa.build_B_wB(inp_b, sa.cover_coroots(inp_b))
     adapted = sa.p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
     assert adapted.keys == (3,)
-    from schubert_atlas import oracle
-
-    assert adapted.coroots[0] in oracle.cover_coroots_direct(inp)
+    assert adapted.coroots[0] in cover_coroots_direct(inp)
 
 
 @pytest.mark.parametrize("reverse_ties", [False, True], ids=["ties", "reverse-ties"])
@@ -667,9 +669,7 @@ def test_report_d4_eight_letter_element_corrected(datum):
     }
     assert theta not in set(report.cover_coroots)
     assert report.b_top == 7
-    from schubert_atlas import oracle
-
-    assert frozenset(report.cover_coroots) == oracle.cover_coroots_direct(inp)
+    assert frozenset(report.cover_coroots) == cover_coroots_direct(inp)
     w = sa.element_from_word(d4, (1, 3, 4, 2, 1, 3, 4, 2))
     refl = sa.reflection_element(d4, theta)
     assert weyl.multiply(w, refl).length == 1
@@ -864,13 +864,14 @@ def test_q_factorial_solve_checks_its_determinant(datum, monkeypatch):
 
 def test_simply_laced_solve_needs_a_unipotent_lower_basis(datum):
     """Forward substitution is exact only over a unipotent lower-triangular
-    M: the 53142 basis in reverse order is refused, and so is the inverse of
-    a simply-laced M with determinant 2."""
+    M: the 53142 basis in reverse order is refused as it is built, so no
+    solve ever sees it, and so is the inverse of a simply-laced M with
+    determinant 2."""
     inp = schubert_input(datum("A4"), (), (2, 1, 3, 4, 3, 2, 1))
     sets = sa.cover_coroots(inp)
     basis = sa.build_B_wB(inp, sets)
-    flipped = schubert.AdaptedBasis(entries=basis.entries[::-1])
-    with pytest.raises(InternalError, match="unipotent lower-triangular"):
+    with pytest.raises(InternalError, match="adapted basis matrix is not lower-triangular"):
+        flipped = schubert.AdaptedBasis(entries=basis.entries[::-1])
         sa.gorenstein_fano_report(inp, sets, flipped)
     m = schubert.LabeledMatrix(row_labels=(1, 2), col_labels=(1, 2),
                                entries=((1, 1), (-1, 1)))
@@ -883,7 +884,8 @@ def test_derived_fields_leave_equality_hash_and_repr_alone(datum):
     """``ParabolicSubset.complement``/``.inside_sorted`` and
     ``AdaptedBasis.keys``/``.coroots`` are set once at construction; they
     equal the comprehensions they replace, and equality, hashing and repr
-    still read only the declared fields."""
+    still read only the declared fields.  The basis compared against is
+    another unipotent one, since ``AdaptedBasis`` refuses any other."""
     a4 = datum("A4")
     assert repr(sa.parabolic(a4, (3, 1))) == (
         "ParabolicSubset(rank=4, inside=frozenset({1, 3}))"
@@ -905,7 +907,7 @@ def test_derived_fields_leave_equality_hash_and_repr_alone(datum):
     assert (basis.keys, basis.coroots) == ((3, 1), ((0, 0, 1, 0), (1, 1, 1, 0)))
     twin = schubert.AdaptedBasis(entries=tuple(entries))
     assert basis == twin and hash(basis) == hash(twin)
-    assert basis != schubert.AdaptedBasis(entries=entries[::-1])
+    assert basis != schubert.AdaptedBasis(entries=((3, (0, 0, 1, 0)), (1, (1, 0, 0, 0))))
     assert repr(basis) == f"AdaptedBasis(entries={entries!r})"
     empty = schubert.AdaptedBasis(entries=())
     assert empty.keys == empty.coroots == ()

@@ -30,6 +30,7 @@ from helpers import (
     enumerate_reference,
     inverse,
     inversion_sequence_reference,
+    is_min_coset_rep,
     longest_element,
     reduced_words_reference,
     rightmost_reference,
@@ -154,11 +155,11 @@ def test_integer_weyl_layer_matches_inverse_references(type_str, datum):
 def test_is_min_coset_rep(datum):
     a2 = datum("A2")
     w0 = el(a2, (1, 2, 1))
-    assert sa.is_min_coset_rep(w0, sa.parabolic(a2, []))
-    assert not sa.is_min_coset_rep(w0, sa.parabolic(a2, [2]))
+    assert is_min_coset_rep(w0, sa.parabolic(a2, []))
+    assert not is_min_coset_rep(w0, sa.parabolic(a2, [2]))
     a4 = datum("A4")
     w = el(a4, (3, 4, 1, 2, 3))
-    assert sa.is_min_coset_rep(w, sa.parabolic(a4, [4]))
+    assert is_min_coset_rep(w, sa.parabolic(a4, [4]))
 
 
 def test_min_coset_rep_examples(datum):
@@ -184,7 +185,7 @@ def test_coset_factorization_lengths_additive(type_str, inside, datum):
     p = sa.parabolic(d, inside)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
         u, v = coset_factorize(w, p)
-        assert sa.is_min_coset_rep(u, p)
+        assert is_min_coset_rep(u, p)
         assert weyl.multiply(u, v) == w
         assert u.length + v.length == w.length
         assert set(sa.canonical_reduced_word(v)) <= set(inside)
@@ -341,7 +342,7 @@ def test_rightmost_distance_walks_only_on_ties(datum, monkeypatch):
     distance 2 builds no level, so only the ties together must build one."""
     d5 = datum("D5")
     elements = list(sa.enumerate_coset_reps(d5, sa.parabolic(d5, ()), 99))
-    records = [weyl.canonical_record(w)[1] for w in elements]
+    records = [weyl.canonical_record(w).inversions for w in elements]
     calls = []
     real = weyl._times_simple
     monkeypatch.setattr(
@@ -371,7 +372,7 @@ def test_support_is_where_an_inversion_coroot_has_unit_coefficient(type_str, dat
     ``rightmost_distance`` reads instead of calling ``support``."""
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, ()), 99):
-        inv = weyl.canonical_record(w)[1]
+        inv = weyl.canonical_record(w).inversions
         units = {k for k in range(1, d.rank + 1) if any(g[k - 1] == 1 for g in inv)}
         assert weyl.support(w) == units, sa.canonical_reduced_word(w)
 
@@ -787,36 +788,39 @@ def test_walks_in_lockstep_share_a_graph(datum, monkeypatch):
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_canonical_record_matches_references(type_str, datum):
-    """On every Borel element the record is the inverse-based canonical word
-    with the inversion sequence of that word: carried along the walk from
-    the canonical parent, and built again from cold on a fresh element of
-    a fresh datum through ``element_from_word``."""
+    """On every Borel element the record holds the inverse-based canonical
+    word with the inversion sequence of that word: carried along the walk
+    from the canonical parent, and built again from cold on a fresh element
+    of a fresh datum through ``element_from_word``, all four fields equal."""
     d = datum(type_str)
     cold = sa.build_root_datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
         word = canonical_word_reference(w)
         expected = (word, sa.inversion_sequence(d, word))
         carried = w.record
-        assert weyl.canonical_record(w) == expected, (type_str, word)
+        assert type(carried) is weyl.ElementRecord, (type_str, word)
+        assert weyl.canonical_record(w)[:2] == expected, (type_str, word)
         fresh = el(cold, word)
         assert fresh.record is None
-        assert weyl.canonical_record(fresh) == expected, (type_str, word)
+        assert weyl.canonical_record(fresh)[:2] == expected, (type_str, word)
         assert carried == fresh.record, (type_str, word)
 
 
 def _assert_mask_matches_record(w):
-    """The mask w carries, or builds on first use, is the mask of its
-    inversion sequence, and a cold element of a fresh datum built from the
-    canonical word builds the same mask."""
+    """The mask of the record w carries, or builds on first use, is the
+    mask of its inversion sequence, and a cold element of a fresh datum
+    built from the canonical word builds the same mask and the same whole
+    record."""
     d = w.datum
-    word, seq = weyl.canonical_record(w)
+    word, seq, mask, _ = weyl.canonical_record(w)
     expected = coroot_mask(d, seq)
-    assert weyl.inversion_mask(w) == expected, word
-    assert w.mask == expected, word
+    assert mask == expected, word
+    assert w.record.mask == expected, word
     assert bin(expected).count("1") == w.length, word
     fresh = el(sa.build_root_datum(str(d.cartan_type)), word)
-    assert fresh.mask is None
-    assert weyl.inversion_mask(fresh) == expected, word
+    assert fresh.record is None
+    assert weyl.canonical_record(fresh).mask == expected, word
+    assert fresh.record == w.record, word
 
 
 def _assert_unit_masks_match_scan(d, elements):
@@ -840,7 +844,7 @@ def test_inversion_mask_matches_record(type_str):
     d = sa.build_root_datum(type_str)
     elements = list(sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99))
     for w in elements:
-        assert w.mask is not None
+        assert w.record is not None
         _assert_mask_matches_record(w)
     if d.simply_laced:
         _assert_unit_masks_match_scan(d, elements)
@@ -857,24 +861,25 @@ def test_inversion_mask_matches_record_on_e7_and_e8(type_str):
     rng = random.Random(f"mask-{type_str}")
     walked = [_random_reduced_element(d, rng, rng.randint(1, 60)) for _ in range(12)]
     for w in walked:
-        assert w.mask is None
+        assert w.record is None
         _assert_mask_matches_record(w)
     _assert_unit_masks_match_scan(d, elements + walked)
 
 
 def _assert_decomposable_matches_pair_scan(w):
-    """The decomposable mask w carries, or folds on first use, is the mask
-    of the keys of a plain pair scan over its inversion coroots, and a
-    fresh element of the same word folds the same mask."""
+    """The decomposable mask of the record w carries, or folds on first
+    use, is the mask of the keys of a plain pair scan over its inversion
+    coroots, and a fresh element of the same word folds the same mask into
+    the same whole record."""
     d = w.datum
-    word, seq = weyl.canonical_record(w)
+    word, seq, _, dec = weyl.canonical_record(w)
     elements = sorted(seq, key=d.coroot_index.__getitem__)
     expected = coroot_mask(d, decompositions_reference(elements))
-    assert weyl.decomposable_mask(w) == expected, word
+    assert dec == expected, word
     fresh = el(d, word)
-    assert fresh.dec is None
-    assert weyl.decomposable_mask(fresh) == expected, word
-    assert fresh.mask == weyl.inversion_mask(w), word
+    assert fresh.record is None
+    assert weyl.canonical_record(fresh).dec == expected, word
+    assert fresh.record == weyl.canonical_record(w), word
 
 
 @pytest.mark.parametrize(
@@ -887,7 +892,7 @@ def test_decomposable_mask_matches_pair_scan(type_str, max_len, datum):
     the canonical parent by the walk, and again folded from its word."""
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), max_len):
-        assert w.dec is not None
+        assert w.record is not None
         _assert_decomposable_matches_pair_scan(w)
 
 
@@ -899,7 +904,7 @@ def test_decomposable_mask_matches_pair_scan_on_e7_and_e8(type_str, datum):
     rng = random.Random(f"decomposable-{type_str}")
     for _ in range(100):
         w = _random_reduced_element(d, rng, rng.randint(1, 60))
-        assert w.dec is None
+        assert w.record is None
         _assert_decomposable_matches_pair_scan(w)
 
 
@@ -917,8 +922,8 @@ def test_decomposable_mask_matches_pair_scan_on_e7_and_e8(type_str, datum):
 def test_canonical_parent_walk_on_exceptional_parabolics(type_str, inside, max_len, datum):
     """The walk from canonical parents emits W^P in (length, canonical word)
     order, each element once and as many per length as the Poincare
-    quotient says, and each carries the record that a cold element built
-    from its word computes, with the inversion sequence of that word."""
+    quotient says, and each carries the whole record that a cold element
+    built from its word computes, with the inversion sequence of that word."""
     d = datum(type_str)
     p = sa.parabolic(d, inside)
     reps = list(sa.enumerate_coset_reps(d, p, max_len))
@@ -928,8 +933,10 @@ def test_canonical_parent_walk_on_exceptional_parabolics(type_str, inside, max_l
     counts = weyl.coset_counts_by_length(d, p)[: max_len + 1]
     assert [sum(1 for w in reps if w.length == k) for k in range(len(counts))] == counts
     for w, (_, word) in zip(reps, keys):
-        assert w.record == (word, sa.inversion_sequence(d, word)), word
-        assert weyl.canonical_record(el(d, word)) == w.record, word
+        assert w.record[:2] == (word, sa.inversion_sequence(d, word)), word
+        cold = el(d, word)
+        assert cold.record is None
+        assert weyl.canonical_record(cold) == w.record, word
 
 
 def test_canonical_record_long_e8_elements_from_cold(datum):
@@ -944,7 +951,7 @@ def test_canonical_record_long_e8_elements_from_cold(datum):
             letters.append(rng.choice(ascents))
             w = weyl.right_mul_simple(w, letters[-1])
         cold = sa.build_root_datum("E8")
-        word, seq = weyl.canonical_record(el(cold, letters))
+        word, seq, _, _ = weyl.canonical_record(el(cold, letters))
         assert word == canonical_word_reference(w), length
         assert seq == sa.inversion_sequence(d, word), length
 
