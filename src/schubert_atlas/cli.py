@@ -148,7 +148,7 @@ def _write_csv(out: TextIO, rows: Iterable[dict]) -> None:
 
 
 def _report_table(report: ClassificationReport) -> str:
-    doc = schubert.report_fields(report)
+    doc = schubert.report_to_dict(report, invariant_factors=False)
     lines = []
     order = (
         "cartan_type", "parabolic_inside", "word", "length", "regime",

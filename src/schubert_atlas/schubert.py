@@ -138,9 +138,8 @@ class ClassificationReport(NamedTuple):
 
     An immutable tuple record: read its fields by name.  It is built by one
     positional call, so the field order is part of its definition.  Output
-    goes through ``report_to_dict``/``report_fields`` (JSON, table) or
-    ``csv_row`` (CSV); ``json.dumps`` of the report itself silently writes
-    a list.
+    goes through ``report_to_dict`` (JSON, table) or ``csv_row`` (CSV);
+    ``json.dumps`` of the report itself silently writes a list.
     """
 
     cartan_type: str
@@ -179,7 +178,7 @@ class ClassificationReport(NamedTuple):
     def n_matrix(self) -> Optional[LabeledMatrix]:
         """N = M^-1, rows over the Cartier keys and columns over the rows of
         M: integer in the simply-laced regime, rational in the Q-factorial
-        one.  Built on every read; ``report_fields`` reads it once."""
+        one.  Built on every read; ``report_to_dict`` reads it once."""
         m = self.m_matrix
         if m is None:
             return None
@@ -554,8 +553,15 @@ def _matrix_dict(m: Optional[LabeledMatrix], rational: bool) -> Optional[dict]:
     }
 
 
-def report_fields(report: ClassificationReport) -> dict:
-    """``report_to_dict`` without the Picard invariant factors."""
+def report_to_dict(report: ClassificationReport, invariant_factors: bool = True) -> dict:
+    """Canonical JSON-ready form of a report; rationals become "p/q" strings.
+    The Picard invariant factors, which no verdict reads, are computed here
+    unless ``invariant_factors`` is false, as for the classify table, which
+    prints none."""
+    evidence = dict(report.factorial_evidence)
+    if invariant_factors:
+        factors = exactlinalg.smith_normal_form(report.picard_matrix.entries)
+        evidence["invariant_factors"] = list(factors)
     hat = None
     if report.hat_n is not None:
         hat = {
@@ -577,7 +583,7 @@ def report_fields(report: ClassificationReport) -> dict:
         "picard_matrix": _matrix_dict(report.picard_matrix, rational=False),
         "q_factorial": report.q_factorial,
         "factorial": report.factorial,
-        "factorial_evidence": dict(report.factorial_evidence),
+        "factorial_evidence": evidence,
         "basis": None
         if report.basis is None
         else [{"k": k, "coroot": list(c)} for k, c in report.basis.entries],
@@ -597,15 +603,6 @@ def report_fields(report: ClassificationReport) -> dict:
         "anticanonical_weil": list(report.anticanonical_weil),
         "provenance": dict(sorted(report.provenance.items())),
     }
-
-
-def report_to_dict(report: ClassificationReport) -> dict:
-    """Canonical JSON-ready form of a report; rationals become "p/q" strings.
-    The Picard invariant factors are computed here: no verdict reads them."""
-    doc = report_fields(report)
-    factors = exactlinalg.smith_normal_form(report.picard_matrix.entries)
-    doc["factorial_evidence"]["invariant_factors"] = list(factors)
-    return doc
 
 
 def report_conventions(datum: RootDatum) -> dict:

@@ -365,14 +365,15 @@ def rightmost_distance(
       alpha_j^vee) has least height h - 1, at s_j(gamma).  A reduced word of
       w s_j with its rightmost s_k at distance <= h - 1, then s_j, is one of w.
 
-    A tie is broken by a breadth-first walk over the products x of the
-    letters peeled from the end, each kept by its columns: w x has right
-    descent i exactly when x(alpha_i^vee) is an inversion coroot of w
-    (Bjorner-Brenti, 1.3), and then s_i is peeled next.  It stops at the
-    first x with x(alpha_k^vee) an inversion coroot, at distance h.  Each
-    level is ordered by the peeled letters, lexicographically, or in
-    reverse with ``reverse_ties``, so ties go to the smallest (largest)
-    letter peeled first.
+    A tie is broken by that induction step, run on all tied gamma at once,
+    each kept with the one it started from.  A word reaching distance h
+    peels at every step a j != k with <alpha_j, gamma> = 1 for some gamma of
+    the least height, and s_j lowers exactly those to gamma - alpha_j^vee,
+    the least height h - 1 in N(w s_j); the others keep their height or
+    rise.  So the step takes the smallest such j (the largest with
+    ``reverse_ties``) and keeps the gamma it lowers, until one is left: the
+    peeled letters are the lexicographically first sequence reaching h.
+    The Cartan matrix is symmetric, so <alpha_j, gamma> = pairings[gamma][j-1].
     """
     datum = w.datum
     if not datum.simply_laced:
@@ -385,31 +386,21 @@ def rightmost_distance(
         unit = units[k] = sum(
             1 << i for i, c in enumerate(datum.positive_coroots) if c[k0] == 1
         )
-    record = canonical_record(w)
-    gammas = record.mask & unit
+    gammas = canonical_record(w).mask & unit
     if not gammas:
         raise NotInSupportError(f"s_{k} is not below {w!r}")
-    coroots = datum.positive_coroots
-    low = gammas & -gammas
-    best = coroots[low.bit_length() - 1]
-    h = sum(best)
-    rest = gammas ^ low
-    if not rest or sum(coroots[(rest & -rest).bit_length() - 1]) != h:
-        return h, best
-    cartan = datum.cartan
-    inversions = frozenset(record.inversions)
-    order = range(datum.rank, 0, -1) if reverse_ties else range(1, datum.rank + 1)
-    level, d = [identity(datum.rank)], 1
-    while True:
-        d += 1
-        steps = [(cols, i) for cols in level for i in order if cols[i - 1] in inversions]
-        for cols, i in steps:
-            # the k-th column of x s_i, tested before any x s_i is built
-            a = cartan[k0][i - 1]
-            ck = tuple([u - a * v for u, v in zip(cols[k0], cols[i - 1])])
-            if ck in inversions:
-                return d, ck
-        level = list(dict.fromkeys(_times_simple(datum, cols, i) for cols, i in steps))
+    coroots, pairings = datum.positive_coroots, datum.pairings
+    gamma = coroots[(gammas & -gammas).bit_length() - 1]
+    h, pairs = sum(gamma), [(gamma, gamma)]  # (current, original) for each tied gamma
+    gammas &= gammas - 1
+    while gammas and sum(gamma := coroots[(gammas & -gammas).bit_length() - 1]) == h:
+        pairs.append((gamma, gamma))
+        gammas &= gammas - 1
+    while len(pairs) > 1:
+        order = range(datum.rank - 1, -1, -1) if reverse_ties else range(datum.rank)
+        j = next(j for j in order if j != k0 and any(pairings[c][j] == 1 for c, _ in pairs))
+        pairs = [(c[:j] + (c[j] - 1,) + c[j + 1:], g) for c, g in pairs if pairings[c][j] == 1]
+    return h, pairs[0][1]
 
 
 def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:

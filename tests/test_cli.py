@@ -650,9 +650,9 @@ def test_conjecture_scans_are_independent(type_str, cap, capsys):
 def test_conjectures_release_each_graph(capsys, monkeypatch):
     """A D4 scan holds one element's reduced-word graph at a time: when
     the coset walk yields the next element, none yielded before holds a
-    graph, nor does any after the run.  The kernel runs 6,129 times: once
-    per edge of the 192 intervals (6,099) and 30 times in the tie walks of
-    ``rightmost_distance``."""
+    graph, nor does any after the run.  The kernel runs 6,099 times, once
+    per edge of the 192 intervals: ``rightmost_distance`` builds no
+    product, ties included."""
     enumerate_coset_reps, yielded = cli.enumerate_coset_reps, []
 
     def walk(*args):
@@ -671,7 +671,7 @@ def test_conjectures_release_each_graph(capsys, monkeypatch):
     assert [r["elements_scanned"] for r in reports] == [192] * 3
     assert len(yielded) == 192
     assert all(w.graph is None for w in yielded)
-    assert len(calls) == 6129
+    assert len(calls) == 6099
 
 
 def test_conjectures_size_guard_refuses_before_enumerating(capsys, monkeypatch):

@@ -921,7 +921,7 @@ def test_derived_fields_leave_equality_hash_and_repr_alone(datum):
 def test_matrix_columns_and_shared_provenance(type_str, word, b2, datum):
     """The Picard matrix and M read the same entries as the plain
     comprehension at 0, 1 and several Cartier indices.  The provenance is
-    read-only, and ``report_fields`` copies it into a fresh sorted dict."""
+    read-only, and ``report_to_dict`` copies it into a fresh sorted dict."""
     inp = schubert_input(datum(type_str), (), word)
     report = sa.classify(inp)
     ks = report.cartier_indices
@@ -937,12 +937,12 @@ def test_matrix_columns_and_shared_provenance(type_str, word, b2, datum):
         )
     with pytest.raises(TypeError):
         report.provenance["gorenstein"] = "edited"
-    fields = schubert.report_fields(report)["provenance"]
+    fields = schubert.report_to_dict(report)["provenance"]
     assert list(fields) == sorted(report.provenance)
     assert fields == dict(report.provenance)
     fields["gorenstein"] = "edited"
     assert report.provenance["gorenstein"] != "edited"
-    assert schubert.report_fields(report)["provenance"] != fields
+    assert schubert.report_to_dict(report)["provenance"] != fields
 
 
 def test_anticanonical_weil_recomputation(datum):

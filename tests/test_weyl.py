@@ -336,33 +336,56 @@ def test_rightmost_distance_vs_all_words(type_str, datum):
 
 
 def test_rightmost_distance_walks_only_on_ties(datum, monkeypatch):
-    """D5 Borel: where one inversion coroot alone has the least height among
-    those with unit k-th coefficient, the distance is read off the record
-    and no x s_i is built; the 512 ties run the walk.  A tie found at
-    distance 2 builds no level, so only the ties together must build one."""
+    """D5 Borel: no (w, k) builds a Weyl-group product or an identity
+    matrix, in either tie order, the 512 ties with more than one inversion
+    coroot of the least height among those with unit k-th coefficient
+    included: the tied coroots go down by their pairings.  The records'
+    inversion sequences are removed before the calls, so none reads them."""
     d5 = datum("D5")
     elements = list(sa.enumerate_coset_reps(d5, sa.parabolic(d5, ()), 99))
-    records = [weyl.canonical_record(w).inversions for w in elements]
-    calls = []
-    real = weyl._times_simple
-    monkeypatch.setattr(
-        weyl, "_times_simple", lambda *args: calls.append(None) or real(*args)
-    )
-    ties, tie_calls = 0, 0
-    for w, inv in zip(elements, records):
+    inversions = [weyl.canonical_record(w).inversions for w in elements]
+    for w in elements:
+        w.record = w.record._replace(inversions=None)
+
+    def refuse(*_):
+        raise AssertionError("Weyl-group product built")
+
+    monkeypatch.setattr(weyl, "_times_simple", refuse)
+    monkeypatch.setattr(weyl, "identity", refuse)
+    ties = 0
+    for w, inv in zip(elements, inversions):
         for k in weyl.support(w):
             heights = [sum(g) for g in inv if g[k - 1] == 1]
-            tie = heights.count(min(heights)) > 1
-            ties += tie
+            ties += heights.count(min(heights)) > 1
             for reverse_ties in (False, True):
-                calls.clear()
                 weyl.rightmost_distance(w, k, reverse_ties)
-                if tie:
-                    tie_calls += len(calls)
-                else:
-                    assert not calls, (sa.canonical_reduced_word(w), k, reverse_ties)
     assert ties == 512
-    assert tie_calls > 0
+
+
+@pytest.mark.parametrize(
+    "type_str, max_len, ties", [("A5", 99, 127), ("D5", 99, 512), ("E6", 8, 170)]
+)
+def test_rightmost_distance_ties_match_reference(type_str, max_len, ties, datum):
+    """Every tied (w, k) of the Borel elements up to ``max_len``, in both
+    tie orders, against the word-carrying DFS of ``rightmost_reference``:
+    the distance, and the coroot that its witness suffix realizes there.
+    The three types have 809 ties, 1,618 calls."""
+    d = datum(type_str)
+    found = 0
+    for w in sa.enumerate_coset_reps(d, sa.parabolic(d, ()), max_len):
+        inv = weyl.canonical_record(w).inversions
+        for k in weyl.support(w):
+            heights = [sum(g) for g in inv if g[k - 1] == 1]
+            if heights.count(min(heights)) == 1:
+                continue
+            found += 1
+            for reverse_ties in (False, True):
+                dist, suffix = rightmost_reference(w, k, reverse_ties)
+                expected = (dist, inversion_sequence_reference(d, suffix)[-1])
+                assert sa.rightmost_distance(w, k, reverse_ties) == expected, (
+                    sa.canonical_reduced_word(w), k, reverse_ties
+                )
+    assert found == ties
 
 
 @pytest.mark.parametrize("type_str", ["A4", "D4", "D5"])
