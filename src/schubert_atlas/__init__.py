@@ -18,7 +18,6 @@ from .weyl import (
     inversion_sequence,
     min_coset_rep,
     parabolic,
-    reflection_element,
     rightmost_distance,
 )
 from .schubert import (
@@ -63,6 +62,5 @@ __all__ = [
     "p_adapt",
     "parabolic",
     "picard_matrix",
-    "reflection_element",
     "rightmost_distance",
 ]

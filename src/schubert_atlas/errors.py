@@ -26,10 +26,6 @@ class NotInSupportError(SchubertAtlasError):
     """The requested simple index does not occur in any reduced word."""
 
 
-class NotACorootError(SchubertAtlasError):
-    """The given vector is not a positive coroot of the root datum."""
-
-
 class NotMinimalCosetRepError(SchubertAtlasError):
     """The element is not a minimal-length coset representative.
 

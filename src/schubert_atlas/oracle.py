@@ -1,17 +1,18 @@
 """Desk-scale scanners for three reduced-word conjectures, recomputing
 from raw definitions.
 
-Lengths are inversion counts of freshly multiplied matrices, and reduced
-words are enumerated one by one rather than reasoned about.
-Decompositions eta = mu + mu' come from a plain scan over pairs of
-inversion coroots, so nothing here reads a memo table or uses the
-indecomposability logic of ``schubert.cover_coroots``, and nothing is taken
-from ``schubert``.  One input is not raw: the Conjecture 3
-scan takes its distances from ``weyl.rightmost_distance`` and checks each
-against the words it scans.  Nothing is slow on purpose: the reduced-word
-walk builds each step once per edge of its interval, and keeps the graph
-on the element, so the three scans of one element build it once between
-them; each recount reads an image's sign off its height alone.
+Lengths are inversion counts of matrices built from the reflection formula
+w s_eta = w - (w eta) p^T, and reduced words are enumerated one by one
+rather than reasoned about.  Decompositions eta = mu + mu' come from a
+plain scan over pairs of inversion coroots, so nothing here reads the
+datum's ``parabolic_tables`` or uses the indecomposability logic of
+``schubert.cover_coroots``, and nothing is taken from ``schubert``.  One
+input is not raw: the Conjecture 3 scan takes its distances from
+``weyl.rightmost_distance`` and checks each against the words it scans.
+Nothing is slow on purpose: the reduced-word walk builds each step once
+per edge of its interval, and keeps the graph on the element, so the three
+scans of one element build it once between them; each recount reads an
+image's sign off its height alone.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from .errors import InternalError, NotSimplyLacedError
 from .rootdata import CorootVec, RootDatum
 from .weyl import (
     DEFAULT_WORD_CAP,
+    Matrix,
     WeylElement,
     canonical_record,
     canonical_reduced_word,
     iter_reduced_words,
-    multiply,
-    reflection_element,
     rightmost_distance,
     support,
 )
@@ -37,13 +37,29 @@ from .weyl import (
 Word = Tuple[int, ...]
 
 
+def _count_inversions(datum: RootDatum, matrix: Matrix) -> int:
+    # the positive coroots c with M c negative; M c is +-(a positive coroot),
+    # so the sign of its height h.c decides, h the column sums of M
+    h = tuple(map(sum, zip(*matrix)))
+    return sum(sum(map(operator.mul, h, c)) < 0 for c in datum.positive_coroots)
+
+
 def _length_drop_pairs(
     datum: RootDatum, w: WeylElement
 ) -> Tuple[Tuple[CorootVec, WeylElement, int], ...]:
-    """(eta, w*s_eta, length drop) for every inversion coroot of w."""
+    """(eta, w*s_eta, length drop) for every inversion coroot of w.
+
+    s_eta(x) = x - <root(eta), x> eta, so with p = ``datum.pairings[eta]``,
+    the pairings <root(eta), alpha_j^vee>, the matrix of s_eta is
+    I - eta p^T and that of w s_eta is the rank-one update w - (w eta) p^T."""
     out = []
     for eta in canonical_record(w).inversions:
-        u = multiply(w, reflection_element(datum, eta))
+        p = datum.pairings[eta]
+        w_eta = [sum(map(operator.mul, row, eta)) for row in w.matrix]
+        matrix = tuple(
+            tuple([m - x * q for m, q in zip(row, p)]) for row, x in zip(w.matrix, w_eta)
+        )
+        u = WeylElement(datum, matrix, _count_inversions(datum, matrix))
         out.append((eta, u, w.length - u.length))
     return tuple(out)
 

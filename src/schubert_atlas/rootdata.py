@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .errors import InvalidTypeError, NotACorootError
+from .errors import InvalidTypeError
 
 RootVec = Tuple[int, ...]
 CorootVec = Tuple[int, ...]
@@ -121,27 +121,6 @@ class RootCorootPair:
     coroot: CorootVec
 
 
-@dataclass
-class Memo:
-    """The memo tables a root datum owns; each lives as long as the datum
-    and has at most one entry per positive coroot, and at most one per
-    parabolic used with the datum (one in any command-line run).  A set of
-    positive coroots is an int mask with bit i for canonical index i.
-
-    - ``reflections``: positive coroot -> its reflection;
-    - ``unit_masks``: simple index k -> the mask of the positive coroots
-      with k-th coefficient 1; filled per k by ``weyl.rightmost_distance``;
-    - ``parabolics``: I_P (a non-empty frozenset) -> its
-      ``weyl.ParabolicTable``, whose tuples hold one entry per positive
-      coroot; filled per I_P by ``weyl.parabolic_table``, so a Borel run
-      fills none.
-    """
-
-    reflections: dict = field(default_factory=dict)
-    unit_masks: dict = field(default_factory=dict)
-    parabolics: dict = field(default_factory=dict)
-
-
 @dataclass(frozen=True, eq=False)
 class RootDatum:
     """Immutable positive system for a simple Cartan type.
@@ -149,8 +128,9 @@ class RootDatum:
     ``positives`` is sorted by (coroot height, coroot coordinates, root
     coordinates); the position in this list is the *canonical index* of a
     pair, used for deterministic tie-breaking downstream and as the bit of
-    the coroot in every coroot mask (``Memo``, ``weyl.ElementRecord``), so
-    the set bits of a mask, read upward, come in canonical order.
+    the coroot in every coroot mask (``unit_masks``, ``parabolic_tables``,
+    ``weyl.ElementRecord``), so the set bits of a mask, read upward, come in
+    canonical order.
     ``coroot_by_pairings`` maps the pairings (<r, alpha_1^vee>, ...,
     <r, alpha_n^vee>) of each positive root r, which determine r, to its
     coroot; ``pairings`` is its inverse, from each positive coroot to the
@@ -165,6 +145,12 @@ class RootDatum:
     key of such a sum carries nothing between coefficients and names the
     sum exactly.  ``bond_multiples`` is 1, ..., the largest bond
     multiplicity: every c with c * eta = mu + mu' over positive coroots.
+    ``unit_masks[k - 1]`` masks the positive coroots with k-th coefficient 1.
+
+    None of these changes once the datum is built.  The one cache,
+    ``parabolic_tables``, maps each non-empty I_P used with the datum (one
+    in any command-line run, none in a Borel run) to its
+    ``weyl.ParabolicTable``; only ``weyl.parabolic_table`` reads or fills it.
     """
 
     cartan_type: CartanType
@@ -172,20 +158,14 @@ class RootDatum:
     positives: Tuple[RootCorootPair, ...]
     simply_laced: bool
     coroot_by_pairings: Dict[Tuple[int, ...], CorootVec] = field(repr=False)
-    memo: Memo = field(default_factory=Memo, repr=False)
+    parabolic_tables: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        coroot_index: Dict[CorootVec, int] = {}
-        pair_for_coroot: Dict[CorootVec, RootCorootPair] = {}
-        for idx, pair in enumerate(self.positives):
-            coroot_index[pair.coroot] = idx
-            pair_for_coroot[pair.coroot] = pair
-        object.__setattr__(self, "coroot_index", coroot_index)
-        object.__setattr__(self, "pair_for_coroot", pair_for_coroot)
-        pairings = {c: p for p, c in self.coroot_by_pairings.items()}
-        object.__setattr__(self, "pairings", pairings)
         coroots = tuple(p.coroot for p in self.positives)
         object.__setattr__(self, "positive_coroots", coroots)
+        object.__setattr__(self, "coroot_index", {c: i for i, c in enumerate(coroots)})
+        pairings = {c: p for p, c in self.coroot_by_pairings.items()}
+        object.__setattr__(self, "pairings", pairings)
         object.__setattr__(self, "highest_coroot", max(coroots, key=sum))
         # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
         object.__setattr__(self, "two_rho_coroot", tuple(map(sum, zip(*coroots))))
@@ -195,6 +175,11 @@ class RootDatum:
         object.__setattr__(self, "key_bits", {k: 1 << i for i, k in enumerate(keys)})
         bond = max(1, -min(map(min, self.cartan)))
         object.__setattr__(self, "bond_multiples", tuple(range(1, bond + 1)))
+        units = tuple(
+            sum(1 << i for i, c in enumerate(coroots) if c[k0] == 1)
+            for k0 in range(self.rank)
+        )
+        object.__setattr__(self, "unit_masks", units)
 
     @property
     def rank(self) -> int:
@@ -268,10 +253,3 @@ def build_root_datum(ct: CartanType | str) -> RootDatum:
 def height(c: CorootVec) -> int:
     """Sum of the coroot coefficients (pairing with rho)."""
     return sum(c)
-
-
-def require_positive_coroot(datum: RootDatum, c: CorootVec) -> RootCorootPair:
-    pair = datum.pair_for_coroot.get(tuple(c))
-    if pair is None:
-        raise NotACorootError(f"{c} is not a positive coroot of {datum.cartan_type}")
-    return pair

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
 from typing import FrozenSet, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -21,7 +20,7 @@ from .errors import (
     NotSimplyLacedError,
 )
 from .exactlinalg import identity
-from .rootdata import CorootVec, RootDatum, _reflect_coroot, require_positive_coroot
+from .rootdata import CorootVec, RootDatum, _reflect_coroot
 
 Word = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -82,8 +81,9 @@ class ParabolicTable(NamedTuple):
 
 def parabolic_table(datum: RootDatum, p: ParabolicSubset) -> ParabolicTable:
     """The ``ParabolicTable`` of a non-empty I_P, built on first use and
-    kept in ``datum.memo.parabolics``."""
-    tables = datum.memo.parabolics
+    kept in ``datum.parabolic_tables``, the datum's one cache, which no
+    other function reads or writes."""
+    tables = datum.parabolic_tables
     table = tables.get(p.inside)
     if table is None:
         index = datum.coroot_index
@@ -166,13 +166,6 @@ def _apply(matrix: Matrix, v: Sequence[int]) -> CorootVec:
     return tuple(sum(row[j] * v[j] for j in range(n) if v[j]) for row in matrix)
 
 
-def _count_inversions(datum: RootDatum, matrix: Matrix) -> int:
-    # the positive coroots c with M c negative; M c is +-(a positive coroot),
-    # so the sign of its height h.c decides, h the column sums of M
-    h = tuple(map(sum, zip(*matrix)))
-    return sum(sum(map(mul, h, c)) < 0 for c in datum.positive_coroots)
-
-
 def _left_descents(datum: RootDatum, x: Sequence[int]) -> Iterator[int]:
     # the i with <alpha_i, x> < 0, ascending: the left descents of w if x = w(2 rho^vee)
     for i, col in enumerate(zip(*datum.cartan), 1):
@@ -213,12 +206,6 @@ def element_from_word(datum: RootDatum, word: Sequence[int]) -> WeylElement:
         length += -1 if _vec_is_negative(cols[i - 1]) else 1
         cols = _times_simple(datum, cols, i)
     return WeylElement(datum, tuple(zip(*cols)), length)
-
-
-def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    cols = tuple(zip(*b.matrix))
-    matrix = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.matrix)
-    return WeylElement(a.datum, matrix, _count_inversions(a.datum, matrix))
 
 
 def has_right_descent(w: WeylElement, i: int) -> bool:
@@ -374,53 +361,33 @@ def rightmost_distance(
     ``reverse_ties``) and keeps the gamma it lowers, until one is left: the
     peeled letters are the lexicographically first sequence reaching h.
     The Cartan matrix is symmetric, so <alpha_j, gamma> = pairings[gamma][j-1].
+    The list of tied gamma is built only once a second gamma of height h is
+    seen, so an untied call reads two bits and returns.
     """
     datum = w.datum
     if not datum.simply_laced:
         raise NotSimplyLacedError("rightmost distances need a simply-laced type")
     _check_index(datum, k)
-    k0 = k - 1
-    units = datum.memo.unit_masks
-    unit = units.get(k)
-    if unit is None:
-        unit = units[k] = sum(
-            1 << i for i, c in enumerate(datum.positive_coroots) if c[k0] == 1
-        )
-    gammas = canonical_record(w).mask & unit
+    gammas = canonical_record(w).mask & datum.unit_masks[k - 1]
     if not gammas:
         raise NotInSupportError(f"s_{k} is not below {w!r}")
-    coroots, pairings = datum.positive_coroots, datum.pairings
+    coroots = datum.positive_coroots
     gamma = coroots[(gammas & -gammas).bit_length() - 1]
-    h, pairs = sum(gamma), [(gamma, gamma)]  # (current, original) for each tied gamma
+    h, pairs = sum(gamma), None  # (current, original) for each tied gamma
     gammas &= gammas - 1
-    while gammas and sum(gamma := coroots[(gammas & -gammas).bit_length() - 1]) == h:
-        pairs.append((gamma, gamma))
+    while gammas and sum(tied := coroots[(gammas & -gammas).bit_length() - 1]) == h:
+        pairs = pairs or [(gamma, gamma)]
+        pairs.append((tied, tied))
         gammas &= gammas - 1
+    if pairs is None:
+        return h, gamma
+    pairings, k0 = datum.pairings, k - 1
+    order = range(datum.rank - 1, -1, -1) if reverse_ties else range(datum.rank)
+    order = [j for j in order if j != k0]
     while len(pairs) > 1:
-        order = range(datum.rank - 1, -1, -1) if reverse_ties else range(datum.rank)
-        j = next(j for j in order if j != k0 and any(pairings[c][j] == 1 for c, _ in pairs))
+        j = next(j for j in order if any(pairings[c][j] == 1 for c, _ in pairs))
         pairs = [(c[:j] + (c[j] - 1,) + c[j + 1:], g) for c, g in pairs if pairings[c][j] == 1]
     return h, pairs[0][1]
-
-
-def reflection_element(datum: RootDatum, c: Sequence[int]) -> WeylElement:
-    """The reflection attached to a positive coroot (sends it to its negative)."""
-    c = tuple(c)
-    cache = datum.memo.reflections
-    hit = cache.get(c)
-    if hit is not None:
-        return hit
-    require_positive_coroot(datum, c)
-    n = datum.rank
-    pairings = datum.pairings[c]  # <root, alpha_j^vee> for each j
-    cols = [
-        tuple((1 if r == j else 0) - pairings[j] * c[r] for r in range(n))
-        for j in range(n)
-    ]
-    matrix = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
-    el = WeylElement(datum, matrix, _count_inversions(datum, matrix))
-    cache[c] = el
-    return el
 
 
 def _lift(matrix: Matrix, i: int, q: Sequence[int]) -> Matrix:

@@ -12,7 +12,8 @@ _DATA = {}
 
 @pytest.fixture(scope="session")
 def datum():
-    """Session-cached root data so memo caches persist across tests."""
+    """Session-cached root data, so each datum and its parabolic tables are
+    built once for all tests."""
 
     def get(type_str: str):
         if type_str not in _DATA:

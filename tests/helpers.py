@@ -9,11 +9,12 @@ import io
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import schubert_atlas as sa
 from schubert_atlas import oracle, weyl
-from schubert_atlas.errors import SingularMatrixError
+from schubert_atlas.errors import SchubertAtlasError, SingularMatrixError
 from schubert_atlas.exactlinalg import invert_unimodular
 from schubert_atlas.rootdata import RootCorootPair, _reflect_coroot
 from schubert_atlas.schubert import CSV_FIELDS
@@ -324,10 +325,44 @@ def inverse(w):
     return sa.element_from_word(w.datum, sa.canonical_reduced_word(w)[::-1])
 
 
+class NotACorootError(SchubertAtlasError):
+    """The given vector is not a positive coroot of the root datum."""
+
+
+def require_positive_coroot(datum, c) -> RootCorootPair:
+    """The positive pair of the coroot c, or ``NotACorootError``."""
+    index = datum.coroot_index.get(tuple(c))
+    if index is None:
+        raise NotACorootError(f"{c} is not a positive coroot of {datum.cartan_type}")
+    return datum.positives[index]
+
+
+def multiply(a, b):
+    """The product a b, its length counted by ``oracle._count_inversions``."""
+    cols = tuple(zip(*b.matrix))
+    matrix = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a.matrix)
+    return weyl.WeylElement(a.datum, matrix, oracle._count_inversions(a.datum, matrix))
+
+
+def reflection_element(datum, c):
+    """The reflection attached to a positive coroot (sends it to its
+    negative): column j of its matrix is alpha_j^vee - <root(c), alpha_j^vee> c."""
+    c = tuple(c)
+    require_positive_coroot(datum, c)
+    n = datum.rank
+    pairings = datum.pairings[c]  # <root, alpha_j^vee> for each j
+    cols = [
+        tuple((1 if r == j else 0) - pairings[j] * c[r] for r in range(n))
+        for j in range(n)
+    ]
+    matrix = tuple(tuple(cols[j][r] for j in range(n)) for r in range(n))
+    return weyl.WeylElement(datum, matrix, oracle._count_inversions(datum, matrix))
+
+
 def coset_factorize(w, p):
     """Split w = u * v with u in W^P, v in W_P, lengths additive."""
     u = sa.min_coset_rep(w, p)
-    return u, weyl.multiply(inverse(u), w)
+    return u, multiply(inverse(u), w)
 
 
 def longest_element(datum):
@@ -362,7 +397,7 @@ def parabolic_images_reference(w, eta, inside):
     whatever the sign of the pairing, and kept when it is positive and w
     sends it negative."""
     datum = w.datum
-    root = datum.pair_for_coroot[eta].root
+    root = require_positive_coroot(datum, eta).root
     n = datum.rank
     out = []
     for j in inside:
@@ -526,7 +561,7 @@ def p_adapt_reference(inp, basis, sets):
     current = dict(basis.entries)
 
     def image(mu, j):
-        root = datum.pair_for_coroot[mu].root
+        root = require_positive_coroot(datum, mu).root
         coef = sum(datum.cartan[j - 1][m] * root[m] for m in range(n))
         return tuple((1 if m == j - 1 else 0) - coef * mu[m] for m in range(n))
 

@@ -27,8 +27,11 @@ from helpers import (
     fraction_rank,
     hat_n_map,
     identity_matrix,
+    multiply,
     pair_root_coroot,
+    reflection_element,
     reorder_matrix,
+    require_positive_coroot,
     schubert_input,
     times_reflection,
     valid_parabolics,
@@ -228,8 +231,8 @@ def test_d4_golden_suite(datum):
     }
 
     # theta = (1,1,1,0) + (0,1,0,1) drops the length by 7
-    s_theta = weyl.reflection_element(inp.datum, theta)
-    assert weyl.multiply(inp.w, s_theta).length == 1
+    s_theta = reflection_element(inp.datum, theta)
+    assert multiply(inp.w, s_theta).length == 1
     assert theta not in r.cover_coroots
     assert set(r.cover_coroots) == covers == cover_coroots_direct(inp)
 
@@ -330,7 +333,7 @@ def _check_simply_laced_lemma(d, inv_elements):
                 if tuple(c * x for x in eta) != s:
                     continue
                 assert c == 1, (eta, mu, mu2)
-                root = d.pair_for_coroot[eta].root
+                root = require_positive_coroot(d, eta).root
                 assert pair_root_coroot(d, root, mu) == 1
                 assert pair_root_coroot(d, root, mu2) == 1
 
@@ -431,7 +434,7 @@ def test_conjecture_scans(datum, capsys):
 
     b3 = datum("B3")
     w = sa.element_from_word(b3, (3, 2, 1, 3, 2, 3))
-    w_s_eta = weyl.multiply(w, weyl.reflection_element(b3, (1, 1, 1)))
+    w_s_eta = multiply(w, reflection_element(b3, (1, 1, 1)))
     assert w.length - w_s_eta.length == 3
     words = [
         word

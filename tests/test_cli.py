@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -486,24 +487,34 @@ def test_survey_size_guard_admits_full_e6_borel(capsys, monkeypatch):
 
 
 def test_survey_memo_tables_stay_within_the_positive_system(capsys, monkeypatch):
-    """A D5 Borel survey classifies 1,920 elements, yet no table of the
-    datum's memo grows past one entry per positive coroot: per-element
-    records live on the elements, not on the datum.  The Borel survey
-    builds no parabolic table; an E6/P{6} survey builds exactly one, with
-    one entry per positive coroot in each of its tuples."""
+    """A D5 Borel survey (1,920 elements), an E6/P{6} survey, an E7
+    ``classify`` and a D4 ``conjectures`` run leave every attribute of their
+    root data but ``parabolic_tables`` the object ``build_root_datum`` made,
+    with the value it had: per-element records live on the elements, and
+    the datum fills no table lazily but its one cache.  The Borel data's
+    ``parabolic_tables`` stay empty; the E6/P{6} one holds exactly one
+    table, with one entry per positive coroot in each of its tuples."""
     build, built = cli.build_root_datum, []
-    monkeypatch.setattr(
-        cli, "build_root_datum", lambda ct: built.append(build(ct)) or built[-1]
-    )
+
+    def build_and_snapshot(ct):
+        d = build(ct)
+        built.append((d, {name: (value, copy.deepcopy(value)) for name, value in vars(d).items()}))
+        return d
+
+    monkeypatch.setattr(cli, "build_root_datum", build_and_snapshot)
     assert len(_survey_rows(capsys, "--type", "D5")) == 1920
-    rows = _survey_rows(capsys, "--type", "E6", "--parabolic", "1 2 3 4 5")
-    assert len(rows) == 27
-    for d in built:
-        sizes = {name: len(table) for name, table in vars(d.memo).items()}
-        assert sizes and all(size <= len(d.positives) for size in sizes.values()), sizes
-    d5, e6 = built
-    assert not d5.memo.parabolics
-    (table,) = e6.memo.parabolics.values()
+    assert len(_survey_rows(capsys, "--type", "E6", "--parabolic", "1 2 3 4 5")) == 27
+    word = "1 3 4 2 5 4 3 1 6 5 4 2 3 4 5 6"
+    assert run(capsys, "classify", "--type", "E7", "--word", word)[0] == 0
+    assert run(capsys, "conjectures", "--type", "D4", "--format", "json")[0] == 0
+    for d, snapshot in built:
+        assert vars(d).keys() == snapshot.keys(), d.cartan_type
+        for name, (value, copied) in snapshot.items():
+            if name != "parabolic_tables":
+                assert vars(d)[name] is value and value == copied, (d.cartan_type, name)
+    d5, e6, e7, d4 = (d for d, _ in built)
+    assert not d5.parabolic_tables and not e7.parabolic_tables and not d4.parabolic_tables
+    (table,) = e6.parabolic_tables.values()
     assert len(table.blocked) == len(table.steps) == len(e6.positives)
 
 

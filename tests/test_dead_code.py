@@ -13,6 +13,10 @@ bare ``f`` inside ``mod``, a ``from .mod import f`` in a module other than
 some other object does not count for it: ``RootDatum.rank`` says nothing
 about a function ``rank``.  Methods count through any attribute of their
 name.
+
+Every attribute that ``RootDatum`` sets, as a field or in ``__post_init__``,
+must likewise be read somewhere in the package, through an attribute of its
+name, or sit on its own allowlist with a reason.
 """
 
 import ast
@@ -27,6 +31,12 @@ TESTS = Path(__file__).parent
 
 # {name: reason} of functions kept although nothing in the package calls them
 ALLOWED = {}
+
+# {name: reason} of RootDatum attributes kept although nothing in the package reads them
+ALLOWED_ATTRIBUTES = {
+    "highest_coroot": "the highest coroot theta; test_rootdata.py pins it and "
+    "the cover and conjecture tests build s_theta from it",
+}
 
 
 def _trees():
@@ -156,9 +166,9 @@ def test_traced_names_are_module_functions():
 def test_oracle_shares_no_logic_with_schubert():
     """The oracles are ground truth for ``schubert``, so they must not reuse
     its logic: ``oracle.py`` takes nothing from it, imports no ``schubert``
-    module object, and reads no ``memo`` table of a datum."""
+    module object, and does not read the datum's ``parabolic_tables``."""
     taken = set()
-    memo_reads = []
+    cache_reads = []
     for node in ast.walk(_trees()["oracle"]):
         if isinstance(node, ast.ImportFrom):
             if (node.module or "").rpartition(".")[2] == "schubert":
@@ -168,10 +178,10 @@ def test_oracle_shares_no_logic_with_schubert():
             taken.update(
                 "module" for alias in node.names if alias.name.endswith(".schubert")
             )
-        elif isinstance(node, ast.Attribute) and node.attr == "memo":
-            memo_reads.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "parabolic_tables":
+            cache_reads.append(node.lineno)
     assert taken == set(), taken
-    assert not memo_reads, memo_reads
+    assert not cache_reads, cache_reads
 
 
 def test_only_weyl_touches_the_element_record():
@@ -186,3 +196,56 @@ def test_only_weyl_touches_the_element_record():
         if isinstance(node, ast.Attribute) and node.attr == "record"
     ]
     assert not touches, touches
+
+
+def test_only_weyl_touches_the_parabolic_tables():
+    """``RootDatum.parabolic_tables``, the datum's one cache, is read and
+    written by ``weyl.py`` alone: every other module goes through
+    ``weyl.parabolic_table``, the one place that fills it."""
+    touches = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _trees().items()
+        if module != "weyl"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "parabolic_tables"
+    ]
+    assert not touches, touches
+
+
+def _root_datum_attributes(tree):
+    """(name, line) of each attribute ``RootDatum`` sets: its fields, and
+    each ``object.__setattr__(self, "name", ...)`` of its methods."""
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "RootDatum"
+    ]
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign):
+            yield node.target.id, node.lineno
+    for node in ast.walk(cls):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+        ):
+            yield node.args[1].value, node.lineno
+
+
+def test_every_root_datum_attribute_is_read():
+    """Each attribute the datum builds is read in the package: a table that
+    only tests read belongs in ``tests/helpers.py``."""
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    attributes = dict(_root_datum_attributes(trees["rootdata"]))
+    unread = [
+        f"rootdata.py:{line} {name}"
+        for name, line in attributes.items()
+        if name not in read and name not in ALLOWED_ATTRIBUTES
+    ]
+    assert not unread, unread
+    assert set(ALLOWED_ATTRIBUTES) <= set(attributes), set(ALLOWED_ATTRIBUTES) - set(attributes)

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 
@@ -10,6 +11,8 @@ from helpers import (
     cover_coroots_direct,
     decompositions_reference,
     longest_element,
+    multiply,
+    reflection_element,
     schubert_input,
     valid_parabolics,
 )
@@ -98,6 +101,43 @@ def test_direct_cover_matches_filter_on_exceptional_parabolics(
             type_str,
             sa.canonical_reduced_word(w),
         )
+
+
+@pytest.mark.parametrize(
+    "type_str,sample",
+    [("A4", None), ("B3", None), ("C3", None), ("D4", None), ("G2", None),
+     ("F4", None), ("E6", 30), ("E7", 30)],
+)
+def test_length_drop_pairs_reflect_by_the_formula(type_str, sample, datum):
+    """Each w s_eta of ``_length_drop_pairs``, built by the rank-one update
+    w - (w eta) p^T, is the product of w with the reflection matrix of eta,
+    in matrix and length, and its length is the number of positive coroots
+    it sends negative, counted from whole images: on every Borel element of
+    the smaller types, and on seeded random reduced elements of E6 and E7
+    (up to l(w0) letters drawn, descents skipped)."""
+    d = datum(type_str)
+    if sample is None:
+        elements = list(sa.enumerate_coset_reps(d, sa.parabolic(d, ()), 99))
+    else:
+        rng = random.Random(f"reflect-{type_str}")
+        elements = []
+        for _ in range(sample):
+            w = weyl.identity_element(d)
+            for _ in range(rng.randint(1, len(d.positives))):
+                i = rng.randint(1, d.rank)
+                if not weyl.has_right_descent(w, i):
+                    w = weyl.right_mul_simple(w, i)
+            elements.append(w)
+    reflections = {eta: reflection_element(d, eta) for eta in d.positive_coroots}
+    for w in elements:
+        for eta, u, drop in oracle._length_drop_pairs(d, w):
+            expected = multiply(w, reflections[eta])
+            assert (u.matrix, u.length) == (expected.matrix, expected.length), eta
+            # a coroot is inverted when some coordinate of its image is negative
+            inverted = sum(
+                any(sum(map(mul, row, c)) < 0 for row in u.matrix) for c in d.positive_coroots
+            )
+            assert (u.length, drop) == (inverted, w.length - inverted), eta
 
 
 def _one_line(w, rank):
@@ -226,8 +266,8 @@ def test_coxeter_deletion_d5_boxed_pattern(datum):
     position = 7  # 1-based; neighbours are both s_5
     assert word_j[position - 2] == word_j[position] == 5
     assert seq_j[len(word_j) - position] == theta
-    refl = sa.reflection_element(d5, theta)
-    assert weyl.multiply(w, refl).length < w.length - 1
+    refl = reflection_element(d5, theta)
+    assert multiply(w, refl).length < w.length - 1
     frag = oracle.check_coxeter_deletion(w)
     assert frag.verified and not frag.truncated
 

@@ -2,19 +2,16 @@ import pytest
 from fractions import Fraction
 
 import schubert_atlas as sa
-from schubert_atlas.errors import InvalidTypeError, NotACorootError
-from schubert_atlas.rootdata import (
-    CartanType,
-    _reflect_coroot,
-    cartan_matrix,
-    require_positive_coroot,
-)
+from schubert_atlas.errors import InvalidTypeError
+from schubert_atlas.rootdata import CartanType, _reflect_coroot, cartan_matrix
 
 from helpers import (
+    NotACorootError,
     fundamental_weight,
     pair_root_coroot,
     parallel_reflection_closure,
     reflect_root,
+    require_positive_coroot,
     weight_coroot_pairing,
 )
 

@@ -24,8 +24,10 @@ from helpers import (
     hat_n_map,
     longest_element,
     mat_mul,
+    multiply,
     p_adapt_reference,
     parabolic_images_reference,
+    reflection_element,
     reorder_matrix,
     restrict_basis,
     rightmost_reference,
@@ -671,8 +673,8 @@ def test_report_d4_eight_letter_element_corrected(datum):
     assert report.b_top == 7
     assert frozenset(report.cover_coroots) == cover_coroots_direct(inp)
     w = sa.element_from_word(d4, (1, 3, 4, 2, 1, 3, 4, 2))
-    refl = sa.reflection_element(d4, theta)
-    assert weyl.multiply(w, refl).length == 1
+    refl = reflection_element(d4, theta)
+    assert multiply(w, refl).length == 1
     assert report.gorenstein is schubert.Status.YES
     assert report.fano is schubert.Status.YES
     assert report.c1 == (frac(1), frac(2), frac(1), frac(1))

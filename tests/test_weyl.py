@@ -9,22 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schubert_atlas as sa
-from schubert_atlas import weyl
+from schubert_atlas import oracle, weyl
 from schubert_atlas.errors import (
     IndexOutOfRangeError,
     NonReducedWordError,
-    NotACorootError,
     NotInSupportError,
     NotSimplyLacedError,
 )
 
 from helpers import (
+    NotACorootError,
     act,
     bruhat_covers,
     bruhat_leq,
     canonical_word_reference,
-    coset_factorize,
     coroot_mask,
+    coset_factorize,
     coset_length_counts,
     decompositions_reference,
     enumerate_reference,
@@ -32,7 +32,9 @@ from helpers import (
     inversion_sequence_reference,
     is_min_coset_rep,
     longest_element,
+    multiply,
     reduced_words_reference,
+    reflection_element,
     rightmost_reference,
     times_reflection,
 )
@@ -103,7 +105,7 @@ def test_equality_is_by_matrix(datum):
 def test_multiply_inverse(datum):
     g2 = datum("G2")
     w = el(g2, (2, 1, 2, 1, 2))
-    assert weyl.multiply(w, inverse(w)).is_identity
+    assert multiply(w, inverse(w)).is_identity
     assert inverse(w).length == w.length
 
 
@@ -186,7 +188,7 @@ def test_coset_factorization_lengths_additive(type_str, inside, datum):
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
         u, v = coset_factorize(w, p)
         assert is_min_coset_rep(u, p)
-        assert weyl.multiply(u, v) == w
+        assert multiply(u, v) == w
         assert u.length + v.length == w.length
         assert set(sa.canonical_reduced_word(v)) <= set(inside)
 
@@ -336,11 +338,14 @@ def test_rightmost_distance_vs_all_words(type_str, datum):
 
 
 def test_rightmost_distance_walks_only_on_ties(datum, monkeypatch):
-    """D5 Borel: no (w, k) builds a Weyl-group product or an identity
-    matrix, in either tie order, the 512 ties with more than one inversion
-    coroot of the least height among those with unit k-th coefficient
-    included: the tied coroots go down by their pairings.  The records'
-    inversion sequences are removed before the calls, so none reads them."""
+    """D5 Borel: every (w, k) is answered from the datum's masks and
+    pairings alone.  No call, in either tie order, builds a Weyl-group
+    product or an identity matrix or reads the record's inversion sequence,
+    which is removed before the calls.  That holds for the 512 ties too,
+    the (w, k) with more than one inversion coroot of the least height
+    among those with unit k-th coefficient: the tied coroots go down by
+    their pairings.  Nothing walks any more; the name is kept from when
+    ties did."""
     d5 = datum("D5")
     elements = list(sa.enumerate_coset_reps(d5, sa.parabolic(d5, ()), 99))
     inversions = [weyl.canonical_record(w).inversions for w in elements]
@@ -401,9 +406,11 @@ def test_support_is_where_an_inversion_coroot_has_unit_coefficient(type_str, dat
 
 
 def test_rightmost_distance_d5_descents_build_no_product(datum, monkeypatch):
-    """D5 Borel: every right descent k is answered by the closed form as
-    (1, alpha_k^vee), since alpha_k^vee is the one height-1 coroot with unit
-    k-th coefficient, so no walk starts and no x s_i is built."""
+    """D5 Borel: each of the 4,800 right descents k gets (1, alpha_k^vee) in
+    both tie orders, since alpha_k^vee is the one height-1 coroot with unit
+    k-th coefficient and is never a tie.  The values and the count are what
+    this test adds: that no call builds a product is checked on every
+    (w, k) by ``test_rightmost_distance_walks_only_on_ties``."""
     d5 = datum("D5")
     elements = list(sa.enumerate_coset_reps(d5, sa.parabolic(d5, ()), 99))
 
@@ -441,20 +448,20 @@ def test_rightmost_distance_simply_laced_calls_no_support(datum, monkeypatch):
 
 def test_reflection_element_examples(datum):
     a2 = datum("A2")
-    assert sa.reflection_element(a2, (1, 0)) == el(a2, (1,))
-    assert sa.reflection_element(a2, (1, 1)) == el(a2, (1, 2, 1))
+    assert reflection_element(a2, (1, 0)) == el(a2, (1,))
+    assert reflection_element(a2, (1, 1)) == el(a2, (1, 2, 1))
     g2 = datum("G2")
-    assert sa.reflection_element(g2, (3, 2)).length == 5
+    assert reflection_element(g2, (3, 2)).length == 5
     with pytest.raises(NotACorootError):
-        sa.reflection_element(a2, (2, 1))
+        reflection_element(a2, (2, 1))
 
 
 def test_reflection_element_is_involution_sending_coroot_negative(datum):
     for t in ("A3", "B3", "G2"):
         d = datum(t)
         for c in d.positive_coroots:
-            r = sa.reflection_element(d, c)
-            assert weyl.multiply(r, r).is_identity
+            r = reflection_element(d, c)
+            assert multiply(r, r).is_identity
             assert act(r, c) == tuple(-x for x in c)
 
 
@@ -465,19 +472,19 @@ def test_reflection_element_matches_conjugation(datum):
     i = 2
     eta = act(u, g2.simple_coroot(i))
     assert all(x >= 0 for x in eta)
-    lhs = sa.reflection_element(g2, eta)
-    rhs = weyl.multiply(weyl.multiply(u, el(g2, (i,))), inverse(u))
+    lhs = reflection_element(g2, eta)
+    rhs = multiply(multiply(u, el(g2, (i,))), inverse(u))
     assert lhs == rhs
 
 
 @pytest.mark.parametrize("type_str", ["B3", "C3", "G2", "F4", "E6", "E8"])
 def test_multiply_and_reflection_lengths_match_inversion_count(type_str):
-    """The lengths that ``multiply`` and ``reflection_element`` count from a
-    fresh product matrix are the number of positive coroots it sends
-    negative, counted here from whole images: on 20 seeded pairs of words
-    that need not be reduced, whose product is also read as one word, and
-    on the reflection of every positive coroot of a fresh datum, whose
-    entries go above 1 in each of these types."""
+    """The lengths that ``multiply`` and ``reflection_element`` count with
+    ``oracle._count_inversions`` from a fresh product matrix are the number
+    of positive coroots it sends negative, counted here from whole images:
+    on 20 seeded pairs of words that need not be reduced, whose product is
+    also read as one word, and on the reflection of every positive coroot
+    of a fresh datum, whose entries go above 1 in each of these types."""
     d = sa.build_root_datum(type_str)
     rng = random.Random(f"multiply-{type_str}")
 
@@ -489,13 +496,13 @@ def test_multiply_and_reflection_lengths_match_inversion_count(type_str):
 
     for _ in range(20):
         left, right = word(), word()
-        product = weyl.multiply(el(d, left), el(d, right))
+        product = multiply(el(d, left), el(d, right))
         assert product.length == inversions(product), (left, right)
         assert product == el(d, left + right), (left, right)
         assert product.length == el(d, left + right).length, (left, right)
     assert any(max(c) > 1 for c in d.positive_coroots)
     for c in d.positive_coroots:
-        r = sa.reflection_element(d, c)
+        r = reflection_element(d, c)
         assert r.length == inversions(r), c
 
 
@@ -719,7 +726,7 @@ def test_count_inversions_is_the_length(type_str, datum):
     element, whose length the walk carries from its canonical parent."""
     d = datum(type_str)
     for w in sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99):
-        assert weyl._count_inversions(d, w.matrix) == w.length, w
+        assert oracle._count_inversions(d, w.matrix) == w.length, w
 
 
 def _interval_edges(w):
@@ -846,31 +853,26 @@ def _assert_mask_matches_record(w):
     assert fresh.record == w.record, word
 
 
-def _assert_unit_masks_match_scan(d, elements):
-    """After the rightmost distance of every support letter, the datum's
-    unit masks are the masks of a plain scan for a unit coefficient."""
-    for w in elements:
-        for k in weyl.support(w):
-            weyl.rightmost_distance(w, k)
-    scan = {
-        k: coroot_mask(d, [p.coroot for p in d.positives if p.coroot[k - 1] == 1])
+def _assert_unit_masks_match_scan(d):
+    """The unit masks the datum builds with itself are, for each k, the
+    mask of a plain scan for a unit k-th coefficient."""
+    scan = tuple(
+        coroot_mask(d, [p.coroot for p in d.positives if p.coroot[k - 1] == 1])
         for k in range(1, d.rank + 1)
-    }
-    assert d.memo.unit_masks == scan
+    )
+    assert d.unit_masks == scan
 
 
 @pytest.mark.parametrize("type_str", ["A4", "B3", "C3", "D4", "G2", "F4"])
 def test_inversion_mask_matches_record(type_str):
     """Every Borel element, with the mask carried from the canonical parent
-    by the walk, and again from cold.  In simply-laced types the unit masks
-    are checked too.  A fresh datum keeps the memo of this test its own."""
+    by the walk, and again from cold; then the datum's unit masks."""
     d = sa.build_root_datum(type_str)
     elements = list(sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99))
     for w in elements:
         assert w.record is not None
         _assert_mask_matches_record(w)
-    if d.simply_laced:
-        _assert_unit_masks_match_scan(d, elements)
+    _assert_unit_masks_match_scan(d)
 
 
 @pytest.mark.parametrize("type_str", ["E7", "E8"])
@@ -886,7 +888,7 @@ def test_inversion_mask_matches_record_on_e7_and_e8(type_str):
     for w in walked:
         assert w.record is None
         _assert_mask_matches_record(w)
-    _assert_unit_masks_match_scan(d, elements + walked)
+    _assert_unit_masks_match_scan(d)
 
 
 def _assert_decomposable_matches_pair_scan(w):
@@ -994,8 +996,6 @@ def test_bruhat_leq_basics(datum):
 
 def test_bruhat_covers_match_cover_coroots(datum):
     """w covers u exactly when u = w*s_eta for a cover coroot eta."""
-    from schubert_atlas import oracle
-
     for t in ("A2", "B2", "G2"):
         d = datum(t)
         elements = list(sa.enumerate_coset_reps(d, sa.parabolic(d, []), 99))
@@ -1003,7 +1003,7 @@ def test_bruhat_covers_match_cover_coroots(datum):
             if w.is_identity:
                 continue
             via_coroots = {
-                weyl.multiply(w, sa.reflection_element(d, eta))
+                multiply(w, reflection_element(d, eta))
                 for eta, u, drop in oracle._length_drop_pairs(d, w)
                 if drop == 1
             }
