@@ -31,7 +31,6 @@ from .schubert import (
     cover_coroots,
     gorenstein_fano_report,
     p_adapt,
-    picard_matrix,
 )
 
 __version__ = "0.1.0"
@@ -61,6 +60,5 @@ __all__ = [
     "min_coset_rep",
     "p_adapt",
     "parabolic",
-    "picard_matrix",
     "rightmost_distance",
 ]

@@ -166,7 +166,6 @@ class RootDatum:
         object.__setattr__(self, "coroot_index", {c: i for i, c in enumerate(coroots)})
         pairings = {c: p for p, c in self.coroot_by_pairings.items()}
         object.__setattr__(self, "pairings", pairings)
-        object.__setattr__(self, "highest_coroot", max(coroots, key=sum))
         # 2 rho^vee, the sum of the positive coroots: <alpha_i, 2 rho^vee> = 2
         object.__setattr__(self, "two_rho_coroot", tuple(map(sum, zip(*coroots))))
         object.__setattr__(self, "moves", _column_moves(self.cartan))

@@ -1,8 +1,9 @@
 """Coroot data and singularity classification of Schubert varieties X_{w,P}.
 
 The pipeline runs: inversion set -> cover coroots (Weil divisor labels) ->
-Picard matrix over the Cartier index set -> factoriality -> adapted basis
-(simply-laced) -> Gorenstein/Fano statuses with the anticanonical class.
+adapted basis (simply-laced) -> one report stage: the Picard matrix over
+the Cartier index set, factoriality, and the Gorenstein/Fano statuses with
+the anticanonical class.
 """
 
 from __future__ import annotations
@@ -102,21 +103,35 @@ class CorootSets(NamedTuple):
     cover_P: Tuple[CorootVec, ...]
 
 
+def _columns(ks: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """Reader of the entries at the 1-based indices ``ks``, as a tuple, of a
+    coroot or any rank-length vector: ``eta -> (eta[k - 1] for k in ks)``."""
+    if len(ks) > 1:
+        return operator.itemgetter(*[k - 1 for k in ks])
+    if ks:  # a one-argument itemgetter returns the bare entry
+        i = ks[0] - 1
+        return lambda eta: (eta[i],)
+    return lambda eta: ()
+
+
 @dataclass(frozen=True)
 class AdaptedBasis:
-    """Ordered pairs (k, mu(k)) whose pairing matrix is unipotent
-    lower-triangular in the stored order, which ``_assert_unipotent_lower``
-    checks as each basis is built."""
+    """Ordered pairs (k, mu(k)) whose pairing matrix M, row mu(k) read at
+    the keys k in the stored order, is unipotent lower-triangular, which
+    ``_assert_unipotent_lower`` checks as each basis is built.  M is the
+    matrix that ``gorenstein_fano_report`` solves."""
 
     entries: Tuple[Tuple[int, CorootVec], ...]
-    # the k and the mu(k) of ``entries``, in its order; derived once here,
+    # the k of ``entries`` in its order, and M over them; derived once here,
     # and equality, hash and repr ignore them
     keys: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    coroots: Tuple[CorootVec, ...] = field(init=False, repr=False, compare=False)
+    matrix: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keys", tuple(k for k, _ in self.entries))
-        object.__setattr__(self, "coroots", tuple(c for _, c in self.entries))
+        keys = tuple(k for k, _ in self.entries)
+        read = _columns(keys)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "matrix", tuple(read(c) for _, c in self.entries))
         _assert_unipotent_lower(self)
 
 
@@ -227,50 +242,6 @@ def cover_coroots(inp: SchubertInput) -> CorootSets:
     return CorootSets(supp, support_p, cover_b, cover_p)
 
 
-def _columns(ks: Sequence[int]) -> Callable[[Sequence], Tuple]:
-    """Reader of the entries at the 1-based indices ``ks``, as a tuple, of a
-    coroot or any rank-length vector: ``eta -> (eta[k - 1] for k in ks)``."""
-    if len(ks) > 1:
-        return operator.itemgetter(*[k - 1 for k in ks])
-    if ks:  # a one-argument itemgetter returns the bare entry
-        i = ks[0] - 1
-        return lambda eta: (eta[i],)
-    return lambda eta: ()
-
-
-def picard_matrix(inp: SchubertInput, sets: CorootSets) -> LabeledMatrix:
-    """Pairings <omega_k, eta> with rows over R+_{w,P} (canonical order) and
-    columns over I^P_w ascending.  Row eta expands the divisor class of the
-    k-th Cartier generator over the Schubert divisor basis."""
-    cols = sets.support_P
-    entries = tuple(map(_columns(cols), sets.cover_P))
-    return LabeledMatrix(sets.cover_P, cols, entries)
-
-
-def classify_factorial(
-    inp: SchubertInput, pic: LabeledMatrix
-) -> Tuple[bool, bool, Dict[str, object]]:
-    """(Q-factorial, factorial, evidence) from the Picard matrix of ``inp``.
-
-    Q-factorial iff the cover set is square against I^P_w; factorial
-    additionally needs determinant +-1, the evidence.  In simply-laced types
-    the two must agree, and a violation is a hard internal error.
-    """
-    evidence: Dict[str, object] = {}
-    q_fact = len(pic.row_labels) == len(pic.col_labels)
-    factorial = False
-    if q_fact:
-        d = exactlinalg.det(pic.entries)
-        evidence["determinant"] = d
-        factorial = d in (1, -1)
-    if inp.datum.simply_laced and factorial != q_fact:
-        raise InternalError(
-            f"simply-laced factoriality mismatch for {inp.w!r}: "
-            f"q_factorial={q_fact}, evidence={evidence}"
-        )
-    return q_fact, factorial, evidence
-
-
 def build_B_wB(
     inp: SchubertInput, sets: CorootSets, reverse_ties: bool = False
 ) -> AdaptedBasis:
@@ -304,10 +275,8 @@ def build_B_wB(
 
 
 def _assert_unipotent_lower(basis: AdaptedBasis) -> None:
-    keys = basis.keys
-    for r, (_, coroot) in enumerate(basis.entries):
-        for c, k in enumerate(keys):
-            val = coroot[k - 1]
+    for r, row in enumerate(basis.matrix):
+        for c, val in enumerate(row):
             if c == r and val != 1:
                 raise InternalError(f"diagonal entry {val} != 1 in adapted basis")
             if c > r and val != 0:
@@ -416,24 +385,34 @@ def gorenstein_fano_report(
     sets: CorootSets,
     basis: Optional[AdaptedBasis],
 ) -> ClassificationReport:
-    """Complete the classification: statuses, hat-n vector, anticanonical class.
+    """Complete the classification from the Picard matrix: factoriality,
+    statuses, hat-n vector, anticanonical class.
+
+    The Picard matrix P holds the pairings <omega_k, eta>, rows over
+    R+_{w,P} (canonical order) and columns over I^P_w ascending: row eta
+    expands the divisor class of the k-th Cartier generator over the
+    Schubert divisor basis.  Q-factorial iff P is square; factorial iff
+    also det P = +-1, the evidence.  In simply-laced types the two must
+    agree, and a violation is a hard internal error.
 
     One criterion (Chevalley formula; Brion-Kumar 2005): -K = sum (ht eta
     + 1) D_eta over R+_{w,P} is Cartier iff P c = (ht + 1) has an integer
     solution c, and then c1 = sum c_k omega_k.  The rows of the solve are
-    the adapted basis (simply-laced) or all of R+_{w,P} (Q-factorial), so M
-    is square and hat-n = M^-1 (ht + 1) solves them.  Only that one
-    right-hand side is solved: by forward substitution in integers over the
-    unipotent lower-triangular adapted-basis M, or as adj(P) (ht + 1) / det P
-    with det P checked against ``classify_factorial``'s.  N = M^-1 itself is
-    built only when a report is written (``ClassificationReport.n_matrix``).
-    Q-Gorenstein iff every cover coroot outside the rows has defect <hat-n,
-    eta> - ht eta = 1; Gorenstein iff also hat-n is integral; Fano iff also
-    hat-n > 0; Q-Gorenstein-Fano iff Q-Gorenstein and hat-n > 0; c1 is
-    reported iff Q-Gorenstein.  Each old criterion is a special case: a
-    simply-laced M is unimodular, so the unit defect decides alone; a
-    Q-factorial solve leaves no coroot outside the rows, so the integrality
-    of hat-n decides.
+    the adapted basis (simply-laced), whose ``AdaptedBasis.matrix`` is M, or
+    all of R+_{w,P} (Q-factorial), where M = P; so M is square and hat-n =
+    M^-1 (ht + 1) solves them.  Only that one right-hand side is solved: by
+    forward substitution in integers over the unipotent lower-triangular M,
+    or as adj(P) (ht + 1) / det P with the adjugate's determinant checked
+    against det P.  N = M^-1 itself is built only when a report is written
+    (``ClassificationReport.n_matrix``).
+    Q-Gorenstein iff every cover coroot has defect <hat-n, eta> - ht eta =
+    1; Gorenstein iff also hat-n is integral; Fano iff also hat-n > 0;
+    Q-Gorenstein-Fano iff Q-Gorenstein and hat-n > 0; c1 is reported iff
+    Q-Gorenstein.  A row of M has unit defect by the solve.  A simply-laced
+    M is unimodular, so the unit defect decides alone; it is taken on every
+    Picard row, which re-checks each forward substitution.  The rows of a
+    Q-factorial solve are all of R+_{w,P}, so no defect is taken and the
+    integrality of hat-n decides.
     Non-simply-laced, non-Q-factorial inputs are undetermined.
     """
     datum = inp.datum
@@ -442,10 +421,20 @@ def gorenstein_fano_report(
             "adapted basis must be supplied exactly for simply-laced data"
         )
     word, inversions, _, _ = canonical_record(inp.w)
-    pic = picard_matrix(inp, sets)
-    q_fact, factorial, evidence = classify_factorial(inp, pic)
-    ks = sets.support_P
-    weil = tuple(height(c) + 1 for c in sets.cover_P)
+    ks, cover = sets.support_P, sets.cover_P
+    read = _columns(ks)
+    pic = LabeledMatrix(cover, ks, tuple(map(read, cover)))
+    weil = tuple(height(c) + 1 for c in cover)
+    evidence: Dict[str, object] = {}
+    q_fact, factorial = len(cover) == len(ks), False
+    if q_fact:
+        evidence["determinant"] = det = exactlinalg.det(pic.entries)
+        factorial = det in (1, -1)
+    if datum.simply_laced and factorial != q_fact:
+        raise InternalError(
+            f"simply-laced factoriality mismatch for {inp.w!r}: "
+            f"q_factorial={q_fact}, evidence={evidence}"
+        )
     if inp.w.is_identity:
         regime = "point"
     elif datum.simply_laced:
@@ -461,31 +450,29 @@ def gorenstein_fano_report(
         gor = q_gor = fano = q_fano = Status.UNDETERMINED
     else:
         if basis is None:  # Q-factorial: every cover coroot is a row, M = P
-            labels, keys, rows, m_entries = sets.cover_P, ks, sets.cover_P, pic.entries
+            labels, keys, m_entries = cover, ks, pic.entries
             adj, d = exactlinalg.adjugate(m_entries)  # hat-n = adj(P) weil / det P
-            if d != evidence["determinant"]:
+            if d != det:
                 raise InternalError(
-                    f"adjugate determinant {d} != Picard determinant "
-                    f"{evidence['determinant']} for {inp.w!r}"
+                    f"adjugate determinant {d} != Picard determinant {det} "
+                    f"for {inp.w!r}"
                 )
             hat = tuple(Fraction(sum(map(operator.mul, row, weil)), d) for row in adj)
         else:  # M unipotent lower-triangular: forward substitution in integers
-            labels, keys, rows = basis.entries, basis.keys, basis.coroots
-            m_entries = tuple(map(_columns(keys), rows))
+            labels, keys, m_entries = basis.entries, basis.keys, basis.matrix
             hat = ()
-            for row, c in zip(m_entries, rows):
+            for row, (_, c) in zip(m_entries, labels):
                 hat += (height(c) + 1 - sum(map(operator.mul, row, hat)),)
         m_matrix = LabeledMatrix(labels, keys, m_entries)
         hat_by_key = dict(zip(keys, hat))
         c1 = tuple(hat_by_key.get(i, 0) for i in range(1, datum.rank + 1))
-        hat_by_col = _columns(ks)(c1)  # hat-n over the Picard columns
-        in_rows = set(rows)
-        defects = (  # <hat-n, eta> - ht eta, from the Picard row and weil = ht + 1
-            (eta, sum(map(operator.mul, hat_by_col, pic_row)) - (w - 1))
-            for eta, pic_row, w in zip(sets.cover_P, pic.entries, weil)
-            if eta not in in_rows
-        )
-        failures = tuple((eta, d) for eta, d in defects if d != 1)
+        if basis is not None:
+            hat_by_col = read(c1)  # hat-n over the Picard columns
+            defects = (  # <hat-n, eta> - ht eta, from the Picard row and weil = ht + 1
+                (eta, sum(map(operator.mul, hat_by_col, pic_row)) - (w - 1))
+                for eta, pic_row, w in zip(cover, pic.entries, weil)
+            )
+            failures = tuple((eta, d) for eta, d in defects if d != 1)
         is_q_gor = not failures
         is_gor = is_q_gor and all(x.denominator == 1 for x in hat)
         positive = all(x > 0 for x in hat)
@@ -496,8 +483,8 @@ def gorenstein_fano_report(
             c1 = None
     return ClassificationReport(  # positional, in the order of the fields
         str(datum.cartan_type), inp.parabolic.inside_sorted, word,
-        inp.w.length, regime, len(ks), len(sets.cover_P), sets.support_B, ks,
-        inversions, sets.cover_P,
+        inp.w.length, regime, len(ks), len(cover), sets.support_B, ks,
+        inversions, cover,
         pic, q_fact, factorial, evidence, basis, m_matrix, keys, hat,
         gor, q_gor, fano, q_fano, failures, nef, c1, weil, _PROVENANCE[regime],
     )

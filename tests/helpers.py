@@ -337,6 +337,11 @@ def require_positive_coroot(datum, c) -> RootCorootPair:
     return datum.positives[index]
 
 
+def highest_coroot(datum):
+    """The highest coroot theta: the positive coroot of greatest height."""
+    return max(datum.positive_coroots, key=sum)
+
+
 def multiply(a, b):
     """The product a b, its length counted by ``oracle._count_inversions``."""
     cols = tuple(zip(*b.matrix))
@@ -565,7 +570,7 @@ def p_adapt_reference(inp, basis, sets):
         coef = sum(datum.cartan[j - 1][m] * root[m] for m in range(n))
         return tuple((1 if m == j - 1 else 0) - coef * mu[m] for m in range(n))
 
-    bound = len(current) * (sa.height(datum.highest_coroot) + 1) + 1
+    bound = len(current) * (sa.height(highest_coroot(datum)) + 1) + 1
     for _ in range(bound):
         pick = None
         for k0 in sorted(current):

@@ -10,6 +10,7 @@ from schubert_atlas.errors import InternalError, NotSimplyLacedError
 from helpers import (
     cover_coroots_direct,
     decompositions_reference,
+    highest_coroot,
     longest_element,
     multiply,
     reflection_element,
@@ -215,7 +216,7 @@ def test_order_reversal_d5_example(datum):
     word_j = (2, 3, 4, 1, 2, 5, 3, 5, 4, 2, 3, 1, 2)
     w = sa.element_from_word(d5, word_i)
     assert sa.element_from_word(d5, word_j) == w
-    theta = d5.highest_coroot
+    theta = highest_coroot(d5)
     mu, mu2 = (1, 1, 1, 1, 0), (0, 1, 1, 0, 1)
     assert tuple(a + b for a, b in zip(mu, mu2)) == theta
     seq_i = sa.inversion_sequence(d5, word_i)
@@ -261,7 +262,7 @@ def test_coxeter_deletion_d5_boxed_pattern(datum):
     d5 = datum("D5")
     word_j = (2, 3, 4, 1, 2, 5, 3, 5, 4, 2, 3, 1, 2)
     w = sa.element_from_word(d5, word_j)
-    theta = d5.highest_coroot
+    theta = highest_coroot(d5)
     seq_j = sa.inversion_sequence(d5, word_j)
     position = 7  # 1-based; neighbours are both s_5
     assert word_j[position - 2] == word_j[position] == 5

@@ -22,6 +22,7 @@ from helpers import (
     decompositions_reference,
     fraction_rank,
     hat_n_map,
+    highest_coroot,
     longest_element,
     mat_mul,
     multiply,
@@ -209,7 +210,7 @@ def test_decompose_d5_theta(datum):
     inp = sa.SchubertInput(
         datum=d5, parabolic=sa.parabolic(d5, [1, 3, 4, 5]), w=rep
     )
-    theta = d5.highest_coroot
+    theta = highest_coroot(d5)
     bit = coroot_mask(d5, [theta])
     record = weyl.canonical_record(rep)
     assert theta in record.inversions
@@ -361,18 +362,14 @@ def test_cover_matches_oracle_b2(datum):
 
 def test_picard_matrix_a4_borel_rank(datum):
     a4 = datum("A4")
-    inp = schubert_input(a4, (), (3, 4, 1, 2, 3))
-    sets = sa.cover_coroots(inp)
-    pic = sa.picard_matrix(inp, sets)
+    pic = sa.classify(schubert_input(a4, (), (3, 4, 1, 2, 3))).picard_matrix
     assert len(pic.entries) == 5 and len(pic.entries[0]) == 4
     assert fraction_rank(pic.entries) == 4
 
 
 def test_picard_matrix_a4_parabolic_reorders_to_display(datum):
     a4 = datum("A4")
-    inp = schubert_input(a4, (4,), (3, 4, 1, 2, 3))
-    sets = sa.cover_coroots(inp)
-    pic = sa.picard_matrix(inp, sets)
+    pic = sa.classify(schubert_input(a4, (4,), (3, 4, 1, 2, 3))).picard_matrix
     rows = [(0, 0, 1, 1), (0, 1, 1, 1), (1, 1, 1, 0)]
     cols = [3, 2, 1]
     assert reorder_matrix(pic.entries, pic.row_labels, pic.col_labels, rows, cols) == (
@@ -384,9 +381,7 @@ def test_picard_matrix_a4_parabolic_reorders_to_display(datum):
 
 def test_picard_matrix_g2_grassmannian_single_row(datum):
     g2 = datum("G2")
-    inp = schubert_input(g2, (2,), (2, 1))
-    sets = sa.cover_coroots(inp)
-    pic = sa.picard_matrix(inp, sets)
+    pic = sa.classify(schubert_input(g2, (2,), (2, 1))).picard_matrix
     assert pic.entries == ((3,),)
     assert pic.col_labels == (1,)
 
@@ -395,26 +390,18 @@ def test_picard_matrix_g2_grassmannian_single_row(datum):
 
 
 def test_classify_factorial_g2(datum):
-    g2 = datum("G2")
-    inp = schubert_input(g2, (), (2, 1, 2))
-    pic = sa.picard_matrix(inp, sa.cover_coroots(inp))
-    q_fact, factorial, evidence = schubert.classify_factorial(inp, pic)
-    assert q_fact and not factorial
-    assert abs(evidence["determinant"]) == 3
+    rep = sa.classify(schubert_input(datum("G2"), (), (2, 1, 2)))
+    assert rep.q_factorial and not rep.factorial
+    assert abs(rep.factorial_evidence["determinant"]) == 3
 
 
 def test_classify_factorial_a4(datum):
     a4 = datum("A4")
-    inp = schubert_input(a4, (4,), (3, 4, 1, 2, 3))
-    q_fact, factorial, _ = schubert.classify_factorial(
-        inp, sa.picard_matrix(inp, sa.cover_coroots(inp))
-    )
-    assert q_fact and factorial
-    inp_b = schubert_input(a4, (), (3, 4, 1, 2, 3))
-    q_fact, factorial, _ = schubert.classify_factorial(
-        inp_b, sa.picard_matrix(inp_b, sa.cover_coroots(inp_b))
-    )
-    assert not q_fact and not factorial
+    rep = sa.classify(schubert_input(a4, (4,), (3, 4, 1, 2, 3)))
+    assert rep.q_factorial and rep.factorial
+    rep = sa.classify(schubert_input(a4, (), (3, 4, 1, 2, 3)))
+    assert not rep.q_factorial and not rep.factorial
+    assert "determinant" not in rep.factorial_evidence
 
 
 # --- adapted bases -----------------------------------------------------------------
@@ -424,7 +411,7 @@ def test_build_B_wB_a4_example(datum):
     a4 = datum("A4")
     inp = schubert_input(a4, (), (3, 4, 1, 2, 3))
     basis = sa.build_B_wB(inp, sa.cover_coroots(inp))
-    assert set(basis.coroots) == {
+    assert {c for _, c in basis.entries} == {
         (0, 0, 1, 0),
         (0, 1, 1, 0),
         (1, 1, 1, 0),
@@ -443,7 +430,8 @@ def test_build_B_wB_53142_both_choices(datum):
     assert coroot_for(default, 3) == (1, 1, 1, 0)
     assert coroot_for(reverse, 3) == (0, 1, 1, 1)
     simple = {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1)}
-    assert simple < set(default.coroots) and simple < set(reverse.coroots)
+    assert simple < {c for _, c in default.entries}
+    assert simple < {c for _, c in reverse.entries}
 
 
 def test_build_B_wB_d5_example(datum):
@@ -569,7 +557,7 @@ def test_p_adapt_d5_maximal_parabolic(datum):
     borel = sa.build_B_wB(inp_b, sa.cover_coroots(inp_b))
     adapted = sa.p_adapt(inp, restrict_basis(borel, sets.support_P), sets)
     assert adapted.keys == (3,)
-    assert adapted.coroots[0] in cover_coroots_direct(inp)
+    assert [c for _, c in adapted.entries][0] in cover_coroots_direct(inp)
 
 
 @pytest.mark.parametrize("reverse_ties", [False, True], ids=["ties", "reverse-ties"])
@@ -853,14 +841,25 @@ def test_q_factorial_general_n_inverts_m(type_str, inside, datum):
 
 
 def test_q_factorial_solve_checks_its_determinant(datum, monkeypatch):
-    """The adjugate's determinant and the Picard determinant of
-    ``classify_factorial`` come from two eliminations of P: a mismatch is an
-    internal error, not a report."""
+    """The adjugate's determinant and the Picard determinant that decides
+    factoriality come from two eliminations of P: a mismatch is an internal
+    error, not a report."""
     inp = schubert_input(datum("G2"), (), (2, 1, 2))
     assert sa.classify(inp).regime == "q_factorial_general"
     det = exactlinalg.det
     monkeypatch.setattr(exactlinalg, "det", lambda m: det(m) + 1)
     with pytest.raises(InternalError, match="adjugate determinant"):
+        sa.classify(inp)
+
+
+def test_simply_laced_factoriality_mismatch_is_an_internal_error(datum, monkeypatch):
+    """In simply-laced types Q-factorial and factorial agree: a square
+    Picard matrix whose determinant is not +-1 is an internal error, not a
+    report.  A4/P{4} at 34123 is factorial with a square P."""
+    inp = schubert_input(datum("A4"), (4,), (3, 4, 1, 2, 3))
+    assert sa.classify(inp).factorial
+    monkeypatch.setattr(exactlinalg, "det", lambda m: 2)
+    with pytest.raises(InternalError, match="simply-laced factoriality mismatch"):
         sa.classify(inp)
 
 
@@ -882,10 +881,36 @@ def test_simply_laced_solve_needs_a_unipotent_lower_basis(datum):
         rep.n_matrix
 
 
+def test_simply_laced_defects_recheck_the_rows_of_m(datum):
+    """The simply-laced report takes the defect of every Picard row, the
+    rows of M included, so a forward substitution that goes wrong cannot
+    pass as Gorenstein.  A4/P{4} at 34123 is factorial: every cover coroot
+    is a row of M, and no other row could show the fault.  One is added to
+    the first entry of M's last row after the basis is built: the last entry
+    of hat-n drops by the first, and the last row fails with defect 1 minus
+    that first entry."""
+    inp = schubert_input(datum("A4"), (4,), (3, 4, 1, 2, 3))
+    sets = sa.cover_coroots(inp)
+    basis = sa.p_adapt(inp, sa.build_B_wB(inp, sets), sets)
+    report = sa.gorenstein_fano_report(inp, sets, basis)
+    assert report.factorial and report.gorenstein is schubert.Status.YES
+    assert report.gorenstein_failures == ()
+    assert len(basis.entries) == len(sets.cover_P) == 3
+    last = basis.matrix[-1]
+    bent = basis.matrix[:-1] + ((last[0] + 1,) + last[1:],)
+    object.__setattr__(basis, "matrix", bent)
+    report = sa.gorenstein_fano_report(inp, sets, basis)
+    hat0 = report.hat_n[0]
+    assert hat0 != 0
+    assert report.gorenstein_failures == ((basis.entries[-1][1], 1 - hat0),)
+    assert report.gorenstein is report.q_gorenstein is schubert.Status.NO
+    assert report.c1 is None
+
+
 def test_derived_fields_leave_equality_hash_and_repr_alone(datum):
     """``ParabolicSubset.complement``/``.inside_sorted`` and
-    ``AdaptedBasis.keys``/``.coroots`` are set once at construction; they
-    equal the comprehensions they replace, and equality, hashing and repr
+    ``AdaptedBasis.keys``/``.matrix`` are set once at construction; they
+    equal the comprehensions over the declared fields, and equality, hashing and repr
     still read only the declared fields.  The basis compared against is
     another unipotent one, since ``AdaptedBasis`` refuses any other."""
     a4 = datum("A4")
@@ -906,13 +931,16 @@ def test_derived_fields_leave_equality_hash_and_repr_alone(datum):
 
     entries = ((3, (0, 0, 1, 0)), (1, (1, 1, 1, 0)))
     basis = schubert.AdaptedBasis(entries=entries)
-    assert (basis.keys, basis.coroots) == ((3, 1), ((0, 0, 1, 0), (1, 1, 1, 0)))
+    assert basis.keys == tuple(k for k, _ in basis.entries) == (3, 1)
+    assert basis.matrix == tuple(
+        tuple(c[k - 1] for k in basis.keys) for _, c in basis.entries
+    ) == ((1, 0), (1, 1))
     twin = schubert.AdaptedBasis(entries=tuple(entries))
     assert basis == twin and hash(basis) == hash(twin)
     assert basis != schubert.AdaptedBasis(entries=((3, (0, 0, 1, 0)), (1, (1, 0, 0, 0))))
     assert repr(basis) == f"AdaptedBasis(entries={entries!r})"
     empty = schubert.AdaptedBasis(entries=())
-    assert empty.keys == empty.coroots == ()
+    assert empty.keys == empty.matrix == ()
 
 
 @pytest.mark.parametrize(
@@ -934,8 +962,8 @@ def test_matrix_columns_and_shared_provenance(type_str, word, b2, datum):
     )
     if report.m_matrix is not None:
         keys = report.basis.keys
-        assert report.m_matrix.entries == tuple(
-            tuple(c[k - 1] for k in keys) for c in report.basis.coroots
+        assert report.m_matrix.entries == report.basis.matrix == tuple(
+            tuple(c[k - 1] for k in keys) for _, c in report.basis.entries
         )
     with pytest.raises(TypeError):
         report.provenance["gorenstein"] = "edited"
